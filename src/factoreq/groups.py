@@ -78,8 +78,10 @@ class Group:
         if len(self._closure(generators)) != n:
             raise ValidationError("generators do not generate the group")
         self._element_classes = None
+        self._all_subgroups = None
         self._subgroup_classes = None
         self._class_of_subgroup = None
+        self._permutation_characters = {}
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
@@ -150,25 +152,45 @@ class Group:
     # -- subgroup lattice ----------------------------------------------------
 
     def all_subgroups(self):
-        """Every subgroup, via join-closure over the cyclic subgroups.
+        """Every subgroup, sorted by (order, sorted members); computed once.
 
-        Any subgroup is a join of cyclic ones, and each partial join is
-        itself a subgroup, so saturating joins with cyclic subgroups finds
-        everything (including insoluble subgroups, unlike pure
-        order-by-order cyclic extension).
+        Any subgroup is a join of cyclic ones, and each partial join is a
+        subgroup, so saturating joins with cyclic subgroups finds them all,
+        insoluble ones included.  <H, x> grows from H as a union of left
+        cosets k*H, by breadth-first search over representatives k
+        left-multiplied by x and the cyclic generators that built H: the
+        union holds 1 and is closed under them, so it is <H, x>, found in
+        about |<H, x>| steps rather than |<H, x>| * |H|.  Since
+        <H, hx> = <H, x>, one x per coset Hx is joined.
         """
-        cyclics = sorted({self._closure([x]) for x in range(self.order)},
-                         key=lambda s: (len(s), tuple(sorted(s))))
-        found = set(cyclics)
-        queue = list(cyclics)
-        for sub in queue:
-            for cyc in cyclics:
-                if not cyc <= sub:
-                    new = self._closure(sub | cyc)
-                    if new not in found:
-                        found.add(new)
+        if self._all_subgroups is None:
+            mul = self.mul
+            gens_of = {}
+            for x in range(self.order):
+                gens_of.setdefault(self._closure([x]), (x,))
+            joins = [x for (x,) in gens_of.values()]
+            queue = list(gens_of)
+            for sub in queue:
+                seen = set(sub)
+                for x in joins:
+                    if x in seen:
+                        continue
+                    seen.update(mul[h][x] for h in sub)
+                    step = gens_of[sub] + (x,)
+                    elems, reps = set(sub), [0]
+                    for k in reps:
+                        for s in step:
+                            y = mul[s][k]
+                            if y not in elems:
+                                elems.update(mul[y][h] for h in sub)
+                                reps.append(y)
+                    new = frozenset(elems)
+                    if new not in gens_of:
+                        gens_of[new] = step
                         queue.append(new)
-        return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+            self._all_subgroups = tuple(sorted(
+                gens_of, key=lambda s: (len(s), tuple(sorted(s)))))
+        return self._all_subgroups
 
     def subgroup_classes(self):
         if self._subgroup_classes is None:
@@ -177,7 +199,12 @@ class Group:
             for sub in self.all_subgroups():
                 if sub in assigned:
                     continue
-                orbit = {self.conjugate_subgroup(g, sub) for g in range(self.order)}
+                orbit = [sub]
+                for member in orbit:
+                    for g in self.generators:
+                        conj = self.conjugate_subgroup(g, member)
+                        if conj not in orbit:
+                            orbit.append(conj)
                 members = tuple(sorted(orbit, key=lambda s: tuple(sorted(s))))
                 for m in members:
                     assigned[m] = len(classes)
@@ -191,7 +218,7 @@ class Group:
                 rep = members[0]
                 k = per_order.get(len(rep), 0)
                 per_order[len(rep)] = k + 1
-                is_cyc = any(len(self._closure([x])) == len(rep) for x in rep)
+                is_cyc = any(self.element_orders[x] == len(rep) for x in rep)
                 out.append(SubgroupClass(
                     index=idx, label=f"o{len(rep)}#{k}", order=len(rep),
                     representative=rep, members=members,

@@ -4,6 +4,10 @@ Matrices are immutable tuples of row tuples.  Everything here is fraction-free
 where possible: Hermite normal form and kernels stay in integers, determinants
 use Bareiss elimination (intermediate entries are minors, so divisions are
 exact), and rational matrices are cleared to integers first.  No floats ever.
+
+One elimination loop does all Hermite normal form work.  Only
+:func:`hermite_normal_form` carries the transform ``U`` (for
+:func:`kernel_basis`); :func:`row_span_basis` needs none.
 """
 
 from __future__ import annotations
@@ -54,20 +58,14 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v) if x and y) for row in a)
 
 
-def hermite_normal_form(rows):
-    """Row Hermite normal form with transform.
+def _hnf_in_place(a, ncols):
+    """Reduce columns ``< ncols`` of the row list ``a`` to HNF, in place.
 
-    Returns ``(H, U)`` with ``U`` unimodular, ``U @ rows == H``, pivots
-    positive, entries above each pivot reduced into ``[0, pivot)``, and zero
-    rows collected at the bottom.  ``H`` is the canonical representative of
-    the row span, so two spans are equal iff their nonzero HNF rows coincide.
+    Later columns (an appended identity) ride along and record the transform.
     """
-    a = [list(r) for r in rows]
     m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
-    for c in range(n):
+    for c in range(ncols):
         if r == m:
             break
         # Kill all but one nonzero in column c at rows >= r via gcd steps.
@@ -78,14 +76,12 @@ def hermite_normal_form(rows):
             piv = min(live, key=lambda i: abs(a[i][c]))
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, m):
                 if a[i][c]:
                     q = a[i][c] // a[r][c]
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if a[i][c]:
                         done = False
             if done:
@@ -93,22 +89,34 @@ def hermite_normal_form(rows):
         if r < m and a[r][c]:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in u)
+
+
+def hermite_normal_form(rows):
+    """Row Hermite normal form with transform.
+
+    Returns ``(H, U)`` with ``U`` unimodular, ``U @ rows == H``, pivots
+    positive, entries above each pivot reduced into ``[0, pivot)``, and zero
+    rows collected at the bottom.  ``H`` is the canonical representative of
+    the row span, so two spans are equal iff their nonzero HNF rows coincide.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [1 if i == j else 0 for j in range(m)]
+         for i, row in enumerate(rows)]
+    _hnf_in_place(a, n)
+    return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
 
 
 def row_span_basis(rows):
     """Canonical basis (nonzero HNF rows) of the integer row span."""
-    if not rows:
-        return ()
-    h, _ = hermite_normal_form(rows)
-    return tuple(row for row in h if any(row))
+    a = [list(row) for row in rows]
+    _hnf_in_place(a, len(a[0]) if a else 0)
+    return tuple(tuple(row) for row in a if any(row))
 
 
 def kernel_basis(mat):

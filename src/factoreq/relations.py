@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import FactoreqError, ValidationError
 from .groups import (
     Dihedral2N,
     ElemAbelianP2,
@@ -44,20 +44,24 @@ def permutation_character(group: Group, subgroup_class) -> CharacterVector:
 
     ``subgroup_class`` may be a SubgroupClass, its index, or its label.  The
     count ``#{x : x^-1 g x in H}`` is always divisible by |H|; the quotient
-    is the number of fixed cosets.
+    is the number of fixed cosets; values are cached on the group.
     """
     cls = _as_class(group, subgroup_class)
-    members = cls.representative
-    mul, inv = group.mul, group.inverse
-    values = []
-    for ec in group.element_classes():
-        g = ec[0]
-        hits = sum(1 for x in range(group.order)
-                   if mul[mul[inv[x]][g]][x] in members)
-        fixed, rem = divmod(hits, cls.order)
-        assert rem == 0, "conjugation count must be divisible by |H|"
-        values.append(fixed)
-    return CharacterVector(group, tuple(values))
+    values = group._permutation_characters.get(cls.index)
+    if values is None:
+        members = cls.representative
+        mul, inv = group.mul, group.inverse
+        values = []
+        for ec in group.element_classes():
+            g = ec[0]
+            hits = sum(1 for x in range(group.order)
+                       if mul[mul[inv[x]][g]][x] in members)
+            fixed, rem = divmod(hits, cls.order)
+            if rem:
+                raise FactoreqError("conjugation count not divisible by |H|")
+            values.append(fixed)
+        values = group._permutation_characters[cls.index] = tuple(values)
+    return CharacterVector(group, values)
 
 
 def _as_class(group, spec):
@@ -86,14 +90,12 @@ class GRelation:
 
     @staticmethod
     def from_mapping(group: Group, mapping) -> "GRelation":
-        classes = group.subgroup_classes()
         coeffs = {}
         for key, val in dict(mapping).items():
             idx = _as_class(group, key).index
             if not isinstance(val, int):
                 raise ValidationError("relation coefficients must be integers")
             coeffs[idx] = coeffs.get(idx, 0) + val
-        _ = classes
         return GRelation(group, tuple(sorted((k, v) for k, v in coeffs.items() if v)))
 
     def coefficient(self, class_index: int) -> int:
@@ -184,7 +186,7 @@ def induce_inflate(group: Group, sq: Subquotient, rel: GRelation) -> GRelation:
 
     Each subgroup class of H/B is replaced by the G-conjugacy class of its
     preimage in H; coefficients landing on the same class accumulate.  The
-    result is again a relation (asserted).
+    result is again a relation (checked).
     """
     if sq.group is not group:
         raise ValidationError("subquotient belongs to a different group")
@@ -199,7 +201,8 @@ def induce_inflate(group: Group, sq: Subquotient, rel: GRelation) -> GRelation:
         gidx = group.class_of_subgroup(pre)
         acc[gidx] = acc.get(gidx, 0) + val
     out = GRelation(group, tuple(sorted((k, v) for k, v in acc.items() if v)))
-    assert is_relation(group, out), "induced-inflated image failed to cancel"
+    if not is_relation(group, out):
+        raise FactoreqError("induced-inflated image failed to cancel")
     return out
 
 
@@ -219,7 +222,8 @@ def induce_relation(group: Group, embedding, rel: GRelation) -> GRelation:
         gidx = group.class_of_subgroup(image)
         acc[gidx] = acc.get(gidx, 0) + val
     out = GRelation(group, tuple(sorted((k, v) for k, v in acc.items() if v)))
-    assert is_relation(group, out), "induced image failed to cancel"
+    if not is_relation(group, out):
+        raise FactoreqError("induced image failed to cancel")
     return out
 
 

@@ -1,9 +1,10 @@
 """Group core: construction, subgroup lattice, quotients, subquotients.
 
-Subgroup enumeration is checked against two independent oracles: full
-power-set closure (|G| <= 16) and closures of all generating sets of size
-<= log2|G| (|G| <= 32, since any subgroup of order n is generated by at most
-log2(n) elements).
+Subgroup enumeration is checked against three independent oracles: full
+power-set closure (|G| <= 16), closures of all generating sets of size
+<= log2|G| (|G| < 32, since any subgroup of order n is generated by at most
+log2(n) elements), and, for every group, the element-seeded join closure
+that the coset-extension enumeration replaced.
 """
 
 import math
@@ -53,6 +54,22 @@ def oracle_subgroups_bounded_gens(g):
         for combo in combinations(range(1, g.order), r):
             out.add(g.subgroup_generated_by(combo))
     return out
+
+
+def oracle_subgroups_join_closure(g):
+    """Saturate joins with cyclic subgroups, each join closed from all of
+    the subgroup's elements (the enumeration before coset extension)."""
+    cyclics = {g.subgroup_generated_by([x]) for x in range(g.order)}
+    found = set(cyclics)
+    queue = list(cyclics)
+    for sub in queue:
+        for cyc in cyclics:
+            if not cyc <= sub:
+                new = g.subgroup_generated_by(sub | cyc)
+                if new not in found:
+                    found.add(new)
+                    queue.append(new)
+    return found
 
 
 def order_multiset(g):
@@ -186,6 +203,9 @@ SUBGROUP_COUNTS = {
     "E8": (16, 16),
     "D16": (19, 11),
     "Heis3": (19, 11),
+    "A5": (59, 9),
+    "S5": (156, 19),
+    "E32": (374, 374),
 }
 
 
@@ -196,20 +216,29 @@ def build(name):
         "E9": lambda: elementary_abelian_group(3, 2),
         "S3": lambda: dihedral_group(6),
         "D8": lambda: dihedral_group(8),
-        "Q8": lambda: quaternion_group,
+        "Q8": quaternion_group,
         "E8": lambda: elementary_abelian_group(2, 3),
         "D16": lambda: dihedral_group(16),
         "Heis3": lambda: heisenberg_group(3),
-    }[name]() if name != "Q8" else quaternion_group()
+        # generated by the cycles (0,1,2,3,4) and (0,1,2), resp. (0,1)
+        "A5": lambda: group_from_generators([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
+        "S5": lambda: group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+        "E32": lambda: elementary_abelian_group(2, 5),
+    }[name]()
 
 
 @pytest.mark.parametrize("name", sorted(SUBGROUP_COUNTS))
 def test_subgroup_enumeration_against_oracles(name):
     g = build(name)
     total, nclasses = SUBGROUP_COUNTS[name]
-    subs = set(g.all_subgroups())
+    subs = g.all_subgroups()
+    assert isinstance(subs, tuple) and g.all_subgroups() is subs
+    assert list(subs) == sorted(subs, key=lambda s: (len(s), sorted(s)))
+    subs = set(subs)
     assert len(subs) == total
-    assert subs == oracle_subgroups_bounded_gens(g)
+    assert subs == oracle_subgroups_join_closure(g)
+    if g.order < 32:
+        assert subs == oracle_subgroups_bounded_gens(g)
     if g.order <= 16:
         assert subs == oracle_subgroups_powerset(g)
     classes = g.subgroup_classes()

@@ -105,6 +105,14 @@ def test_hnf_is_canonical_for_the_row_span(mat):
     assert row_span_basis(tuple(twisted)) == basis
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6))
+def test_row_span_basis_matches_transform_carrying_hnf(mat):
+    # The transform-free path must give the rows the (H, U) path gives.
+    h, _ = hermite_normal_form(mat)
+    assert row_span_basis(mat) == tuple(row for row in h if any(row))
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_rows=3, max_cols=3, entries=st.integers(-3, 3)))
 def test_kernel_annihilates_and_saturates(mat):

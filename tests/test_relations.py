@@ -6,9 +6,12 @@ for the small groups are frozen from hand computations with the character
 matrices written out.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from factoreq.errors import ValidationError
+from factoreq import relations
+from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
     ElemAbelianP2,
     HeisenbergP3,
@@ -88,6 +91,46 @@ def test_character_spot_values():
     assert permutation_character(v4, "o4#0").values == (1, 1, 1, 1)
     h = permutation_character(v4, 1).values
     assert h[0] == 2 and sorted(h) == [0, 0, 2, 2]
+
+
+def test_characters_are_computed_once_per_group_and_class():
+    d8 = dihedral_group(8)
+    first = permutation_character(d8, 1).values
+    assert permutation_character(d8, d8.subgroup_classes()[1].label).values \
+        is first
+    assert permutation_character(dihedral_group(8), 1).values == first
+
+
+def test_broken_invariants_raise_internal_errors(monkeypatch):
+    # Forced by monkeypatching: each check must raise, not assert, so that
+    # it also holds under ``python -O``.
+    d8 = dihedral_group(8)
+    cls = d8.subgroup_classes()[1]
+    with monkeypatch.context() as m:
+        m.setattr(relations, "_as_class",
+                  lambda group, spec: replace(cls, order=3))
+        with pytest.raises(FactoreqError, match="not divisible by") as exc:
+            permutation_character(d8, cls)
+    assert type(exc.value) is FactoreqError
+
+    q8 = quaternion_group()
+    sq = subquotients_of_type(q8, ElemAbelianP2(2))[0]
+    rel = relation_basis(sq.quotient)[0]
+    with monkeypatch.context() as m:
+        m.setattr(relations, "is_relation", lambda group, cand: group is not q8)
+        with pytest.raises(FactoreqError, match="failed to cancel") as exc:
+            induce_inflate(q8, sq, rel)
+    assert type(exc.value) is FactoreqError
+
+    v4 = next(c for c in d8.subgroup_classes()
+              if c.order == 4 and not c.is_cyclic)
+    sub, emb = subgroup_as_group(d8, v4.representative)
+    rel = relation_basis(sub)[0]
+    with monkeypatch.context() as m:
+        m.setattr(relations, "is_relation", lambda group, cand: False)
+        with pytest.raises(FactoreqError, match="failed to cancel") as exc:
+            induce_relation(d8, emb, rel)
+    assert type(exc.value) is FactoreqError
 
 
 def test_relation_basis_of_cyclic_groups_is_empty():
