@@ -68,6 +68,7 @@ from .lattices import (
     regular_lattice,
     regulator_constant,
     restrict_lattice,
+    tower_lattice,
     tower_target_constant,
     trivial_lattice,
 )

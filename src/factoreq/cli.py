@@ -23,7 +23,13 @@ from .checker import (
     minkowski_factor_check,
     p_part_factor_check,
 )
-from .errors import DataError, FactoreqError, ParseError, ValidationError
+from .errors import (
+    DataError,
+    FactoreqError,
+    ParseError,
+    ResourceError,
+    ValidationError,
+)
 from .factorisable import (
     SubgroupFunction,
     factorisable_quotient,
@@ -50,9 +56,12 @@ from .lattices import (
     index_ratio_check,
     regular_lattice,
     regulator_constant,
+    tower_lattice,
     trivial_lattice,
 )
 from .relations import bouc_generators, relation_basis, spans_match
+
+DEFAULT_RANK_BUDGET = 1000
 
 _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
           "quaternion8, perm:[<cycles>], product:<a>;<b>, "
@@ -62,20 +71,30 @@ _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
 # -- small parsing helpers -----------------------------------------------------
 
 
-def _element_budget(explicit=None) -> int:
+def _budget(variable: str, default: int, explicit=None) -> int:
     if explicit is not None:
         return explicit
-    raw = os.environ.get("FACTOREQ_ELEMENT_BUDGET")
+    raw = os.environ.get(variable)
     if raw is None:
-        return DEFAULT_ELEMENT_BUDGET
+        return default
     try:
         budget = int(raw)
     except ValueError:
         budget = 0
     if budget < 1:
-        raise ParseError(
-            f"FACTOREQ_ELEMENT_BUDGET must be a positive integer, got {raw!r}")
+        raise ParseError(f"{variable} must be a positive integer, got {raw!r}")
     return budget
+
+
+def _element_budget(explicit=None) -> int:
+    return _budget("FACTOREQ_ELEMENT_BUDGET", DEFAULT_ELEMENT_BUDGET, explicit)
+
+
+def _check_rank(rank: int, text: str, explicit=None):
+    budget = _budget("FACTOREQ_RANK_BUDGET", DEFAULT_RANK_BUDGET, explicit)
+    if rank > budget:
+        raise ResourceError(f"lattice {text!r} has rank {rank}, over the rank "
+                            f"budget of {budget}")
 
 
 def _strip_outer_parens(text: str) -> str:
@@ -253,11 +272,16 @@ def _tokenize_expr(text: str) -> list:
     return tokens
 
 
-def parse_lattice_expr(group: Group, text: str) -> GLattice:
+def parse_lattice_expr(group: Group, text: str, rank_budget=None) -> GLattice:
     """Build a lattice from ``A | I | Z | Reg | Coset(label) | Sum(...)``,
-    each optionally raised to ``^m`` for an m-fold direct sum."""
+    each optionally raised to ``^m`` for an m-fold direct sum.
+
+    The whole expression is parsed and its rank checked against the rank
+    budget before any matrix is built; each named atom is built once.
+    """
     tokens = _tokenize_expr(str(text))
     state = {"at": 0}
+    built: dict = {}
 
     def peek():
         return tokens[state["at"]]
@@ -271,25 +295,40 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
         state["at"] += 1
         return tok
 
-    atoms = {"A": cyclic_quotient_lattice, "I": augmentation_lattice,
-             "Z": trivial_lattice, "Reg": regular_lattice}
+    def atom(key, rank, make):
+        def build():
+            if key not in built:
+                built[key] = make()
+            return built[key]
+        return rank, build
 
-    def expr() -> GLattice:
+    n = group.order
+    atoms = {"A": (n - 1, cyclic_quotient_lattice),
+             "I": (n - 1, augmentation_lattice),
+             "Z": (1, trivial_lattice), "Reg": (n, regular_lattice)}
+
+    def expr():
+        """(rank, builder) of the next term."""
         kind, name, pos = take("NAME")
         if name == "Sum":
             take("(")
-            out = expr()
+            terms = [expr()]
             while peek()[0] == ",":
                 take(",")
-                out = direct_sum(out, expr())
+                terms.append(expr())
             take(")")
+            rank = sum(r for r, _ in terms)
+            out = rank, lambda: direct_sum(*(build() for _, build in terms))
         elif name == "Coset":
             take("(")
             label = take("NAME")[1]
             take(")")
-            out = coset_lattice(group, label)
+            cls = group.class_by_label(label)
+            out = atom(("Coset", label), n // cls.order,
+                       lambda: coset_lattice(group, cls))
         elif name in atoms:
-            out = atoms[name](group)
+            rank, make = atoms[name]
+            out = atom(name, rank, lambda: make(group))
         else:
             raise ParseError(f"lattice expression: unknown term {name!r} at "
                              f"position {pos} (know A, I, Z, Reg, Coset, Sum)")
@@ -298,17 +337,19 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
             count = int(take("INT")[1])
             if count < 1:
                 raise ParseError("^m needs m >= 1")
-            copies = out
-            for _ in range(count - 1):
-                out = direct_sum(out, copies)
+            rank, inner = out
+            out = (rank * count,
+                   lambda inner=inner, count=count:
+                   direct_sum(*[inner()] * count))
         return out
 
-    result = expr()
+    rank, build = expr()
     tok = peek()
     if tok[0] != "END":
         raise ParseError(f"lattice expression: trailing input {tok[1]!r} at "
                          f"position {tok[2]}")
-    return result
+    _check_rank(rank, text, rank_budget)
+    return build()
 
 
 # -- profiles and value files --------------------------------------------------
@@ -670,13 +711,8 @@ def _candidate_lattice(group: Group, text: str) -> GLattice:
         floors = _parse_int(text[len("tower:"):], "tower parameter")
         if floors < 0:
             raise ParseError("tower parameter must be >= 0")
-        lattice = direct_sum(direct_sum(cyclic_quotient_lattice(group),
-                                        augmentation_lattice(group)),
-                             trivial_lattice(group))
-        for _ in range(floors):
-            lattice = direct_sum(lattice, regular_lattice(group))
-        lattice.label = f"Tower({floors})"
-        return lattice
+        _check_rank(2 * group.order - 1 + floors * group.order, text)
+        return tower_lattice(group, floors)
     return parse_lattice_expr(group, text)
 
 
@@ -774,7 +810,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "factor-equivalence checks.",
         epilog=f"group specs: {_KINDS}. Lattice expressions: A, I, Z, Reg, "
                f"Coset(label), Sum(e1,e2,...), e^m. Set "
-               f"FACTOREQ_ELEMENT_BUDGET to bound permutation closures.")
+               f"FACTOREQ_ELEMENT_BUDGET to bound permutation closures and "
+               f"FACTOREQ_RANK_BUDGET to bound lattice ranks.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     def add(name, handler, help_text):

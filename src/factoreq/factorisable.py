@@ -15,7 +15,7 @@ every cyclic subgroup.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import FactoreqError, ValidationError
 from .groups import Group
 from .intmat import prime_factorization
 
@@ -201,7 +201,9 @@ def abelian_characters(group: Group) -> tuple:
         if ok:
             found.add(tuple(values))
     out = tuple(sorted(found))
-    assert len(out) == n, "an abelian group has exactly |G| characters"
+    if len(out) != n:
+        raise FactoreqError(f"found {len(out)} characters of {group.name}; "
+                            f"an abelian group has exactly {n}")
     return out
 
 

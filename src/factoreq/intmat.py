@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import FactoreqError
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
@@ -28,8 +30,9 @@ def transpose(mat):
 
 def mat_mul(a, b):
     """Product a @ b, skipping zero entries (our matrices are mostly sparse)."""
-    if a and b:
-        assert len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise FactoreqError(f"cannot multiply a matrix with {len(a[0])} "
+                            f"columns by one with {len(b)} rows")
     width = len(b[0]) if b else 0
     out = []
     for row in a:

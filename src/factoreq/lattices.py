@@ -8,13 +8,19 @@ evaluated exactly over Q:
 
 for a relation Theta = sum n_H H, with any G-invariant positive-definite
 pairing <.,.>; the value does not depend on that choice.
+
+A lattice keeps its direct-sum decomposition as (atom, multiplicity)
+pairs, and the default regulator constant is evaluated summand by summand:
+C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m
+(Dokchitser & Dokchitser, Invent. Math. 178, 2009).  On an atom the
+averaged pairing stays an integer matrix.  User-supplied pairings and
+index comparisons take the generic route on the whole lattice.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import FactoreqError, ValidationError
 from .groups import Group, subgroup_generators
 from .intmat import (
     bareiss_determinant,
@@ -38,6 +44,9 @@ class GLattice:
     the generator words that enumerated the group; the first
     materialization verifies rho(s)rho(x) = rho(sx) for every generator s
     and element x, which extends inductively to the full homomorphism law.
+
+    ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
+    pairs; a lattice not built by :func:`direct_sum` is its own atom.
     """
 
     def __init__(self, group: Group, actions, label: str = ""):
@@ -54,12 +63,17 @@ class GLattice:
                                       "of equal size")
             if rank and abs(bareiss_determinant(m)) != 1:
                 raise ValidationError("action matrices must be unimodular")
+        self._setup(group, mats, rank, label or f"lattice(rank {rank})",
+                    ((self, 1),))
+
+    def _setup(self, group, mats, rank, label, summands):
         self.group = group
         self.rank = rank
         self.actions = mats
-        self.label = label or f"lattice(rank {rank})"
+        self.label = label
+        self.summands = summands
         self._materialized = None
-        self._pairing = None
+        self._gram = None
         self._fixed: dict[int, tuple] = {}
         self._default_dets: dict[int, Fraction] = {}
 
@@ -219,18 +233,54 @@ def augmentation_lattice(group: Group) -> GLattice:
     return GLattice(group, tuple(actions), label="I")
 
 
-def direct_sum(first: GLattice, second: GLattice) -> GLattice:
-    """Block-diagonal sum of two lattices over the same group."""
-    if first.group is not second.group:
+def direct_sum(*parts: GLattice) -> GLattice:
+    """Block-diagonal sum of lattices over the same group.
+
+    The label nests to the left, ``Sum(Sum(a,b),c)``.  The blocks were
+    checked when their lattices were built and a block-diagonal determinant
+    is the product of the block determinants, so no unimodularity check
+    runs again.  The summands of the parts are merged by atom.
+    """
+    if not parts:
+        raise ValidationError("a direct sum needs at least one summand")
+    group = parts[0].group
+    if any(part.group is not group for part in parts):
         raise ValidationError("direct summands must share their group")
-    ra, rb = first.rank, second.rank
+    if len(parts) == 1:
+        return parts[0]
+    counts: dict[int, list] = {}
+    for part in parts:
+        for atom, k in part.summands:
+            counts.setdefault(id(atom), [atom, 0])[1] += k
+    total = sum(part.rank for part in parts)
     actions = []
-    for ma, mb in zip(first.actions, second.actions):
-        top = [tuple(row) + (0,) * rb for row in ma]
-        bottom = [(0,) * ra + tuple(row) for row in mb]
-        actions.append(tuple(top + bottom))
-    return GLattice(first.group, tuple(actions),
-                    label=f"Sum({first.label},{second.label})")
+    for gi in range(len(group.generators)):
+        rows, offset = [], 0
+        for part in parts:
+            left = (0,) * offset
+            right = (0,) * (total - offset - part.rank)
+            rows.extend(left + row + right for row in part.actions[gi])
+            offset += part.rank
+        actions.append(tuple(rows))
+    label = parts[0].label
+    for part in parts[1:]:
+        label = f"Sum({label},{part.label})"
+    out = GLattice.__new__(GLattice)
+    out._setup(group, tuple(actions), total, label,
+               tuple((atom, k) for atom, k in counts.values()))
+    return out
+
+
+def tower_lattice(group: Group, m: int) -> GLattice:
+    """The unit-lattice model A + I + Z + Reg^m, labelled ``Tower(m)``."""
+    if not isinstance(m, int) or m < 0:
+        raise ValidationError("the number of regular summands must be a "
+                              "non-negative integer")
+    out = direct_sum(cyclic_quotient_lattice(group),
+                     augmentation_lattice(group), trivial_lattice(group),
+                     *[regular_lattice(group)] * m)
+    out.label = f"Tower({m})"
+    return out
 
 
 def inflate_lattice(group: Group, projection, lat: GLattice) -> GLattice:
@@ -265,19 +315,22 @@ def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
 # -- pairings and fixed sublattices -------------------------------------------
 
 
-def averaged_pairing(lat: GLattice) -> Pairing:
-    """The G-invariant form sum_g rho(g)^T rho(g); always positive definite."""
-    if lat._pairing is None:
+def _averaged_gram(lat: GLattice) -> tuple:
+    """The integer matrix sum_g rho(g)^T rho(g), cached on the lattice."""
+    if lat._gram is None:
         rank = lat.rank
         total = [[0] * rank for _ in range(rank)]
         for m in lat.materialized():
             prod = mat_mul(transpose(m), m)
             for i in range(rank):
-                row = total[i]
-                prow = prod[i]
-                total[i] = [a + b for a, b in zip(row, prow)]
-        lat._pairing = Pairing(tuple(tuple(row) for row in total))
-    return lat._pairing
+                total[i] = [a + b for a, b in zip(total[i], prod[i])]
+        lat._gram = tuple(tuple(row) for row in total)
+    return lat._gram
+
+
+def averaged_pairing(lat: GLattice) -> Pairing:
+    """The G-invariant form sum_g rho(g)^T rho(g); always positive definite."""
+    return Pairing(_averaged_gram(lat))
 
 
 def fixed_sublattice(lat: GLattice, subgroup_class):
@@ -317,43 +370,67 @@ def _check_invariance(lat: GLattice, pairing: Pairing):
             raise ValidationError("pairing is not invariant under the action")
 
 
-def _scaled_gram_det(lat: GLattice, cls, pairing: Pairing) -> Fraction:
-    """det of (1/|H|) <.,.> on a basis of the fixed sublattice of cls."""
+def _scaled_gram_det(lat: GLattice, cls, pairing) -> Fraction:
+    """det of (1/|H|) <.,.> on a basis of the fixed sublattice of cls.
+
+    ``pairing`` is a :class:`Pairing` (rational) or an integer matrix, whose
+    Gram determinant then stays in integers.
+    """
     basis = fixed_sublattice(lat, cls)
     dim = len(basis[0]) if basis else 0
     if dim == 0:
         return Fraction(1)
-    gram = mat_mul(mat_mul(transpose(basis), pairing.matrix), basis)
-    det = fraction_determinant(gram)
-    return det / Fraction(cls.order) ** dim
+    if isinstance(pairing, Pairing):
+        gram = mat_mul(mat_mul(transpose(basis), pairing.matrix), basis)
+        det = fraction_determinant(gram)
+    else:
+        gram = mat_mul(mat_mul(transpose(basis), pairing), basis)
+        det = Fraction(bareiss_determinant(gram))
+    det /= Fraction(cls.order) ** dim
+    if det <= 0:
+        raise FactoreqError(f"Gram determinant {det} on the {cls.label}-fixed "
+                            f"sublattice of {lat.label} is not positive")
+    return det
+
+
+def _atom_constant(atom: GLattice, theta: GRelation) -> Fraction:
+    """C_Theta of one atom under its averaged pairing.
+
+    The pairing is a sum containing the identity term, hence positive
+    definite by construction, so the Sylvester test is not repeated.
+    """
+    classes = atom.group.subgroup_classes()
+    gram = _averaged_gram(atom)
+    value = Fraction(1)
+    for idx, n_h in theta.coefficients:
+        if idx not in atom._default_dets:
+            atom._default_dets[idx] = _scaled_gram_det(atom, classes[idx],
+                                                       gram)
+        value *= atom._default_dets[idx] ** n_h
+    return value
 
 
 def regulator_constant(lat: GLattice, theta: GRelation,
                        pairing: Pairing | None = None) -> RegulatorValue:
     """Evaluate C_Theta on a lattice, exactly.
 
-    With no pairing supplied the averaged one is used (and per-class
-    determinants are cached on the lattice); a supplied pairing must be
-    symmetric positive definite and invariant under the action.
+    With no pairing supplied the value is the product of the atoms'
+    constants under their averaged pairings (per-class determinants are
+    cached on each atom).  A supplied pairing must be symmetric positive
+    definite and invariant under the action, and is used on the whole
+    lattice.
     """
     if theta.group is not lat.group:
         raise ValidationError("relation and lattice live on different groups")
-    classes = lat.group.subgroup_classes()
-    use_cache = pairing is None
-    if use_cache:
-        pairing = averaged_pairing(lat)
+    value = Fraction(1)
+    if pairing is None:
+        for atom, k in lat.summands:
+            value *= _atom_constant(atom, theta) ** k
     else:
         _check_invariance(lat, pairing)
-    value = Fraction(1)
-    for idx, n_h in theta.coefficients:
-        if use_cache and idx in lat._default_dets:
-            det = lat._default_dets[idx]
-        else:
-            det = _scaled_gram_det(lat, classes[idx], pairing)
-            if use_cache:
-                lat._default_dets[idx] = det
-        assert det > 0, "definite pairing restricted to a sublattice"
-        value *= det ** n_h
+        classes = lat.group.subgroup_classes()
+        for idx, n_h in theta.coefficients:
+            value *= _scaled_gram_det(lat, classes[idx], pairing) ** n_h
     return RegulatorValue(value, fraction_valuations(value))
 
 
@@ -395,31 +472,20 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     return lhs == rhs, indices
 
 
-@lru_cache(maxsize=64)
-def _tower_lattice(group: Group, m: int) -> GLattice:
-    out = direct_sum(direct_sum(cyclic_quotient_lattice(group),
-                                augmentation_lattice(group)),
-                     trivial_lattice(group))
-    for _ in range(m):
-        out = direct_sum(out, regular_lattice(group))
-    return out
-
-
 def tower_target_constant(group: Group, m: int,
                           theta: GRelation) -> RegulatorValue:
     """C_Theta of the unit-lattice model A + I + Z + Reg^m.
 
     The cyclic-quotient and augmentation contributions cancel and the
     regular summands contribute nothing, so the result always equals
-    C_Theta(Z) = prod |H|^(-n_H); that closed form is asserted internally.
+    C_Theta(Z) = prod |H|^(-n_H); that closed form is checked.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError("the number of regular summands must be a "
-                              "non-negative integer")
-    result = regulator_constant(_tower_lattice(group, m), theta)
+    result = regulator_constant(tower_lattice(group, m), theta)
     classes = group.subgroup_classes()
     expected = Fraction(1)
     for idx, n_h in theta.coefficients:
         expected *= Fraction(classes[idx].order) ** (-n_h)
-    assert result.value == expected, "tower constant must collapse to C(Z)"
+    if result.value != expected:
+        raise FactoreqError(f"tower constant {result.value} must collapse to "
+                            f"C(Z) = {expected}")
     return result

@@ -8,18 +8,22 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 
 import json
 import os
+import time
 
 import pytest
 
+from factoreq import cli
 from factoreq.checker import ArithmeticProfile
 from factoreq.cli import (
+    _candidate_lattice,
     parse_group_spec,
     parse_lattice_expr,
     parse_profile,
     profile_from_data,
     run,
 )
-from factoreq.errors import DataError, ParseError, ValidationError
+from factoreq.errors import DataError, ParseError, ResourceError, ValidationError
+from factoreq.lattices import direct_sum, tower_lattice
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -109,6 +113,60 @@ def test_lattice_expr_rejects(bad):
     group = parse_group_spec("elemab:2,2")
     with pytest.raises((ParseError, ValidationError)):
         parse_lattice_expr(group, bad)
+
+
+def test_lattice_power_keeps_the_nested_form():
+    group = parse_group_spec("dihedral:8")
+    for text, base in (("Z^4", "Z"), ("Sum(A,Reg)^3", "Sum(A,Reg)")):
+        lat = parse_lattice_expr(group, text)
+        atom = parse_lattice_expr(group, base)
+        nested = atom
+        for _ in range(int(text[-1]) - 1):
+            nested = direct_sum(nested, atom)
+        assert (lat.label, lat.rank, lat.actions) == (
+            nested.label, nested.rank, nested.actions)
+    lat = parse_lattice_expr(group, "Sum(Reg,A,Reg^2)")
+    assert [(atom.label, k) for atom, k in lat.summands] == [("Reg", 3),
+                                                             ("A", 1)]
+
+
+def test_rank_budget(monkeypatch, capsys):
+    group = parse_group_spec("elemab:2,2")
+
+    def no_blocks(*parts):
+        raise AssertionError("no block may be built over the budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "direct_sum", no_blocks)
+        with pytest.raises(ResourceError, match="rank budget"):
+            parse_lattice_expr(group, "Z^1001")
+    assert parse_lattice_expr(group, "Sum(A,Reg)^142").rank == 994
+    monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "7")
+    assert parse_lattice_expr(group, "Sum(A,Reg)").rank == 7
+    with pytest.raises(ResourceError, match="rank 8"):
+        parse_lattice_expr(group, "Sum(A,Reg,Z)")
+    with pytest.raises(ResourceError):
+        _candidate_lattice(group, "tower:1")
+    assert parse_lattice_expr(group, "Z^8", rank_budget=8).rank == 8
+    monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "0")
+    with pytest.raises(ParseError, match="FACTOREQ_RANK_BUDGET"):
+        parse_lattice_expr(group, "Z")
+    monkeypatch.delenv("FACTOREQ_RANK_BUDGET")
+    start = time.monotonic()
+    code, _, err = invoke(capsys, "regconst", "cyclic:2", "Z^1000000000")
+    assert code == 2 and err.startswith("error:resource:")
+    assert time.monotonic() - start < 1
+
+
+def test_tower_candidate_is_the_lattices_tower():
+    group = parse_group_spec("heisenberg:3")
+    lat = _candidate_lattice(group, " tower:2 ")
+    ref = tower_lattice(group, 2)
+    assert (lat.label, lat.rank, lat.actions) == (ref.label, ref.rank,
+                                                  ref.actions)
+    assert lat.label == "Tower(2)" and lat.rank == 26 + 26 + 1 + 2 * 27
+    with pytest.raises(ParseError):
+        _candidate_lattice(group, "tower:-1")
 
 
 def test_lattice_expr_unknown_label():

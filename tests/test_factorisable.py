@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from factoreq.errors import ValidationError
+from factoreq import factorisable
+from factoreq.errors import FactoreqError, ValidationError
 from factoreq.factorisable import (
     Division,
     SubgroupFunction,
@@ -199,3 +200,11 @@ def test_division_and_function_reprs_are_usable():
     assert isinstance(d, Division) and d.order == 1
     f = SubgroupFunction.from_callable(g, len)
     assert f.group is g
+
+
+def test_character_count_is_checked(monkeypatch):
+    # Forced: S3 passed off as abelian has 2 characters into Z/6, not 6.
+    monkeypatch.setattr(factorisable, "_require_abelian", lambda group: None)
+    with pytest.raises(FactoreqError, match="exactly 6") as exc:
+        abelian_characters(dihedral_group(6))
+    assert type(exc.value) is FactoreqError

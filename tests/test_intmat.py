@@ -7,8 +7,10 @@ defining properties (unimodular transform, canonical shape).
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from factoreq.errors import FactoreqError
 from factoreq.intmat import (
     bareiss_determinant,
     fraction_determinant,
@@ -57,6 +59,14 @@ def matrices(max_rows=4, max_cols=4, entries=small_entries):
                        min_size=n, max_size=n).map(tuple)))
 def test_bareiss_matches_laplace(mat):
     assert bareiss_determinant(mat) == laplace_det(mat)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    # checked, not asserted: under ``python -O`` the rows of b past the
+    # width of a would be ignored silently
+    with pytest.raises(FactoreqError, match="2 columns by one with 3 rows"):
+        mat_mul(((1, 2),), ((1,), (2,), (3,)))
+    assert mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
 
 
 def test_det_edge_cases():

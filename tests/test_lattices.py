@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from factoreq.errors import ValidationError
+from factoreq import lattices
+from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
     cyclic_group,
     dihedral_group,
@@ -41,6 +42,7 @@ from factoreq.lattices import (
     regular_lattice,
     regulator_constant,
     restrict_lattice,
+    tower_lattice,
     tower_target_constant,
     trivial_lattice,
 )
@@ -60,6 +62,10 @@ GROUPS = {
     "Q8": quaternion_group,
     "Heis3": lambda: heisenberg_group(3),
 }
+
+# the groups of the acceptance criteria that have relations
+CENSUS = dict(GROUPS, E8=lambda: elementary_abelian_group(2, 3),
+              D16=lambda: dihedral_group(16))
 
 
 def closed_form(group, theta, sign=1):
@@ -150,6 +156,77 @@ def test_direct_sum_blocks():
     p = averaged_pairing(lat).matrix
     assert all(p[0][j] == 0 for j in range(1, 4))
     assert p[0][0] == Fraction(4)
+
+
+def test_direct_sum_records_summands_without_determinants(monkeypatch):
+    g = dihedral_group(8)
+    a_lat, z_lat, reg = (cyclic_quotient_lattice(g), trivial_lattice(g),
+                         regular_lattice(g))
+
+    def no_determinant(rows):
+        raise AssertionError("direct_sum must not re-check unimodularity")
+
+    monkeypatch.setattr(lattices, "bareiss_determinant", no_determinant)
+    inner = direct_sum(a_lat, reg)
+    lat = direct_sum(inner, z_lat, reg, reg)
+    assert lat.summands == ((a_lat, 1), (reg, 3), (z_lat, 1))
+    assert lat.label == "Sum(Sum(Sum(Sum(A,Reg),Z),Reg),Reg)"
+    assert lat.rank == 7 + 8 + 1 + 8 + 8
+    assert direct_sum(z_lat) is z_lat
+    assert z_lat.summands == ((z_lat, 1),)
+    lat.materialized()  # the blocks assemble to a homomorphism
+
+
+def test_direct_sum_blocks_match_nested_sums():
+    g = heisenberg_group(3)
+    parts = [cyclic_quotient_lattice(g), trivial_lattice(g),
+             coset_lattice(g, 2)]
+    nested = parts[0]
+    for part in parts[1:]:
+        nested = direct_sum(nested, part)
+    flat = direct_sum(*parts)
+    assert (flat.actions, flat.label, flat.rank) == (
+        nested.actions, nested.label, nested.rank)
+    with pytest.raises(ValidationError):
+        direct_sum()
+    with pytest.raises(ValidationError):
+        direct_sum(trivial_lattice(g), trivial_lattice(cyclic_group(3)))
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "Q8", "Heis3"])
+def test_integer_pairing_equals_averaged_pairing(name):
+    g = GROUPS[name]()
+    for lat in (cyclic_quotient_lattice(g), augmentation_lattice(g),
+                coset_lattice(g, 1),
+                direct_sum(trivial_lattice(g), augmentation_lattice(g))):
+        gram = lattices._averaged_gram(lat)
+        assert all(type(x) is int for row in gram for x in row)
+        assert gram == averaged_pairing(lat).matrix
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_summand_route_matches_generic_route(name):
+    # the generic route is forced by passing the averaged pairing itself
+    g = CENSUS[name]()
+    rng = random.Random(f"summands:{name}")
+    pool = [trivial_lattice(g), cyclic_quotient_lattice(g),
+            augmentation_lattice(g)]
+    if g.order <= 8:
+        pool.append(regular_lattice(g))
+    pool.extend(coset_lattice(g, cls) for cls in g.subgroup_classes()
+                if 1 < cls.order < g.order)
+    basis = relation_basis(g)
+    for _ in range(4):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            part = rng.choice(pool)
+            parts.extend([part] * rng.randrange(1, 3))
+        lat = direct_sum(*parts)
+        generic = averaged_pairing(lat)
+        for theta in basis:
+            fast = regulator_constant(lat, theta)
+            assert fast == regulator_constant(lat, theta, generic), (
+                name, lat.label)
 
 
 def test_pairing_validation():
@@ -422,6 +499,18 @@ def test_tower_spot_values():
     assert tower_target_constant(h, 0, pair).value == 1
 
 
+def test_tower_lattice_shape():
+    g = elementary_abelian_group(3, 2)
+    for m in (0, 2):
+        lat = tower_lattice(g, m)
+        assert lat.label == f"Tower({m})" and lat.rank == 8 + 8 + 1 + 9 * m
+        assert [(atom.label, k) for atom, k in lat.summands] == (
+            [("A", 1), ("I", 1), ("Z", 1)] + [("Reg", m)] * (m > 0))
+    for bad in (-1, 1.5):
+        with pytest.raises(ValidationError):
+            tower_lattice(g, bad)
+
+
 def test_tower_matches_trivial_constant():
     for name in ("V4", "S3", "Q8"):
         g = GROUPS[name]()
@@ -432,6 +521,31 @@ def test_tower_matches_trivial_constant():
     with pytest.raises(ValidationError):
         tower_target_constant(elementary_abelian_group(2, 2), -1,
                               relation_basis(elementary_abelian_group(2, 2))[0])
+
+
+def test_broken_invariants_raise_internal_errors(monkeypatch):
+    # Forced by monkeypatching: each check must raise, not assert, so that
+    # it also holds under ``python -O``.
+    v4 = elementary_abelian_group(2, 2)
+    theta = relation_basis(v4)[0]
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "bareiss_determinant", lambda rows: -1)
+        with pytest.raises(FactoreqError, match="not positive") as exc:
+            regulator_constant(regular_lattice(v4), theta)
+    assert type(exc.value) is FactoreqError
+    lat = regular_lattice(v4)
+    pairing = averaged_pairing(lat)
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "fraction_determinant", lambda rows: Fraction(0))
+        with pytest.raises(FactoreqError, match="not positive") as exc:
+            regulator_constant(lat, theta, pairing)
+    assert type(exc.value) is FactoreqError
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "regulator_constant",
+                  lambda lat, theta: RegulatorValue(Fraction(2), {2: 1}))
+        with pytest.raises(FactoreqError, match="collapse") as exc:
+            tower_target_constant(v4, 1, theta)
+    assert type(exc.value) is FactoreqError
 
 
 def test_regulator_value_invariants():

@@ -6,6 +6,8 @@ for the small groups are frozen from hand computations with the character
 matrices written out.
 """
 
+import ast
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -131,6 +133,16 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
         with pytest.raises(FactoreqError, match="failed to cancel") as exc:
             induce_relation(d8, emb, rel)
     assert type(exc.value) is FactoreqError
+
+
+def test_no_assert_statements_in_the_package():
+    # ``python -O`` strips asserts; invariants must raise FactoreqError
+    package = pathlib.Path(relations.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_relation_basis_of_cyclic_groups_is_empty():
