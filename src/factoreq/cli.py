@@ -90,8 +90,12 @@ def _element_budget(explicit=None) -> int:
     return _budget("FACTOREQ_ELEMENT_BUDGET", DEFAULT_ELEMENT_BUDGET, explicit)
 
 
-def _check_rank(rank: int, text: str, explicit=None):
-    budget = _budget("FACTOREQ_RANK_BUDGET", DEFAULT_RANK_BUDGET, explicit)
+def _rank_budget() -> int:
+    return _budget("FACTOREQ_RANK_BUDGET", DEFAULT_RANK_BUDGET)
+
+
+def _check_rank(rank: int, text: str):
+    budget = _rank_budget()
     if rank > budget:
         raise ResourceError(f"lattice {text!r} has rank {rank}, over the rank "
                             f"budget of {budget}")
@@ -272,12 +276,12 @@ def _tokenize_expr(text: str) -> list:
     return tokens
 
 
-def parse_lattice_expr(group: Group, text: str, rank_budget=None) -> GLattice:
+def parse_lattice_expr(group: Group, text: str) -> GLattice:
     """Build a lattice from ``A | I | Z | Reg | Coset(label) | Sum(...)``,
     each optionally raised to ``^m`` for an m-fold direct sum.
 
-    The whole expression is parsed and its rank checked against the rank
-    budget before any matrix is built; each named atom is built once.
+    Each named atom is built once; the rank of every direct sum is checked
+    against the rank budget before its blocks are built.
     """
     tokens = _tokenize_expr(str(text))
     state = {"at": 0}
@@ -295,40 +299,31 @@ def parse_lattice_expr(group: Group, text: str, rank_budget=None) -> GLattice:
         state["at"] += 1
         return tok
 
-    def atom(key, rank, make):
-        def build():
-            if key not in built:
-                built[key] = make()
-            return built[key]
-        return rank, build
+    atoms = {"A": cyclic_quotient_lattice, "I": augmentation_lattice,
+             "Z": trivial_lattice, "Reg": regular_lattice}
 
-    n = group.order
-    atoms = {"A": (n - 1, cyclic_quotient_lattice),
-             "I": (n - 1, augmentation_lattice),
-             "Z": (1, trivial_lattice), "Reg": (n, regular_lattice)}
-
-    def expr():
-        """(rank, builder) of the next term."""
+    def expr() -> GLattice:
         kind, name, pos = take("NAME")
         if name == "Sum":
             take("(")
-            terms = [expr()]
+            parts = [expr()]
             while peek()[0] == ",":
                 take(",")
-                terms.append(expr())
+                parts.append(expr())
             take(")")
-            rank = sum(r for r, _ in terms)
-            out = rank, lambda: direct_sum(*(build() for _, build in terms))
+            _check_rank(sum(part.rank for part in parts), text)
+            out = direct_sum(*parts)
         elif name == "Coset":
             take("(")
             label = take("NAME")[1]
             take(")")
-            cls = group.class_by_label(label)
-            out = atom(("Coset", label), n // cls.order,
-                       lambda: coset_lattice(group, cls))
+            if ("Coset", label) not in built:
+                built["Coset", label] = coset_lattice(group, label)
+            out = built["Coset", label]
         elif name in atoms:
-            rank, make = atoms[name]
-            out = atom(name, rank, lambda: make(group))
+            if name not in built:
+                built[name] = atoms[name](group)
+            out = built[name]
         else:
             raise ParseError(f"lattice expression: unknown term {name!r} at "
                              f"position {pos} (know A, I, Z, Reg, Coset, Sum)")
@@ -337,19 +332,17 @@ def parse_lattice_expr(group: Group, text: str, rank_budget=None) -> GLattice:
             count = int(take("INT")[1])
             if count < 1:
                 raise ParseError("^m needs m >= 1")
-            rank, inner = out
-            out = (rank * count,
-                   lambda inner=inner, count=count:
-                   direct_sum(*[inner()] * count))
+            _check_rank(out.rank * count, text)
+            out = direct_sum(*[out] * count)
         return out
 
-    rank, build = expr()
+    result = expr()
     tok = peek()
     if tok[0] != "END":
         raise ParseError(f"lattice expression: trailing input {tok[1]!r} at "
                          f"position {tok[2]}")
-    _check_rank(rank, text, rank_budget)
-    return build()
+    _check_rank(result.rank, text)
+    return result
 
 
 # -- profiles and value files --------------------------------------------------
@@ -711,8 +704,7 @@ def _candidate_lattice(group: Group, text: str) -> GLattice:
         floors = _parse_int(text[len("tower:"):], "tower parameter")
         if floors < 0:
             raise ParseError("tower parameter must be >= 0")
-        _check_rank(2 * group.order - 1 + floors * group.order, text)
-        return tower_lattice(group, floors)
+        return tower_lattice(group, floors, max_rank=_rank_budget())
     return parse_lattice_expr(group, text)
 
 

@@ -13,14 +13,16 @@ A lattice keeps its direct-sum decomposition as (atom, multiplicity)
 pairs, and the default regulator constant is evaluated summand by summand:
 C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m
 (Dokchitser & Dokchitser, Invent. Math. 178, 2009).  On an atom the
-averaged pairing stays an integer matrix.  User-supplied pairings and
-index comparisons take the generic route on the whole lattice.
+averaged pairing stays an integer matrix.  User-supplied pairings take
+the generic route on the whole lattice.  Index comparisons need the fixed
+sublattices of the whole lattices, so they evaluate both constants there,
+under the same integer averaged pairing.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactoreqError, ValidationError
+from .errors import FactoreqError, ResourceError, ValidationError
 from .groups import Group, subgroup_generators
 from .intmat import (
     bareiss_determinant,
@@ -271,14 +273,23 @@ def direct_sum(*parts: GLattice) -> GLattice:
     return out
 
 
-def tower_lattice(group: Group, m: int) -> GLattice:
-    """The unit-lattice model A + I + Z + Reg^m, labelled ``Tower(m)``."""
+def tower_lattice(group: Group, m: int, max_rank=None) -> GLattice:
+    """The unit-lattice model A + I + Z + Reg^m, labelled ``Tower(m)``.
+
+    If its rank exceeds ``max_rank``, raises :class:`ResourceError` before
+    any block is built.
+    """
     if not isinstance(m, int) or m < 0:
         raise ValidationError("the number of regular summands must be a "
                               "non-negative integer")
-    out = direct_sum(cyclic_quotient_lattice(group),
-                     augmentation_lattice(group), trivial_lattice(group),
-                     *[regular_lattice(group)] * m)
+    base = (cyclic_quotient_lattice(group), augmentation_lattice(group),
+            trivial_lattice(group))
+    reg = regular_lattice(group)
+    rank = sum(part.rank for part in base) + m * reg.rank
+    if max_rank is not None and rank > max_rank:
+        raise ResourceError(f"lattice Tower({m}) has rank {rank}, over the "
+                            f"rank budget of {max_rank}")
+    out = direct_sum(*base, *[reg] * m)
     out.label = f"Tower({m})"
     return out
 
@@ -393,20 +404,19 @@ def _scaled_gram_det(lat: GLattice, cls, pairing) -> Fraction:
     return det
 
 
-def _atom_constant(atom: GLattice, theta: GRelation) -> Fraction:
-    """C_Theta of one atom under its averaged pairing.
+def _whole_constant(lat: GLattice, theta: GRelation) -> Fraction:
+    """C_Theta of a lattice taken whole, under its averaged pairing.
 
     The pairing is a sum containing the identity term, hence positive
     definite by construction, so the Sylvester test is not repeated.
     """
-    classes = atom.group.subgroup_classes()
-    gram = _averaged_gram(atom)
+    classes = lat.group.subgroup_classes()
+    gram = _averaged_gram(lat)
     value = Fraction(1)
     for idx, n_h in theta.coefficients:
-        if idx not in atom._default_dets:
-            atom._default_dets[idx] = _scaled_gram_det(atom, classes[idx],
-                                                       gram)
-        value *= atom._default_dets[idx] ** n_h
+        if idx not in lat._default_dets:
+            lat._default_dets[idx] = _scaled_gram_det(lat, classes[idx], gram)
+        value *= lat._default_dets[idx] ** n_h
     return value
 
 
@@ -425,7 +435,7 @@ def regulator_constant(lat: GLattice, theta: GRelation,
     value = Fraction(1)
     if pairing is None:
         for atom, k in lat.summands:
-            value *= _atom_constant(atom, theta) ** k
+            value *= _whole_constant(atom, theta) ** k
     else:
         _check_invariance(lat, pairing)
         classes = lat.group.subgroup_classes()
@@ -467,8 +477,9 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
         index = 1 if dim == 0 else sublattice_index(target, image)
         indices[cls.label] = index
         rhs *= Fraction(index) ** (2 * n_h)
-    lhs = (regulator_constant(m_lat, theta).value
-           / regulator_constant(n_lat, theta).value)
+    # both constants on the whole lattices, whose fixed sublattices the
+    # indices have just computed
+    lhs = _whole_constant(m_lat, theta) / _whole_constant(n_lat, theta)
     return lhs == rhs, indices
 
 

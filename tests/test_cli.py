@@ -140,6 +140,8 @@ def test_rank_budget(monkeypatch, capsys):
         m.setattr(cli, "direct_sum", no_blocks)
         with pytest.raises(ResourceError, match="rank budget"):
             parse_lattice_expr(group, "Z^1001")
+        with pytest.raises(ResourceError, match="rank 1004"):
+            parse_lattice_expr(group, "Sum(" + ",".join(["Reg"] * 251) + ")")
     assert parse_lattice_expr(group, "Sum(A,Reg)^142").rank == 994
     monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "7")
     assert parse_lattice_expr(group, "Sum(A,Reg)").rank == 7
@@ -147,7 +149,6 @@ def test_rank_budget(monkeypatch, capsys):
         parse_lattice_expr(group, "Sum(A,Reg,Z)")
     with pytest.raises(ResourceError):
         _candidate_lattice(group, "tower:1")
-    assert parse_lattice_expr(group, "Z^8", rank_budget=8).rank == 8
     monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "0")
     with pytest.raises(ParseError, match="FACTOREQ_RANK_BUDGET"):
         parse_lattice_expr(group, "Z")

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from factoreq import lattices
-from factoreq.errors import FactoreqError, ValidationError
+from factoreq.errors import FactoreqError, ResourceError, ValidationError
 from factoreq.groups import (
     cyclic_group,
     dihedral_group,
@@ -509,6 +509,11 @@ def test_tower_lattice_shape():
     for bad in (-1, 1.5):
         with pytest.raises(ValidationError):
             tower_lattice(g, bad)
+    assert tower_lattice(g, 2, max_rank=35).rank == 35
+    with pytest.raises(ResourceError, match="rank 44"):
+        tower_lattice(g, 3, max_rank=35)
+    with pytest.raises(ResourceError):
+        tower_lattice(g, 10**12, max_rank=1000)
 
 
 def test_tower_matches_trivial_constant():
