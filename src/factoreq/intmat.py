@@ -5,9 +5,14 @@ where possible: Hermite normal form and kernels stay in integers, determinants
 use Bareiss elimination (intermediate entries are minors, so divisions are
 exact), and rational matrices are cleared to integers first.  No floats ever.
 
-One elimination loop does all Hermite normal form work.  Only
-:func:`hermite_normal_form` carries the transform ``U`` (for
-:func:`kernel_basis`); :func:`row_span_basis` needs none.
+One elimination loop does all echelon work, and none of it carries a
+transform.  :func:`row_span_basis` runs it with the entries above each pivot
+reduced (the Hermite normal form).  :func:`kernel_basis` runs it without that
+reduction on the matrix with its columns reversed: the columns left without a
+pivot are the pivot columns of the kernel's Hermite normal form, and
+back-substitution gives one rational kernel vector for each.  When one of
+those vectors is not integral, a single saturation step (one more Hermite
+normal form, modulo the common denominator) picks the integral combinations.
 """
 
 from __future__ import annotations
@@ -61,12 +66,17 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v) if x and y) for row in a)
 
 
-def _hnf_in_place(a, ncols):
-    """Reduce columns ``< ncols`` of the row list ``a`` to HNF, in place.
+def _echelon_in_place(a, reduce):
+    """Bring the row list ``a`` to row echelon form over Z, in place.
 
-    Later columns (an appended identity) ride along and record the transform.
+    Rows are combined by unimodular gcd steps and each pivot is made
+    positive.  With ``reduce`` the entries above each pivot are reduced into
+    ``[0, pivot)`` as well, which gives the Hermite normal form.  Returns the
+    pivot column of each nonzero row; the zero rows end up at the bottom.
     """
     m = len(a)
+    ncols = len(a[0]) if m else 0
+    pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
@@ -92,48 +102,106 @@ def _hnf_in_place(a, ncols):
         if r < m and a[r][c]:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            if reduce:
+                for i in range(r):
+                    q = a[i][c] // a[r][c]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            pivots.append(c)
             r += 1
-
-
-def hermite_normal_form(rows):
-    """Row Hermite normal form with transform.
-
-    Returns ``(H, U)`` with ``U`` unimodular, ``U @ rows == H``, pivots
-    positive, entries above each pivot reduced into ``[0, pivot)``, and zero
-    rows collected at the bottom.  ``H`` is the canonical representative of
-    the row span, so two spans are equal iff their nonzero HNF rows coincide.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(row) + [1 if i == j else 0 for j in range(m)]
-         for i, row in enumerate(rows)]
-    _hnf_in_place(a, n)
-    return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
+    return pivots
 
 
 def row_span_basis(rows):
-    """Canonical basis (nonzero HNF rows) of the integer row span."""
+    """Canonical basis (nonzero HNF rows) of the integer row span.
+
+    Pivots are positive, entries above each pivot lie in ``[0, pivot)``, so
+    two row spans are equal iff their bases coincide.
+    """
     a = [list(row) for row in rows]
-    _hnf_in_place(a, len(a[0]) if a else 0)
+    _echelon_in_place(a, reduce=True)
     return tuple(tuple(row) for row in a if any(row))
 
 
 def kernel_basis(mat):
-    """Canonical basis of the right kernel {x : mat @ x = 0} over Z.
+    """Canonical basis (HNF rows) of the right kernel {x : mat @ x = 0} over Z.
 
     Kernels of integer matrices are saturated by construction: any integer
     vector killed by ``mat`` is an integer combination of the returned rows.
+
+    Column c is an HNF pivot of the kernel exactly when column c of ``mat``
+    lies in the Q-span of the columns to its right.  So one echelon pass over
+    ``mat`` with its columns reversed finds the kernel's pivot columns F:
+    those that get no pivot.  For f in F, back-substitution with x_f = 1 and
+    x = 0 on the rest of F gives the rational kernel vector v_f, supported
+    on f and on pivot columns right of f.  The kernel is
+    {sum t_f v_f : t in Z^F, integral}; if every v_f is integral the v_f are
+    its HNF rows, else :func:`_saturate` picks the integral ones.
     """
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return identity_matrix(n)
-    h, u = hermite_normal_form(transpose(mat))
-    null_rows = tuple(u[i] for i in range(len(h)) if not any(h[i]))
-    return row_span_basis(null_rows)
+    n = len(mat[0]) if mat else 0
+    if not n:
+        return ()
+    a = [list(reversed(row)) for row in mat]
+    pivots = _echelon_in_place(a, reduce=False)
+    # (pivot column, row) in the original column order, leftmost pivot first;
+    # each row is zero right of its pivot.
+    echelon = [(n - 1 - c, a[r][::-1]) for r, c in enumerate(pivots)][::-1]
+    pivot_cols = {p for p, _ in echelon}
+    free = [c for c in range(n) if c not in pivot_cols]
+    solutions = []             # (y, d): v_f = y / d, y sparse, y[f] == d
+    for f in free:
+        y = {f: 1}
+        d = 1
+        for p, row in echelon:
+            if p < f:
+                continue
+            s = sum(row[q] * v for q, v in y.items())
+            if not s:
+                continue
+            g = gcd(s, row[p])
+            scale = row[p] // g
+            if scale != 1:
+                for q in y:
+                    y[q] *= scale
+                d *= scale
+            y[p] = -s // g
+        solutions.append((y, d))
+    den = lcm(*(d for _, d in solutions))
+    scaled = []                # den * v_f, as integer rows
+    for y, d in solutions:
+        vec = [0] * n
+        for q, v in y.items():
+            vec[q] = v * (den // d)
+        scaled.append(tuple(vec))
+    if den == 1:
+        return tuple(scaled)
+    return _saturate(scaled, den)
+
+
+def _saturate(scaled, den):
+    """HNF rows of {sum t_i w_i / den : t in Z^k, integral} for rows w_i.
+
+    With W the entries of the w_i on the columns where some w_i / den is not
+    integral, the rows of [[W | I], [den*I | 0]] whose W part vanishes after
+    one HNF are the HNF of the admissible t.  Each w_i / den is 1 on its own
+    free column and 0 on the others, so mapping those t back gives the HNF
+    of the kernel.
+    """
+    n = len(scaled[0])
+    cols = [q for q in range(n) if any(w[q] % den for w in scaled)]
+    k = len(scaled)
+    rows = [[w[q] % den for q in cols] + [int(j == i) for j in range(k)]
+            for i, w in enumerate(scaled)]
+    rows += [[den if j == i else 0 for j in range(len(cols) + k)]
+             for i in range(len(cols))]
+    out = []
+    for row in row_span_basis(rows):
+        if any(row[:len(cols)]):
+            continue
+        t = row[len(cols):]
+        out.append(tuple(sum(ti * w[q] for ti, w in zip(t, scaled) if ti)
+                         // den for q in range(n)))
+    return tuple(out)
 
 
 def bareiss_determinant(rows) -> int:

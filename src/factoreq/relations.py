@@ -19,6 +19,7 @@ from .groups import (
     ElemAbelianP2,
     Group,
     HeisenbergP3,
+    SubgroupClass,
     Subquotient,
     _is_prime,
     subquotients_of_type,
@@ -72,7 +73,10 @@ def _as_class(group, spec):
         return classes[spec]
     if isinstance(spec, str):
         return group.class_by_label(spec)
-    if spec in classes:
+    # an index lookup, not ``spec in classes``: that scan calls the dataclass
+    # ``__eq__`` once per class
+    if (isinstance(spec, SubgroupClass) and 0 <= spec.index < len(classes)
+            and classes[spec.index] == spec):
         return spec
     raise ValidationError(f"{spec!r} does not name a subgroup class")
 

@@ -2,7 +2,9 @@
 
 Determinants are checked against naive Laplace expansion, kernels against
 brute-force enumeration over a small box, and normal forms against their
-defining properties (unimodular transform, canonical shape).
+defining properties (canonical shape).  The transform-carrying Hermite
+normal form and the two-HNF kernel it feeds live here as oracles: the
+package computes both without any transform.
 """
 
 from fractions import Fraction
@@ -10,12 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factoreq import lattices, relations
+from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError
 from factoreq.intmat import (
     bareiss_determinant,
     fraction_determinant,
     fraction_valuations,
-    hermite_normal_form,
     identity_matrix,
     is_positive_definite,
     kernel_basis,
@@ -26,6 +29,55 @@ from factoreq.intmat import (
     sublattice_index,
     transpose,
 )
+
+
+def hermite_normal_form(rows):
+    """Oracle: row HNF ``(H, U)`` of ``rows`` by elimination on ``[A | I]``.
+
+    ``U`` is unimodular with ``U @ rows == H``; pivots are positive, entries
+    above each pivot lie in ``[0, pivot)`` and zero rows come last.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [1 if i == j else 0 for j in range(m)]
+         for i, row in enumerate(rows)]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            live = [i for i in range(r, m) if a[i][c]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[piv] = a[piv], a[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    if a[i][c]:
+                        done = False
+            if done:
+                break
+        if a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            r += 1
+    return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
+
+
+def oracle_kernel_basis(mat):
+    """Oracle: HNF of the null rows of the transform of HNF(mat^T)."""
+    if not mat or not mat[0]:
+        return identity_matrix(len(mat[0]) if mat else 0)
+    h, u = hermite_normal_form(transpose(mat))
+    null_rows = tuple(u[i] for i in range(len(h)) if not any(h[i]))
+    basis, _ = hermite_normal_form(null_rows)
+    return tuple(row for row in basis if any(row))
 
 
 def laplace_det(rows):
@@ -87,17 +139,13 @@ def test_hnf_is_unimodular_transform(mat):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_hnf_shape(mat):
-    h, _ = hermite_normal_form(mat)
+    h = row_span_basis(mat)
     pivots = []
-    seen_zero = False
     for row in h:
         nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is None:
-            seen_zero = True
-            continue
-        assert not seen_zero, "zero rows must come last"
+        assert nz is not None, "only nonzero rows are returned"
         assert row[nz] > 0
-        assert all(nz > p for p in pivots) or not pivots or nz > pivots[-1]
+        assert not pivots or nz > pivots[-1], "pivots move right"
         pivots.append(nz)
     for i, p in enumerate(pivots):
         for k in range(i):
@@ -150,6 +198,86 @@ def test_kernel_of_injective_map_is_trivial():
 
 def test_kernel_of_zero_constraints_is_everything():
     assert kernel_basis(((0, 0, 0),)) == identity_matrix(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_rows=6, max_cols=8, entries=st.integers(-4, 4)))
+def test_kernel_matches_the_two_hnf_oracle(mat):
+    assert kernel_basis(mat) == oracle_kernel_basis(mat)
+
+
+@pytest.mark.parametrize("mat, basis", [
+    (((1, 2),), ((2, -1),)),     # back-substitution gives (1, -1/2)
+    (((3, 2),), ((2, -3),)),     # back-substitution gives (1, -3/2)
+    (((2, 4, 6),), ((1, 1, -1), (0, 3, -2))),
+    (((1, 1, 1, 1), (0, 2, 4, 7)), ((1, 1, -4, 2), (0, 3, -5, 2))),
+])
+def test_kernel_saturates_fractional_back_substitution(mat, basis):
+    assert kernel_basis(mat) == basis == oracle_kernel_basis(mat)
+
+
+# The groups of the benchmark's span and regconst workloads, and the lattices
+# of its regconst workload; (2^5) is checked structurally below.
+CENSUS_GROUPS = (
+    "elemab:2,4", "elemab:3,3", "elemab:5,2", "heisenberg:3", "heisenberg:5",
+    "dihedral:8", "dihedral:16", "dihedral:32", "dihedral:64", "quaternion8",
+    "product:dihedral:8;elemab:2,2", "product:quaternion8;cyclic:2",
+    "product:cyclic:4;cyclic:4", "product:cyclic:9;cyclic:3", "cyclic:64",
+    "cyclic:12", "dihedral:12", "dihedral:24", "elemab:2,2",
+    "perm:[(0,1,2,3),(0,1)]", "perm:[(0,1,2,3,4),(0,1)]",
+)
+CENSUS_LATTICES = (
+    ("dihedral:64", "A"), ("perm:[(0,1,2,3),(0,1)]", "Sum(A,Reg^2)"),
+    ("elemab:2,2", "Z^100"), ("dihedral:32", "Sum(A,I,Z,Reg^2)"),
+    ("elemab:2,4", "Sum(A,I,Reg^2)"), ("heisenberg:3", "Coset(o3#1)^8"),
+    ("dihedral:16", "Reg^4"), ("heisenberg:3", "Sum(A,I)"),
+)
+
+
+@pytest.mark.parametrize("spec", CENSUS_GROUPS)
+def test_relation_basis_matches_the_oracle(spec, monkeypatch):
+    group = parse_group_spec(spec)
+    basis = relations.relation_basis(group)
+    monkeypatch.setattr(relations, "kernel_basis", oracle_kernel_basis)
+    assert relations.relation_basis(group) == basis
+
+
+@pytest.mark.parametrize("spec, expr", CENSUS_LATTICES)
+def test_fixed_sublattices_match_the_oracle(spec, expr, monkeypatch):
+    # on every atom, as the regulator constants use them; on the whole
+    # lattice only where it is a single atom or the index-check lattice
+    group = parse_group_spec(spec)
+    classes = group.subgroup_classes()
+
+    def fixed(lat):
+        parts = [atom for atom, _ in lat.summands]
+        if expr == "Sum(A,I)":
+            parts.append(lat)
+        return [[lattices.fixed_sublattice(part, cls) for cls in classes]
+                for part in parts]
+
+    fast = fixed(parse_lattice_expr(group, expr))
+    monkeypatch.setattr(lattices, "kernel_basis", oracle_kernel_basis)
+    assert fixed(parse_lattice_expr(group, expr)) == fast
+
+
+def test_relation_basis_of_the_rank_five_elementary_abelian_2_group():
+    # The oracle takes too long here; check the canonical structure instead.
+    group = parse_group_spec("elemab:2,5")
+    classes = group.subgroup_classes()
+    basis = relations.relation_basis(group)
+    cyclic = sum(1 for cls in classes if cls.is_cyclic)
+    assert len(basis) == len(classes) - cyclic == 374 - 32   # Artin
+    pivots = []
+    for rel in basis:
+        assert relations.is_relation(group, rel)
+        idx, coeff = rel.coefficients[0]
+        assert coeff == 1
+        assert not pivots or idx > pivots[-1]
+        pivots.append(idx)
+    for rel in basis:
+        assert all(rel.coefficient(p) == 0 for p in pivots
+                   if p != rel.coefficients[0][0])
 
 
 def test_fraction_determinant():

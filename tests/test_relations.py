@@ -103,6 +103,29 @@ def test_characters_are_computed_once_per_group_and_class():
     assert permutation_character(dihedral_group(8), 1).values == first
 
 
+def test_class_arguments_are_checked_by_index(monkeypatch):
+    d8 = dihedral_group(8)
+    classes = d8.subgroup_classes()
+    # an equal class (here of an equal group built again) is accepted
+    twin = dihedral_group(8).subgroup_classes()[-1]
+    assert twin is not classes[-1]
+    assert relations._as_class(d8, twin) is twin
+    # a class of another group is rejected, at an index in range or not
+    for other in (cyclic_group(4).subgroup_classes()[1],
+                  elementary_abelian_group(2, 3).subgroup_classes()[-1]):
+        with pytest.raises(ValidationError, match="does not name"):
+            relations._as_class(d8, other)
+    with pytest.raises(ValidationError, match="does not name"):
+        relations._as_class(d8, 1.5)
+    # one comparison, not a scan over the classes
+    calls = []
+    eq = type(twin).__eq__
+    monkeypatch.setattr(type(twin), "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    assert relations._as_class(d8, classes[-1]) is classes[-1]
+    assert len(calls) <= 1
+
+
 def test_broken_invariants_raise_internal_errors(monkeypatch):
     # Forced by monkeypatching: each check must raise, not assert, so that
     # it also holds under ``python -O``.
