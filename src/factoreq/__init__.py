@@ -11,6 +11,7 @@ from .checker import (
     ClassData,
     Verdict,
     bouc_condition_check,
+    brauer_kuroda_check,
     brauer_kuroda_residual,
     minkowski_factor_check,
     p_part_factor_check,

@@ -11,7 +11,7 @@ lattice with the standard integral lattices.
 Only residuals and valuations of the products are meaningful when R is a
 surrogate; genuine-field workflows should supply h, w and lambda (which
 are exact integers) and eliminate R through the class-number identity
-tested by :func:`brauer_kuroda_residual`.
+tested by :func:`brauer_kuroda_check`.
 """
 
 from dataclasses import dataclass
@@ -175,12 +175,12 @@ def _own_relations(profile: ArithmeticProfile, relations):
     return out
 
 
-def minkowski_factor_check(profile: ArithmeticProfile, relations) -> Verdict:
-    """Test prod_H (|H| h lambda / w)^{n_H} = 1 for each relation.
+def _product_verdict(profile: ArithmeticProfile, relations, base) -> Verdict:
+    """Verdict on prod_H base(H)^{n_H} = 1, one residual per relation.
 
-    Overall truth is the global criterion for the unit lattice to be
-    factor equivalent to the augmentation-quotient lattice; with no
-    relations the verdict is vacuously true.
+    ``base`` maps a subgroup class to a positive rational.  It is called
+    class by class in each relation's order, so missing data is reported
+    for the first class that lacks it.
     """
     classes = profile.group.subgroup_classes()
     entries = []
@@ -189,12 +189,22 @@ def minkowski_factor_check(profile: ArithmeticProfile, relations) -> Verdict:
         breakdown = []
         for idx, n_h in theta.coefficients:
             cls = classes[idx]
-            base = Fraction(cls.order * profile.h(cls) * profile.lam(cls),
-                            profile.w(cls))
-            residual *= base ** n_h
-            breakdown.append((cls.label, base, n_h))
+            value = base(cls)
+            residual *= value ** n_h
+            breakdown.append((cls.label, value, n_h))
         entries.append((residual, tuple(breakdown)))
     return _make_verdict(entries)
+
+
+def minkowski_factor_check(profile: ArithmeticProfile, relations) -> Verdict:
+    """Test prod_H (|H| h lambda / w)^{n_H} = 1 for each relation.
+
+    Overall truth is the global criterion for the unit lattice to be
+    factor equivalent to the augmentation-quotient lattice; with no
+    relations the verdict is vacuously true.
+    """
+    return _product_verdict(profile, relations, lambda cls: Fraction(
+        cls.order * profile.h(cls) * profile.lam(cls), profile.w(cls)))
 
 
 def unit_regulator_constant(profile: ArithmeticProfile,
@@ -210,21 +220,21 @@ def unit_regulator_constant(profile: ArithmeticProfile,
     return RegulatorValue(value, fraction_valuations(value))
 
 
-def brauer_kuroda_residual(profile: ArithmeticProfile,
-                           theta: GRelation) -> Fraction:
-    """The product prod_H (h R / w)^{n_H}; exactly 1 on consistent data.
+def brauer_kuroda_check(profile: ArithmeticProfile, relations) -> Verdict:
+    """Test prod_H (h R / w)^{n_H} = 1 for each relation.
 
     The class-number identity behind it holds for genuine fields, so a
     nontrivial residual flags inconsistent profile data before the other
     checks are trusted.
     """
-    (theta,) = _own_relations(profile, (theta,))
-    classes = profile.group.subgroup_classes()
-    residual = Fraction(1)
-    for idx, n_h in theta.coefficients:
-        cls = classes[idx]
-        base = profile.h(cls) * profile.regulator(cls) / profile.w(cls)
-        residual *= base ** n_h
+    return _product_verdict(profile, relations, lambda cls: (
+        profile.h(cls) * profile.regulator(cls) / profile.w(cls)))
+
+
+def brauer_kuroda_residual(profile: ArithmeticProfile,
+                           theta: GRelation) -> Fraction:
+    """The residual of :func:`brauer_kuroda_check` on one relation."""
+    (residual,) = brauer_kuroda_check(profile, (theta,)).residuals
     return residual
 
 
@@ -304,15 +314,5 @@ def bouc_condition_check(profile: ArithmeticProfile,
             f"{profile.group.name} (order {order}) is not a {p}-group")
     if relations is None:
         relations = bouc_generators(profile.group, p)
-    classes = profile.group.subgroup_classes()
-    entries = []
-    for theta in _own_relations(profile, relations):
-        residual = Fraction(1)
-        breakdown = []
-        for idx, n_h in theta.coefficients:
-            cls = classes[idx]
-            base = Fraction(profile.h_p(cls) * cls.order)
-            residual *= base ** n_h
-            breakdown.append((cls.label, base, n_h))
-        entries.append((residual, tuple(breakdown)))
-    return _make_verdict(entries)
+    return _product_verdict(profile, relations, lambda cls: Fraction(
+        profile.h_p(cls) * cls.order))

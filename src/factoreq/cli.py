@@ -19,7 +19,7 @@ from .checker import (
     ArithmeticProfile,
     ClassData,
     bouc_condition_check,
-    brauer_kuroda_residual,
+    brauer_kuroda_check,
     minkowski_factor_check,
     p_part_factor_check,
 )
@@ -732,23 +732,13 @@ def _cmd_bk_check(args):
     profile = parse_profile(args.profile)
     group = profile.group
     basis = relation_basis(group)
-    residuals = [brauer_kuroda_residual(profile, theta) for theta in basis]
-    overall = all(residual == 1 for residual in residuals)
-    results = [{"relation_index": index, "relation": _relation_json(theta),
-                "residual": _frs(residual), "passed": residual == 1}
-               for index, (theta, residual) in enumerate(zip(basis,
-                                                             residuals))]
+    verdict = brauer_kuroda_check(profile, basis)
     payload = {"profile": args.profile, "group": group.name,
-               "overall": overall, "results": results}
-    lines = [f"class-number identity for {group.name}:"]
-    if not basis:
-        lines.append("  no relations: vacuously true")
-    for index, (theta, residual) in enumerate(zip(basis, residuals)):
-        mark = "ok " if residual == 1 else "FAIL"
-        lines.append(f"  [{index}] {mark} residual {_frs(residual)}  "
-                     f"({theta.describe()})")
-    lines.append(f"overall: {'true' if overall else 'false'}")
-    return (0 if overall else 1), Report("bk-check", payload, tuple(lines))
+               **_verdict_payload(verdict, basis)}
+    lines = _verdict_lines(f"class-number identity for {group.name}:",
+                           verdict, basis)
+    return (0 if verdict.overall else 1), Report("bk-check", payload,
+                                                 tuple(lines))
 
 
 def _cmd_index_check(args):

@@ -605,10 +605,6 @@ class Subquotient:
     projection: dict
     quotient_type: object = None
 
-    @property
-    def top_class(self) -> int:
-        return self.group.class_of_subgroup(self.top)
-
     def preimage(self, quotient_subgroup) -> frozenset:
         """Subgroup of G sitting between B and H over a subgroup of H/B."""
         marks = frozenset(quotient_subgroup)

@@ -1,9 +1,10 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are immutable tuples of row tuples.  Everything here is fraction-free
-where possible: Hermite normal form and kernels stay in integers, determinants
-use Bareiss elimination (intermediate entries are minors, so divisions are
-exact), and rational matrices are cleared to integers first.  No floats ever.
+Matrices are immutable tuples of row tuples.  Everything here is
+fraction-free: Hermite normal forms, kernels and sublattice indices stay in
+integers, determinants use Bareiss elimination (intermediate entries are
+minors, so divisions are exact), and a rational matrix is cleared to
+integers by its common denominator first.  No floats ever.
 
 One elimination loop does all echelon work, and none of it carries a
 transform.  :func:`row_span_basis` runs it with the entries above each pivot
@@ -13,6 +14,8 @@ pivot are the pivot columns of the kernel's Hermite normal form, and
 back-substitution gives one rational kernel vector for each.  When one of
 those vectors is not integral, a single saturation step (one more Hermite
 normal form, modulo the common denominator) picks the integral combinations.
+:func:`sublattice_index` compares two Hermite normal forms, which are
+canonical, pivot by pivot.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ def mat_mul(a, b):
                         acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v) if x and y) for row in a)
 
 
 def _echelon_in_place(a, reduce):
@@ -263,78 +262,37 @@ def is_positive_definite(rows) -> bool:
     return True
 
 
-def fraction_determinant(rows) -> Fraction:
-    """Determinant of a matrix with Fraction/int entries, exactly."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    cleared = []
-    scale = Fraction(1)
-    for row in rows:
-        frow = [Fraction(x) for x in row]
-        d = 1
-        for x in frow:
-            d = lcm(d, x.denominator)
-        scale *= d
-        cleared.append(tuple(int(x * d) for x in frow))
-    return Fraction(bareiss_determinant(tuple(cleared))) / scale
-
-
-def solve_exact(a, b):
-    """Solve a @ x = b over Q (a has full column rank); None if inconsistent.
-
-    ``a`` is n x r, ``b`` is n x s; the solution is r x s with Fraction
-    entries.  Used for change-of-basis and sublattice-index computations.
-    """
-    n = len(a)
-    r = len(a[0]) if a else 0
-    s = len(b[0]) if b else 0
-    aug = [[Fraction(x) for x in arow] + [Fraction(y) for y in brow]
-           for arow, brow in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < r:
-        return None  # not full column rank
-    for i in range(row, n):
-        if any(aug[i][r:]):
-            return None  # inconsistent system
-    x = [[Fraction(0)] * s for _ in range(r)]
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][r:]
-    return tuple(tuple(rw) for rw in x)
-
-
 def sublattice_index(basis, sub_basis) -> int:
     """Index of the lattice spanned by sub_basis's columns inside basis's.
 
-    Both are integer column matrices of the same full column rank; the change
-    of basis must be integral (the sublattice really is contained), and the
-    index is the absolute determinant of that change of basis.
+    Both column sets are brought to Hermite normal form, read as rows.  Each
+    Hermite row of the sublattice must reduce to zero against the lattice's
+    rows, with exact division at every pivot (containment), and the two
+    ranks must agree; the forms then share their pivot columns, so the index
+    is the product of the pivot ratios.  Raises :class:`ValueError`
+    otherwise.  At rank 0 the index is 1.
     """
-    x = solve_exact(basis, sub_basis)
-    if x is None:
-        raise ValueError("sublattice does not lie in the span of the basis")
-    for row in x:
-        for entry in row:
-            if entry.denominator != 1:
-                raise ValueError("sublattice is not contained in the lattice")
-    d = fraction_determinant(x)
-    if not d:
-        raise ValueError("sublattice has smaller rank than the lattice")
-    return abs(int(d))
+    if len(basis) != len(sub_basis):
+        raise ValueError("lattice and sublattice have different ambient "
+                         "dimensions")
+    lattice = [(next(c for c, x in enumerate(row) if x), row)
+               for row in row_span_basis(transpose(basis))]
+    sub = row_span_basis(transpose(sub_basis))
+    if len(sub) != len(lattice):
+        raise ValueError("sublattice and lattice have different ranks")
+    index = 1
+    for row, (pivot, top) in zip(sub, lattice):
+        rest = row
+        for c, hrow in lattice:
+            q, r = divmod(rest[c], hrow[c])
+            if r:
+                break
+            if q:
+                rest = [x - q * y for x, y in zip(rest, hrow)]
+        if any(rest):
+            raise ValueError("sublattice is not contained in the lattice")
+        index *= row[pivot] // top[pivot]
+    return index
 
 
 def prime_factorization(n: int) -> dict[int, int]:

@@ -14,19 +14,22 @@ pairs, and the default regulator constant is evaluated summand by summand:
 C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m
 (Dokchitser & Dokchitser, Invent. Math. 178, 2009).  On an atom the
 averaged pairing stays an integer matrix.  User-supplied pairings take
-the generic route on the whole lattice.  Index comparisons need the fixed
-sublattices of the whole lattices, so they evaluate both constants there,
-under the same integer averaged pairing.
+the generic route on the whole lattice, cleared to an integer matrix by
+the lcm of their denominators.  Either way every Gram determinant is an
+integer Bareiss determinant, divided once by its scale.  Index comparisons
+need the fixed sublattices of the whole lattices, so they evaluate both
+constants there, under the same integer averaged pairing; each index is a
+ratio of Hermite pivots (:func:`~factoreq.intmat.sublattice_index`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FactoreqError, ResourceError, ValidationError
 from .groups import Group, subgroup_generators
 from .intmat import (
     bareiss_determinant,
-    fraction_determinant,
     fraction_valuations,
     identity_matrix,
     is_positive_definite,
@@ -381,23 +384,16 @@ def _check_invariance(lat: GLattice, pairing: Pairing):
             raise ValidationError("pairing is not invariant under the action")
 
 
-def _scaled_gram_det(lat: GLattice, cls, pairing) -> Fraction:
+def _scaled_gram_det(lat: GLattice, cls, form, den: int = 1) -> Fraction:
     """det of (1/|H|) <.,.> on a basis of the fixed sublattice of cls.
 
-    ``pairing`` is a :class:`Pairing` (rational) or an integer matrix, whose
-    Gram determinant then stays in integers.
+    The pairing is ``form / den`` for an integer matrix ``form``, so the
+    Gram determinant stays in integers and is divided by (den |H|)^dim.
     """
     basis = fixed_sublattice(lat, cls)
     dim = len(basis[0]) if basis else 0
-    if dim == 0:
-        return Fraction(1)
-    if isinstance(pairing, Pairing):
-        gram = mat_mul(mat_mul(transpose(basis), pairing.matrix), basis)
-        det = fraction_determinant(gram)
-    else:
-        gram = mat_mul(mat_mul(transpose(basis), pairing), basis)
-        det = Fraction(bareiss_determinant(gram))
-    det /= Fraction(cls.order) ** dim
+    gram = mat_mul(mat_mul(transpose(basis), form), basis)
+    det = Fraction(bareiss_determinant(gram), (den * cls.order) ** dim)
     if det <= 0:
         raise FactoreqError(f"Gram determinant {det} on the {cls.label}-fixed "
                             f"sublattice of {lat.label} is not positive")
@@ -438,9 +434,12 @@ def regulator_constant(lat: GLattice, theta: GRelation,
             value *= _whole_constant(atom, theta) ** k
     else:
         _check_invariance(lat, pairing)
+        den = lcm(*(x.denominator for row in pairing.matrix for x in row))
+        form = tuple(tuple(int(x * den) for x in row)
+                     for row in pairing.matrix)
         classes = lat.group.subgroup_classes()
         for idx, n_h in theta.coefficients:
-            value *= _scaled_gram_det(lat, classes[idx], pairing) ** n_h
+            value *= _scaled_gram_det(lat, classes[idx], form, den) ** n_h
     return RegulatorValue(value, fraction_valuations(value))
 
 
@@ -472,9 +471,7 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     for idx, n_h in theta.coefficients:
         cls = classes[idx]
         image = mat_mul(mat, fixed_sublattice(m_lat, cls))
-        target = fixed_sublattice(n_lat, cls)
-        dim = len(target[0]) if target else 0
-        index = 1 if dim == 0 else sublattice_index(target, image)
+        index = sublattice_index(fixed_sublattice(n_lat, cls), image)
         indices[cls.label] = index
         rhs *= Fraction(index) ** (2 * n_h)
     # both constants on the whole lattices, whose fixed sublattices the

@@ -105,10 +105,6 @@ class GRelation:
     def coefficient(self, class_index: int) -> int:
         return dict(self.coefficients).get(class_index, 0)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(idx for idx, _ in self.coefficients)
-
     def as_vector(self) -> tuple:
         n = len(self.group.subgroup_classes())
         vec = [0] * n

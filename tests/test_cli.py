@@ -9,6 +9,7 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -305,6 +306,21 @@ def test_bk_check(capsys):
                           "--json")
     assert code == 1
     assert json.loads(out)["results"][0]["residual"] == "1/2"
+
+
+def test_bk_check_factors_reassemble_the_residual(capsys):
+    code, out, _ = invoke(capsys, "bk-check", fixture("v4_perturbed.json"),
+                          "--json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results
+    for result in results:
+        product = Fraction(1)
+        for factor in result["factors"]:
+            product *= Fraction(factor["base"]) ** factor["exponent"]
+        assert product == Fraction(result["residual"])
+        assert ([factor["class"] for factor in result["factors"]]
+                == [term["class"] for term in result["relation"]])
 
 
 def test_bouc_listing_and_span(capsys):

@@ -10,14 +10,13 @@ package computes both without any transform.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from factoreq import lattices, relations
 from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError
 from factoreq.intmat import (
     bareiss_determinant,
-    fraction_determinant,
     fraction_valuations,
     identity_matrix,
     is_positive_definite,
@@ -25,7 +24,6 @@ from factoreq.intmat import (
     mat_mul,
     prime_factorization,
     row_span_basis,
-    solve_exact,
     sublattice_index,
     transpose,
 )
@@ -280,13 +278,6 @@ def test_relation_basis_of_the_rank_five_elementary_abelian_2_group():
                    if p != rel.coefficients[0][0])
 
 
-def test_fraction_determinant():
-    m = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(2, 7)))
-    assert fraction_determinant(m) == Fraction(1, 2) * Fraction(2, 7) - Fraction(1, 3) * Fraction(1, 5)
-    assert fraction_determinant(((5,),)) == 5
-    assert fraction_determinant(()) == 1
-
-
 def test_positive_definite():
     assert is_positive_definite(((2, -1), (-1, 2)))
     assert not is_positive_definite(((1, 2), (2, 1)))
@@ -295,20 +286,61 @@ def test_positive_definite():
     assert not is_positive_definite(((-2,),))
 
 
-def test_solve_exact_and_index():
-    a = ((2, 0), (0, 3), (0, 0))
-    b = ((4, 2), (0, 3), (0, 0))
-    x = solve_exact(a, b)
-    assert x == ((Fraction(2), Fraction(1)), (Fraction(0), Fraction(1)))
+def test_sublattice_index():
     assert sublattice_index(identity_matrix(2), ((2, 0), (0, 3))) == 6
     # k * Z^n inside Z^n has index k^n.
     assert sublattice_index(identity_matrix(3), tuple(tuple(2 * x for x in r) for r in identity_matrix(3))) == 8
+    # columns (2,0,0), (0,3,0) and their images (4,0,0), (2,3,0)
+    assert sublattice_index(((2, 0), (0, 3), (0, 0)),
+                            ((4, 2), (0, 3), (0, 0))) == 2
+    assert sublattice_index(((), ()), ((), ())) == 1       # rank 0
 
 
-def test_solve_exact_detects_inconsistency():
-    a = ((1,), (1,))
-    b = ((1,), (2,))
-    assert solve_exact(a, b) is None
+def test_sublattice_index_rejects_bad_sublattices():
+    # e2 is not in the lattice, though both pivot products are 2
+    with pytest.raises(ValueError, match="not contained"):
+        sublattice_index(((1, 0), (0, 2)), ((2, 0), (0, 1)))
+    # outside the Q-span
+    with pytest.raises(ValueError, match="not contained"):
+        sublattice_index(((1,), (1,)), ((1,), (2,)))
+    with pytest.raises(ValueError, match="ranks"):
+        sublattice_index(identity_matrix(2), ((2,), (0,)))
+    with pytest.raises(ValueError, match="ranks"):
+        sublattice_index(((1,), (0,)), identity_matrix(2))
+    with pytest.raises(ValueError, match="dimensions"):
+        sublattice_index(identity_matrix(2), identity_matrix(3))
+
+
+def gram_det(columns):
+    return bareiss_determinant(mat_mul(transpose(columns), columns))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(basis, sub_basis): columns B of full rank r in Z^n and B X, det X != 0.
+
+    The basis is scaled by a factor in 1..3, so Hermite pivots other than 1
+    come up often."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n))
+    entries = st.integers(-4, 4)
+    basis = tuple(tuple(draw(entries) for _ in range(r)) for _ in range(n))
+    assume(gram_det(basis) != 0)
+    scale = draw(st.integers(1, 3))
+    basis = tuple(tuple(scale * x for x in row) for row in basis)
+    change = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(r))
+                   for _ in range(r))
+    assume(bareiss_determinant(change) != 0)
+    return basis, mat_mul(basis, change)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+def test_sublattice_index_squared_is_the_gram_ratio(pair):
+    basis, sub = pair
+    index = sublattice_index(basis, sub)
+    assert index > 0
+    assert index ** 2 * gram_det(basis) == gram_det(sub)
 
 
 def test_prime_factorization_and_valuations():

@@ -365,6 +365,20 @@ def test_pairing_independence(name):
             assert regulator_constant(lat, theta, other).value == default
 
 
+@pytest.mark.parametrize("name", ["V4", "S3", "D8"])
+def test_fractional_pairing_matches_the_default_route(name):
+    # an invariant pairing divided by 7 has fractional entries, which the
+    # pairing route clears to integers before its determinants
+    g = GROUPS[name]()
+    for lat in (cyclic_quotient_lattice(g), augmentation_lattice(g)):
+        pairing = Pairing(tuple(tuple(x / 7 for x in row)
+                                for row in seeded_pairing(lat, 3).matrix))
+        assert any(x.denominator == 7 for row in pairing.matrix for x in row)
+        for theta in relation_basis(g):
+            assert (regulator_constant(lat, theta, pairing).value
+                    == regulator_constant(lat, theta).value)
+
+
 def test_mismatched_relation_group_rejected():
     v4 = elementary_abelian_group(2, 2)
     e9 = elementary_abelian_group(3, 2)
@@ -541,7 +555,7 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
     lat = regular_lattice(v4)
     pairing = averaged_pairing(lat)
     with monkeypatch.context() as m:
-        m.setattr(lattices, "fraction_determinant", lambda rows: Fraction(0))
+        m.setattr(lattices, "bareiss_determinant", lambda rows: 0)
         with pytest.raises(FactoreqError, match="not positive") as exc:
             regulator_constant(lat, theta, pairing)
     assert type(exc.value) is FactoreqError
