@@ -79,8 +79,10 @@ On any relation Theta = sum n_H * H:
     scaled = type(default)(tuple(tuple(3 * x for x in row)
                                  for row in default.matrix))
     print(f"\n{lat.label} on {v4.name}, Theta = {theta.describe()}:")
-    print(f"  averaged pairing: "
+    print(f"  closed forms:     "
           f"{frs(regulator_constant(lat, theta).value)}")
+    print(f"  averaged pairing: "
+          f"{frs(regulator_constant(lat, theta, default).value)}")
     print(f"  scaled pairing:   "
           f"{frs(regulator_constant(lat, theta, scaled).value)}")
     print("  (scaling cancels because sum of n_H * rank(M^H) pairs off)")

@@ -4,22 +4,36 @@ A lattice is a free Z-module of finite rank with a G-action given by one
 unimodular integer matrix per group generator.  Regulator constants are
 evaluated exactly over Q:
 
-    C_Theta(M) = prod_H det((1/|H|) <.,.> restricted to M^H)^{n_H}
+    C_Theta(M) = prod_K det((1/|K|) <.,.> restricted to M^K)^{n_K}
 
-for a relation Theta = sum n_H H, with any G-invariant positive-definite
+for a relation Theta = sum n_K K, with any G-invariant positive-definite
 pairing <.,.>; the value does not depend on that choice.
 
 A lattice keeps its direct-sum decomposition as (atom, multiplicity)
 pairs, and the default regulator constant is evaluated summand by summand:
-C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m
-(Dokchitser & Dokchitser, Invent. Math. 178, 2009).  On an atom the
-averaged pairing stays an integer matrix.  User-supplied pairings take
-the generic route on the whole lattice, cleared to an integer matrix by
-the lcm of their denominators.  Either way every Gram determinant is an
-integer Bareiss determinant, divided once by its scale.  Index comparisons
-need the fixed sublattices of the whole lattices, so they evaluate both
-constants there, under the same integer averaged pairing; each index is a
-ratio of Hermite pivots (:func:`~factoreq.intmat.sublattice_index`).
+C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m.
+The five named atoms take closed forms (Dokchitser & Dokchitser,
+*Regulator constants and the parity conjecture*, Invent. Math. 178, 2009):
+
+    C_Theta(Z) = C_Theta(I) = prod_K |K|^{-n_K}
+    C_Theta(A) = C_Theta(Z)^{-1}        (A = I*, and C(M*) = C(M)^{-1})
+    C_Theta(Reg) = 1
+    C_Theta(Z[G/H]) = prod_K (prod over double cosets KgH of
+                               |K n gHg^-1|)^{-n_K}
+
+The last holds because the K-orbit sums of G/H are an orthogonal basis of
+the K-fixed part.  Each named atom still passes its unimodularity check
+when built and its homomorphism check before its value is returned.
+
+The Gram route remains for lattices with no kind (inflations,
+restrictions and lattices built from matrices), for user-supplied
+pairings and for index comparisons.  It evaluates the determinants above
+under the integer averaged pairing sum_g rho(g)^T rho(g), or under a user
+pairing cleared to an integer matrix by the lcm of its denominators; each
+Gram determinant is an integer Bareiss determinant, divided once by its
+scale.  Index comparisons need the fixed sublattices of the whole
+lattices, so they evaluate both constants there; each index is a ratio of
+Hermite pivots (:func:`~factoreq.intmat.sublattice_index`).
 """
 
 from dataclasses import dataclass
@@ -51,7 +65,10 @@ class GLattice:
     and element x, which extends inductively to the full homomorphism law.
 
     ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
-    pairs; a lattice not built by :func:`direct_sum` is its own atom.
+    pairs; a lattice not built by :func:`direct_sum` is its own atom.  An
+    atom built by one of the standard constructors records its kind, a
+    (name, class index or None) pair, and takes its regulator constant
+    from a closed form.
     """
 
     def __init__(self, group: Group, actions, label: str = ""):
@@ -77,6 +94,7 @@ class GLattice:
         self.actions = mats
         self.label = label
         self.summands = summands
+        self._kind = None
         self._materialized = None
         self._gram = None
         self._fixed: dict[int, tuple] = {}
@@ -89,19 +107,19 @@ class GLattice:
         """One matrix per group element, verified to be a homomorphism."""
         if self._materialized is None:
             grp = self.group
-            n = grp.order
-            mats: list = [None] * n
+            mats: list = [None] * grp.order
             mats[0] = identity_matrix(self.rank)
-            # element indices follow the closure order, so every y > 0 is
-            # s*x for some generator s and some x < y
-            for x in range(n):
+            # breadth first from the identity: each (generator s, element x)
+            # pair either defines rho(sx) or is checked against it once
+            queue = [0]
+            for x in queue:
                 for gi, g in enumerate(grp.generators):
                     y = grp.mul[g][x]
+                    prod = mat_mul(self.actions[gi], mats[x])
                     if mats[y] is None:
-                        mats[y] = mat_mul(self.actions[gi], mats[x])
-            for gi, g in enumerate(grp.generators):
-                for x in range(n):
-                    if mat_mul(self.actions[gi], mats[x]) != mats[grp.mul[g][x]]:
+                        mats[y] = prod
+                        queue.append(y)
+                    elif prod != mats[y]:
                         raise ValidationError(
                             f"actions of {self.label} do not respect the "
                             f"multiplication table of {grp.name}")
@@ -166,7 +184,9 @@ class RegulatorValue:
 def trivial_lattice(group: Group) -> GLattice:
     """Z with every group element acting as the identity."""
     one = identity_matrix(1)
-    return GLattice(group, tuple(one for _ in group.generators), label="Z")
+    lat = GLattice(group, tuple(one for _ in group.generators), label="Z")
+    lat._kind = ("Z", None)
+    return lat
 
 
 def coset_lattice(group: Group, subgroup_class) -> GLattice:
@@ -188,13 +208,16 @@ def coset_lattice(group: Group, subgroup_class) -> GLattice:
             image = frozenset(group.mul[g][x] for x in c)
             m[index[image]][i] = 1
         actions.append(tuple(tuple(row) for row in m))
-    return GLattice(group, tuple(actions), label=f"Coset({cls.label})")
+    lat = GLattice(group, tuple(actions), label=f"Coset({cls.label})")
+    lat._kind = ("Coset", cls.index)
+    return lat
 
 
 def regular_lattice(group: Group) -> GLattice:
     """Z[G], i.e. the coset lattice of the trivial subgroup."""
     lat = coset_lattice(group, 0)
     lat.label = "Reg"
+    lat._kind = ("Reg", None)
     return lat
 
 
@@ -217,7 +240,9 @@ def cyclic_quotient_lattice(group: Group) -> GLattice:
             else:
                 m[y - 1][x - 1] = 1
         actions.append(tuple(tuple(row) for row in m))
-    return GLattice(group, tuple(actions), label="A")
+    lat = GLattice(group, tuple(actions), label="A")
+    lat._kind = ("A", None)
+    return lat
 
 
 def augmentation_lattice(group: Group) -> GLattice:
@@ -235,7 +260,9 @@ def augmentation_lattice(group: Group) -> GLattice:
             if g != 0:
                 m[g - 1][x - 1] -= 1
         actions.append(tuple(tuple(row) for row in m))
-    return GLattice(group, tuple(actions), label="I")
+    lat = GLattice(group, tuple(actions), label="I")
+    lat._kind = ("I", None)
+    return lat
 
 
 def direct_sum(*parts: GLattice) -> GLattice:
@@ -416,22 +443,63 @@ def _whole_constant(lat: GLattice, theta: GRelation) -> Fraction:
     return value
 
 
+def _closed_constant(atom: GLattice, theta: GRelation) -> Fraction:
+    """C_Theta of a named atom from its closed form.
+
+    The factor of a class K is 1/|K| for Z and I, |K| for A, 1 for Reg, and
+    for Z[G/H] the product of (K-orbit size)/|K| = 1/|K n xHx^-1| over the
+    K-orbits on the cosets xH.  The atom's homomorphism check still runs.
+    """
+    atom.materialized()
+    group = atom.group
+    classes = group.subgroup_classes()
+    name, sub = atom._kind
+    value = Fraction(1)
+    for idx, n_k in theta.coefficients:
+        k = classes[idx]
+        if name == "Coset":
+            factor = _coset_factor(group, k.representative,
+                                   classes[sub].representative)
+        elif name == "A":
+            factor = Fraction(k.order)
+        elif name == "Reg":
+            factor = Fraction(1)
+        else:  # Z and I
+            factor = Fraction(1, k.order)
+        value *= factor ** n_k
+    return value
+
+
+def _coset_factor(group: Group, k_members, h_members) -> Fraction:
+    """prod over double cosets KxH of |KxH| / (|K| |H|)."""
+    mul = group.mul
+    seen: set = set()
+    factor = Fraction(1)
+    for x in range(group.order):
+        if x not in seen:
+            double = {mul[mul[k][x]][h] for k in k_members for h in h_members}
+            seen |= double
+            factor *= Fraction(len(double), len(k_members) * len(h_members))
+    return factor
+
+
 def regulator_constant(lat: GLattice, theta: GRelation,
                        pairing: Pairing | None = None) -> RegulatorValue:
     """Evaluate C_Theta on a lattice, exactly.
 
     With no pairing supplied the value is the product of the atoms'
-    constants under their averaged pairings (per-class determinants are
-    cached on each atom).  A supplied pairing must be symmetric positive
-    definite and invariant under the action, and is used on the whole
-    lattice.
+    constants: a named atom takes its closed form, any other atom its
+    averaged pairing (per-class determinants are cached on the atom).  A
+    supplied pairing must be symmetric positive definite and invariant
+    under the action, and is used on the whole lattice.
     """
     if theta.group is not lat.group:
         raise ValidationError("relation and lattice live on different groups")
     value = Fraction(1)
     if pairing is None:
         for atom, k in lat.summands:
-            value *= _whole_constant(atom, theta) ** k
+            route = _whole_constant if atom._kind is None else _closed_constant
+            value *= route(atom, theta) ** k
     else:
         _check_invariance(lat, pairing)
         den = lcm(*(x.denominator for row in pairing.matrix for x in row))

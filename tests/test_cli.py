@@ -25,6 +25,7 @@ from factoreq.cli import (
 )
 from factoreq.errors import DataError, ParseError, ResourceError, ValidationError
 from factoreq.lattices import direct_sum, tower_lattice
+from factoreq.relations import relation_basis
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -249,6 +250,22 @@ def test_regconst_closed_form(capsys):
     data = json.loads(out)
     assert data["results"][0]["value"] == "9/1"
     assert data["results"][0]["valuations"] == {"3": 2}
+
+
+def test_regconst_cyclic_quotient_at_rank_124(capsys):
+    # C(A) = prod |H|^(n_H) on every basis relation of Heis(5)
+    code, out, _ = invoke(capsys, "regconst", "heisenberg:5", "A", "--json")
+    assert code == 0
+    data = json.loads(out)
+    group = parse_group_spec("heisenberg:5")
+    assert data["rank"] == 124
+    assert len(data["results"]) == len(relation_basis(group)) > 0
+    for result in data["results"]:
+        expected = Fraction(1)
+        for entry in result["relation"]:
+            order = group.class_by_label(entry["class"]).order
+            expected *= Fraction(order) ** entry["coeff"]
+        assert Fraction(result["value"]) == expected
 
 
 def test_regconst_relation_index(capsys):

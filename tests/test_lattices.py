@@ -1,12 +1,13 @@
 """Lattice engine tests.
 
-The regulator-constant closed forms (product of |H|^{n_H} for the
-cyclic-quotient lattice, its inverse for the augmentation lattice, 1 for
-every coset lattice of a cyclic class) act as independent oracles: they are
-computed straight from relation coefficients and compared with the full
-determinant evaluation.  Fixed sublattices are cross-checked against
-explicit orbit sums, and the embedding fixture freezes hand-derived
-per-class indices (G : H).
+Named atoms take their regulator constants from closed forms, so the
+generic route (an explicit averaged pairing, fixed sublattices and Gram
+determinants) is their oracle on every census group.  The closed forms are
+also restated here straight from relation coefficients (product of
+|H|^{n_H} for the cyclic-quotient lattice, its inverse for the augmentation
+lattice, 1 for every coset lattice of a cyclic class).  Fixed sublattices
+are cross-checked against explicit orbit sums, and the embedding fixture
+freezes hand-derived per-class indices (G : H).
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 from factoreq import lattices
 from factoreq.errors import FactoreqError, ResourceError, ValidationError
 from factoreq.groups import (
+    Group,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
@@ -147,6 +149,26 @@ def test_actions_must_respect_multiplication():
     lat = GLattice(g, (((1, 1), (0, 1)),))  # infinite order: rho(g)^2 != id
     with pytest.raises(ValidationError):
         lat.materialized()
+    # two generators of V4: the second has infinite order while the first
+    # acts by -1, or both are involutions that do not commute
+    v4 = elementary_abelian_group(2, 2)
+    for actions in ((((-1, 0), (0, -1)), ((1, 1), (0, 1))),
+                    (((0, 1), (1, 0)), ((-1, 0), (0, 1)))):
+        with pytest.raises(ValidationError, match="multiplication table"):
+            GLattice(v4, actions).materialized()
+        with pytest.raises(ValidationError):
+            regulator_constant(GLattice(v4, actions), relation_basis(v4)[0])
+
+
+def test_materialization_does_not_need_closure_order():
+    # C4 indexed as (1, g^2, g^3, g): element 1 is not g times an earlier one
+    exponent = (0, 2, 3, 1)
+    table = tuple(tuple(exponent.index((exponent[i] + exponent[j]) % 4)
+                        for j in range(4)) for i in range(4))
+    rot = ((0, -1), (1, 0))
+    mats = GLattice(Group(table, (3,)), (rot,)).materialized()
+    assert mats[3] == rot and mats[1] == mat_mul(rot, rot)
+    assert mats[2] == mat_mul(rot, mats[1])
 
 
 def test_direct_sum_blocks():
@@ -227,6 +249,69 @@ def test_summand_route_matches_generic_route(name):
             fast = regulator_constant(lat, theta)
             assert fast == regulator_constant(lat, theta, generic), (
                 name, lat.label)
+
+
+def named_atoms(g):
+    """Z, I, A, Reg and the coset lattice of every class, 1 and G included."""
+    return ([trivial_lattice(g), augmentation_lattice(g),
+             cyclic_quotient_lattice(g), regular_lattice(g)]
+            + [coset_lattice(g, cls) for cls in g.subgroup_classes()])
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_closed_forms_match_the_gram_route(name):
+    g = CENSUS[name]()
+    basis = relation_basis(g)
+    for atom in named_atoms(g):
+        assert atom._kind is not None
+        pairing = averaged_pairing(atom)
+        for theta in basis:
+            assert (regulator_constant(atom, theta)
+                    == regulator_constant(atom, theta, pairing)), (
+                name, atom.label, theta.describe())
+
+
+def test_named_atoms_need_no_determinant_or_kernel(monkeypatch):
+    g = heisenberg_group(3)
+    lat = direct_sum(*named_atoms(g))
+
+    def forbidden(*args):
+        raise AssertionError("a named atom took the Gram route")
+
+    monkeypatch.setattr(lattices, "bareiss_determinant", forbidden)
+    monkeypatch.setattr(lattices, "kernel_basis", forbidden)
+    for theta in relation_basis(g):
+        assert regulator_constant(lat, theta).value > 0
+    # each atom still ran its homomorphism check
+    assert all(atom._materialized is not None for atom, _ in lat.summands)
+
+
+def test_lattices_without_a_kind_take_the_gram_route(monkeypatch):
+    g = dihedral_group(8)
+    sq = make_subquotient(g, frozenset(range(g.order)), g.center())
+    inflated = inflate_lattice(g, sq.projection,
+                               cyclic_quotient_lattice(sq.quotient))
+    v4_class = next(c for c in g.subgroup_classes()
+                    if c.order == 4 and not c.is_cyclic)
+    sub, emb = subgroup_as_group(g, v4_class.representative)
+    restricted = restrict_lattice(regular_lattice(g), sub, emb)
+    user = GLattice(g, regular_lattice(g).actions)
+    seen = []
+    whole = lattices._whole_constant
+
+    def recording(lat, theta):
+        seen.append(lat)
+        return whole(lat, theta)
+
+    monkeypatch.setattr(lattices, "_whole_constant", recording)
+    for lat in (inflated, restricted, user):
+        assert lat._kind is None
+        for theta in relation_basis(lat.group):
+            regulator_constant(lat, theta)
+        assert seen and seen[-1] is lat
+    seen.clear()
+    regulator_constant(regular_lattice(g), relation_basis(g)[0])
+    assert seen == []
 
 
 def test_pairing_validation():
@@ -542,15 +627,28 @@ def test_tower_matches_trivial_constant():
                               relation_basis(elementary_abelian_group(2, 2))[0])
 
 
+@pytest.mark.parametrize("name", ["V4", "S3", "D8"])
+def test_tower_matches_the_gram_route(name):
+    g = GROUPS[name]()
+    for m in (0, 1):
+        lat = tower_lattice(g, m)
+        pairing = averaged_pairing(lat)
+        for theta in relation_basis(g):
+            assert (tower_target_constant(g, m, theta)
+                    == regulator_constant(lat, theta, pairing))
+
+
 def test_broken_invariants_raise_internal_errors(monkeypatch):
     # Forced by monkeypatching: each check must raise, not assert, so that
-    # it also holds under ``python -O``.
+    # it also holds under ``python -O``.  The Gram check runs on a kind-less
+    # copy of Reg, since the named atom itself takes its closed form.
     v4 = elementary_abelian_group(2, 2)
     theta = relation_basis(v4)[0]
+    kindless = GLattice(v4, regular_lattice(v4).actions)
     with monkeypatch.context() as m:
         m.setattr(lattices, "bareiss_determinant", lambda rows: -1)
         with pytest.raises(FactoreqError, match="not positive") as exc:
-            regulator_constant(regular_lattice(v4), theta)
+            regulator_constant(kindless, theta)
     assert type(exc.value) is FactoreqError
     lat = regular_lattice(v4)
     pairing = averaged_pairing(lat)
