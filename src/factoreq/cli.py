@@ -627,10 +627,13 @@ def _cmd_bouc(args):
     if args.check is not None:
         if args.spec is not None:
             raise ParseError("give either a group spec or --check, not both")
+        if args.p is not None:
+            raise ParseError("--p applies to a group spec; with --check the "
+                             "profile declares p")
         profile = parse_profile(args.check)
         group = profile.group
-        generators = bouc_generators(group, profile.p if profile.p else
-                                     _infer_prime(group))
+        # without a declared p the checker reports the missing prime
+        generators = bouc_generators(group, profile.p) if profile.p else ()
         verdict = bouc_condition_check(profile, generators)
         payload = {"profile": args.check, "group": group.name,
                    "p": profile.p, **_verdict_payload(verdict, generators)}
@@ -826,7 +829,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "condition on a profile")
     cmd.add_argument("spec", nargs="?", default=None)
     cmd.add_argument("--p", type=int, default=None,
-                     help="prime (inferred for p-groups)")
+                     help="prime for a group spec (inferred for p-groups)")
     cmd.add_argument("--verify-span", action="store_true",
                      help="also verify the generators span the full "
                           "relation lattice")

@@ -624,18 +624,82 @@ class Subquotient:
 
 
 def make_subquotient(group: Group, top, bottom, quotient_type=None) -> Subquotient:
+    """The subquotient H/B of G, with B normal in H.
+
+    H/B is built from G's own cosets xB (x in H) in one closure, seeded by
+    the cosets of H's generators (``subgroup_generators``) in breadth-first
+    order.  So its table, generators, name and projection are those that
+    ``quotient_group`` gives on ``subgroup_as_group(group, top)`` and the
+    image of B there, without H being built as a group of its own.  B's
+    normality is checked once, on H's generators.
+    """
     top = frozenset(top)
     bottom = frozenset(bottom)
     if not group.is_subgroup(top):
         raise ValidationError("top is not a subgroup")
     if not bottom <= top:
         raise ValidationError("bottom must be contained in top")
-    sub, emb = subgroup_as_group(group, top)
-    back = {g: i for i, g in enumerate(emb)}
-    bottom_inside = frozenset(back[x] for x in bottom)
-    quot, proj = quotient_group(sub, bottom_inside)  # validates normality
-    projection = {g: proj[back[g]] for g in top}
+    if not group.is_subgroup(bottom):
+        raise ValidationError("not a subgroup")
+    gens = subgroup_generators(group, top)
+    if not _normalized_by(group, gens, bottom):
+        raise ValidationError("subgroup is not normal")
+    return _subquotient(group, top, gens, bottom, quotient_type)
+
+
+def _normalized_by(group: Group, gens, sub) -> bool:
+    """Is ``sub`` normalized by every element of ``gens`` (so by <gens>)?"""
+    return all(group.conjugate_subgroup(g, sub) == sub for g in gens)
+
+
+def _subquotient(group, top, top_gens, bottom, quotient_type) -> Subquotient:
+    """H/B from the cosets of B in H; B must be normal in H (not checked)."""
+    mul = group.mul
+    coset_of = {}
+    for x in top:
+        if x not in coset_of:
+            coset = frozenset(mul[x][b] for b in bottom)
+            for y in coset:
+                coset_of[y] = coset
+
+    def mult(c1, c2):
+        return coset_of[mul[min(c1)][min(c2)]]
+
+    gens = [coset_of[g] for g in top_gens] or [bottom]
+    quot, items = _closure_group(bottom, gens, mult,
+                                 f"{group.name}|sub{len(top)}/N")
+    index = {c: i for i, c in enumerate(items)}
+    projection = {g: index[coset_of[g]] for g in top}
     return Subquotient(group, top, bottom, quot, projection, quotient_type)
+
+
+def _normal_sections(group: Group, index: int):
+    """Yield (H, generators of H, B) with B normal in H and [H:B] = index.
+
+    H runs over subgroup-class representatives in canonical order; for each,
+    B runs over the subgroups of H in ``all_subgroups`` order.
+    """
+    by_order: dict[int, list] = {}
+    for sub in group.all_subgroups():
+        by_order.setdefault(len(sub), []).append(sub)
+    for cls in group.subgroup_classes():
+        if cls.order % index:
+            continue
+        top = cls.representative
+        gens = subgroup_generators(group, top)
+        for bottom in by_order.get(cls.order // index, ()):
+            if bottom <= top and _normalized_by(group, gens, bottom):
+                yield top, gens, bottom
+
+
+def _commutators_in(group: Group, gens, sub) -> bool:
+    """Do all commutators of ``gens`` lie in ``sub``?
+
+    For B normal in H = <gens>, this holds iff H/B is abelian.
+    """
+    mul, inv = group.mul, group.inverse
+    return all(mul[mul[inv[a]][inv[b]]][mul[a][b]] in sub
+               for i, a in enumerate(gens) for b in gens[:i])
 
 
 def subquotients_of_type(group: Group, qtype):
@@ -643,26 +707,23 @@ def subquotients_of_type(group: Group, qtype):
 
     H runs over subgroup-class representatives in canonical order; for each,
     B runs over the normal subgroups of H of the right index, sorted by their
-    element tuples.
+    element tuples.  The nonabelian types skip every (H, B) whose generator
+    commutators lie in B (H/B abelian) before H/B is built; ``matches``
+    decides on the rest.  ``bouc_generators`` builds its elementary abelian
+    relations from the sections directly and calls this only for the
+    Heisenberg and dihedral types.
     """
     if not hasattr(qtype, "matches"):
         raise ValidationError(f"{qtype!r} is not a subquotient type")
     target = {ElemAbelianP2: lambda t: t.p ** 2,
               HeisenbergP3: lambda t: t.p ** 3,
               Dihedral2N: lambda t: 2 ** t.n}[type(qtype)](qtype)
-    all_subs = group.all_subgroups()
+    nonabelian = not isinstance(qtype, ElemAbelianP2)
     found = []
-    for cls in group.subgroup_classes():
-        if cls.order % target:
+    for top, gens, bottom in _normal_sections(group, target):
+        if nonabelian and _commutators_in(group, gens, bottom):
             continue
-        top = cls.representative
-        want = cls.order // target
-        for bottom in all_subs:
-            if len(bottom) != want or not bottom <= top:
-                continue
-            if any(group.conjugate_subgroup(h, bottom) != bottom for h in top):
-                continue
-            sq = make_subquotient(group, top, bottom, qtype)
-            if qtype.matches(sq.quotient):
-                found.append(sq)
+        sq = _subquotient(group, top, gens, bottom, qtype)
+        if qtype.matches(sq.quotient):
+            found.append(sq)
     return tuple(found)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .errors import FactoreqError, ValidationError
 from .groups import (
     Dihedral2N,
-    ElemAbelianP2,
     Group,
     HeisenbergP3,
     SubgroupClass,
     Subquotient,
     _is_prime,
+    _normal_sections,
     subquotients_of_type,
 )
 from .intmat import kernel_basis, row_span_basis
@@ -170,11 +170,15 @@ def relation_basis(group: Group) -> tuple:
 
 
 def relation_span_basis(relations) -> tuple:
-    """Canonical integer row-span of a family of relations (HNF rows)."""
-    rels = tuple(relations)
-    if not rels:
+    """Canonical integer row-span of a family of relations (HNF rows).
+
+    The HNF is canonical, so the distinct vectors are fed in ascending
+    order: repeats add nothing, and this order eliminates fastest.
+    """
+    rows = tuple(sorted({r.as_vector() for r in relations}))
+    if not rows:
         return ()
-    return row_span_basis(tuple(r.as_vector() for r in rels))
+    return row_span_basis(rows)
 
 
 def spans_match(relations_a, relations_b) -> bool:
@@ -230,10 +234,15 @@ def induce_relation(group: Group, embedding, rel: GRelation) -> GRelation:
 def bouc_generators(group: Group, p: int) -> tuple:
     """The classical generating relations of a p-group.
 
-    Three sources, induced and inflated from every matching subquotient:
+    Three sources, read off every matching section B <= H <= G (H up to
+    conjugacy, B normal in H):
 
     * elementary abelian p^2 quotients contribute
-      ``1 - sum_C C + p * (H/B)`` over all order-p subgroups C;
+      ``B - sum_C C + p * H`` over the p + 1 subgroups B < C < H.  They are
+      found and built on G's own subgroup lattice: H/B is elementary
+      abelian of order p^2 iff [H:B] = p^2 and x^p lies in B for every x in
+      H, and each C is <B, x> for an x in H outside B.  No quotient group
+      is built;
     * for odd p, exponent-p Heisenberg quotients contribute
       ``I - IZ - J + JZ`` for every pair of non-conjugate non-central
       order-p classes (Z the center);
@@ -242,7 +251,10 @@ def bouc_generators(group: Group, p: int) -> tuple:
       dihedral case is needed: its own relation lattice exceeds the span
       of its elementary abelian subquotient relations by index 2.
 
-    Their span is the full relation lattice (checked in the tests, not here).
+    The last two build H/B (``subquotients_of_type``, which skips the
+    sections with H/B abelian first) and induce and inflate its relations.
+    Every generator is checked to be a relation of G.  Their span is the
+    full relation lattice (checked in the tests, not here).
     """
     if not _is_prime(p):
         raise ValidationError(f"{p} is not prime")
@@ -251,19 +263,14 @@ def bouc_generators(group: Group, p: int) -> tuple:
         n //= p
     if n != 1:
         raise ValidationError(f"group of order {group.order} is not a {p}-group")
+    mul = group.mul
+    power = list(range(group.order))
+    for _ in range(p - 1):
+        power = [mul[y][x] for x, y in enumerate(power)]
     out = []
-    for sq in subquotients_of_type(group, ElemAbelianP2(p)):
-        q = sq.quotient
-        coeffs = {}
-        for cls in q.subgroup_classes():
-            if cls.order == 1:
-                coeffs[cls.index] = 1
-            elif cls.order == p:
-                coeffs[cls.index] = -1
-            else:
-                coeffs[cls.index] = p
-        rel = GRelation.from_mapping(q, coeffs)
-        out.append(induce_inflate(group, sq, rel))
+    for top, _, bottom in _normal_sections(group, p * p):
+        if all(power[x] in bottom for x in top):
+            out.append(_elementary_abelian_relation(group, top, bottom, p))
     if p % 2:
         for sq in subquotients_of_type(group, HeisenbergP3(p)):
             out.extend(induce_inflate(group, sq, rel)
@@ -276,6 +283,33 @@ def bouc_generators(group: Group, p: int) -> tuple:
                 out.extend(induce_inflate(group, sq, rel)
                            for rel in _center_pair_relations(sq.quotient, 2))
     return tuple(out)
+
+
+def _elementary_abelian_relation(group: Group, top, bottom, p) -> GRelation:
+    """B - sum_C C + p * H for H/B elementary abelian of order p^2.
+
+    C runs over the p + 1 subgroups <B, x> = B u xB u ... u x^(p-1)B
+    strictly between B and H.
+    """
+    mul = group.mul
+    acc = {group.class_of_subgroup(bottom): 1}
+    covered = set(bottom)
+    for x in top:
+        if x in covered:
+            continue
+        middle, y = set(bottom), x
+        while y not in bottom:
+            middle.update(mul[y][b] for b in bottom)
+            y = mul[y][x]
+        covered |= middle
+        idx = group.class_of_subgroup(middle)
+        acc[idx] = acc.get(idx, 0) - 1
+    acc[group.class_of_subgroup(top)] = p
+    out = GRelation(group, tuple(sorted(acc.items())))
+    if not is_relation(group, out):
+        raise FactoreqError("elementary abelian section relation failed to "
+                            "cancel")
+    return out
 
 
 def _center_pair_relations(q: Group, p: int):

@@ -359,6 +359,32 @@ def test_bouc_profile_check(capsys):
     assert json.loads(out)["results"][0]["residual"] == "9/1"
 
 
+def test_bouc_check_takes_its_prime_from_the_profile(capsys, tmp_path):
+    # --p belongs to the group-spec form, like the spec itself
+    code, _, err = invoke(capsys, "bouc", "--check",
+                          fixture("elemab32_good.json"), "--p", "3")
+    assert code == 2 and err.startswith("error:parse:")
+    # no prime is inferred: a profile without p is a data error, also on a
+    # group whose order has several prime factors
+    c6 = tmp_path / "c6.json"
+    c6.write_text(json.dumps({"group": "cyclic:6", "classes": [
+        {"label": "o1#0", "h": 1, "w": 2, "lambda": 1}]}))
+    code, _, err = invoke(capsys, "bouc", "--check", str(c6))
+    assert code == 2
+    assert err.startswith("error:data:") and "declared prime p" in err
+    code, _, err = invoke(capsys, "bouc", "--check", str(c6), "--p", "2")
+    assert code == 2 and err.startswith("error:parse:")
+    e9 = tmp_path / "e9.json"
+    data = json.loads(open(fixture("elemab32_good.json")).read())
+    del data["p"]
+    for cls in data["classes"]:
+        del cls["h_p"]
+    e9.write_text(json.dumps(data))
+    code, _, err = invoke(capsys, "bouc", "--check", str(e9))
+    assert code == 2
+    assert err.startswith("error:data:") and "declared prime p" in err
+
+
 def test_factorizable_command(capsys):
     code, out, _ = invoke(capsys, "factorizable", "elemab:2,2",
                           fixture("v4_order_values.json"), "--json")

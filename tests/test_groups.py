@@ -399,3 +399,69 @@ def test_make_subquotient_generic():
     assert sq.quotient_type is None
     with pytest.raises(ValidationError):
         make_subquotient(d8, range(8), [1])
+    with pytest.raises(ValidationError, match="top is not a subgroup"):
+        make_subquotient(d8, [0, 1], [0])
+    with pytest.raises(ValidationError, match="contained in top"):
+        make_subquotient(d8, d8.center(), [0, 2])
+    with pytest.raises(ValidationError, match="not a subgroup"):
+        make_subquotient(d8, range(8), [0, 1, 2])
+    refl = next(c for c in d8.subgroup_classes()
+                if c.order == 2 and not c.is_normal).representative
+    with pytest.raises(ValidationError, match="not normal"):
+        make_subquotient(d8, range(8), refl)
+
+
+def subquotient_through_subgroup(group, top, bottom):
+    """H/B the long way: H as a Group of its own, then its quotient."""
+    sub, emb = subgroup_as_group(group, top)
+    back = {g: i for i, g in enumerate(emb)}
+    quot, proj = quotient_group(sub, frozenset(back[x] for x in bottom))
+    return quot, {g: proj[back[g]] for g in top}
+
+
+def normal_pairs(group):
+    """Every (H, B) with B normal in H, H and B in all_subgroups order."""
+    subs = group.all_subgroups()
+    return [(top, bottom) for top in subs for bottom in subs
+            if bottom <= top
+            and all(group.conjugate_subgroup(h, bottom) == bottom
+                    for h in top)]
+
+
+SECTION_GROUPS = {
+    "D8": lambda: dihedral_group(8),
+    "Q8": quaternion_group,
+    "Heis3": lambda: heisenberg_group(3),
+    "C4xC4": lambda: direct_product(cyclic_group(4), cyclic_group(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_GROUPS))
+def test_make_subquotient_matches_the_route_through_subgroup_as_group(name):
+    g = SECTION_GROUPS[name]()
+    for top, bottom in normal_pairs(g):
+        sq = make_subquotient(g, top, bottom)
+        quot, projection = subquotient_through_subgroup(g, top, bottom)
+        assert sq.quotient.mul == quot.mul
+        assert sq.quotient.generators == quot.generators
+        assert sq.quotient.name == quot.name
+        assert sq.projection == projection
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_GROUPS))
+def test_subquotients_of_type_keep_every_matching_section(name):
+    # the abelian-quotient skip of the nonabelian types drops no match
+    g = SECTION_GROUPS[name]()
+    p = 3 if g.order % 2 else 2
+    types = [ElemAbelianP2(p)] + ([HeisenbergP3(p)] if p % 2 else
+                                  [Dihedral2N(3), Dihedral2N(4)])
+    pairs = normal_pairs(g)
+    reps = [cls.representative for cls in g.subgroup_classes()]
+    for qtype in types:
+        expected = [(top, bottom) for top in reps for t, bottom in pairs
+                    if t == top and qtype.matches(
+                        make_subquotient(g, top, bottom).quotient)]
+        found = subquotients_of_type(g, qtype)
+        assert [(sq.top, sq.bottom) for sq in found] == expected
+        assert all(sq.quotient_type == qtype for sq in found)
+

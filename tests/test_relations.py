@@ -9,16 +9,19 @@ matrices written out.
 import ast
 import pathlib
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
-from factoreq import relations
+from factoreq import groups, relations
 from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
+    Dihedral2N,
     ElemAbelianP2,
     HeisenbergP3,
     cyclic_group,
     dihedral_group,
+    direct_product,
     elementary_abelian_group,
     heisenberg_group,
     make_subquotient,
@@ -37,6 +40,7 @@ from factoreq.relations import (
     relation_span_basis,
     spans_match,
 )
+from factoreq.intmat import row_span_basis
 
 
 def oracle_character(group, subgroup):
@@ -155,6 +159,13 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
         m.setattr(relations, "is_relation", lambda group, cand: False)
         with pytest.raises(FactoreqError, match="failed to cancel") as exc:
             induce_relation(d8, emb, rel)
+    assert type(exc.value) is FactoreqError
+
+    v4_group = elementary_abelian_group(2, 2)
+    with monkeypatch.context() as m:
+        m.setattr(relations, "is_relation", lambda group, cand: False)
+        with pytest.raises(FactoreqError, match="failed to cancel") as exc:
+            bouc_generators(v4_group, 2)
     assert type(exc.value) is FactoreqError
 
 
@@ -305,3 +316,82 @@ def test_span_basis_is_canonical():
     shuffled = basis[::-1]
     assert relation_span_basis(shuffled) == relation_span_basis(basis)
     assert relation_span_basis([]) == ()
+
+
+# -- Bouc generators against the route through quotient groups ---------------
+
+BOUC_CENSUS = {
+    "V4": (lambda: elementary_abelian_group(2, 2), 2),
+    "E8": (lambda: elementary_abelian_group(2, 3), 2),
+    "E16": (lambda: elementary_abelian_group(2, 4), 2),
+    "D8": (lambda: dihedral_group(8), 2),
+    "D16": (lambda: dihedral_group(16), 2),
+    "Q8": (quaternion_group, 2),
+    "C4xC4": (lambda: direct_product(cyclic_group(4), cyclic_group(4)), 2),
+    "Q8xC2": (lambda: direct_product(quaternion_group(), cyclic_group(2)), 2),
+    "D8xV4": (lambda: direct_product(dihedral_group(8),
+                                     elementary_abelian_group(2, 2)), 2),
+    "E9": (lambda: elementary_abelian_group(3, 2), 3),
+    "E27": (lambda: elementary_abelian_group(3, 3), 3),
+    "Heis3": (lambda: heisenberg_group(3), 3),
+    "C9xC3": (lambda: direct_product(cyclic_group(9), cyclic_group(3)), 3),
+}
+
+
+@lru_cache(maxsize=None)
+def census_group(name):
+    return BOUC_CENSUS[name][0]()
+
+
+def generators_through_quotients(group, p):
+    """The Bouc generators with every quotient H/B built as a group.
+
+    Each section's quotient carries its own relation, which is induced and
+    inflated to G, as ``bouc_generators`` did before it read the
+    elementary abelian relations off G's subgroup lattice.
+    """
+    out = []
+    for sq in subquotients_of_type(group, ElemAbelianP2(p)):
+        q = sq.quotient
+        rel = GRelation.from_mapping(q, {
+            cls.index: {1: 1, p: -1}.get(cls.order, p)
+            for cls in q.subgroup_classes()})
+        out.append(induce_inflate(group, sq, rel))
+    types = ([HeisenbergP3(p)] if p % 2 else
+             [Dihedral2N(n) for n in range(3, group.order.bit_length())])
+    for qtype in types:
+        for sq in subquotients_of_type(group, qtype):
+            out.extend(induce_inflate(group, sq, rel) for rel in
+                       relations._center_pair_relations(sq.quotient, p))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_bouc_generators_match_the_route_through_quotients(name):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    gens = bouc_generators(g, p)
+    assert gens == generators_through_quotients(g, p)
+    assert spans_match(gens, relation_basis(g))
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_span_basis_of_sorted_distinct_rows_matches_generation_order(name):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    gens = bouc_generators(g, p)
+    assert relation_span_basis(gens) == row_span_basis(
+        tuple(r.as_vector() for r in gens))
+
+
+def test_bouc_on_elementary_abelian_builds_no_group(monkeypatch):
+    g = elementary_abelian_group(2, 4)
+    built = []
+    closure, init = groups._closure_group, groups.Group.__init__
+    monkeypatch.setattr(groups, "_closure_group",
+                        lambda *a, **k: built.append(a) or closure(*a, **k))
+    monkeypatch.setattr(groups.Group, "__init__",
+                        lambda *a, **k: built.append(a) or init(*a, **k))
+    assert len(bouc_generators(g, 2)) == 175
+    assert built == []
+    # the patches do see a build
+    groups.make_subquotient(g, range(16), [0])
+    assert len(built) == 2
