@@ -22,8 +22,9 @@ The five named atoms take closed forms (Dokchitser & Dokchitser,
                                |K n gHg^-1|)^{-n_K}
 
 The last holds because the K-orbit sums of G/H are an orthogonal basis of
-the K-fixed part.  Each named atom still passes its unimodularity check
-when built and its homomorphism check before its value is returned.
+the K-fixed part.  Each named atom passes its homomorphism check, on sparse
+rows, when it is built; the check covers unimodularity as well, so a named
+atom needs no determinant.
 
 The Gram route remains for lattices with no kind (inflations,
 restrictions and lattices built from matrices), for user-supplied
@@ -36,6 +37,7 @@ lattices, so they evaluate both constants there; each index is a ratio of
 Hermite pivots (:func:`~factoreq.intmat.sublattice_index`).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -58,11 +60,16 @@ from .relations import GRelation, _as_class
 class GLattice:
     """A free Z-module with a G-action (columns map to their images).
 
-    ``actions[i]`` is the matrix of the i-th group generator.  Matrices for
-    the remaining elements are materialized on demand by multiplying along
-    the generator words that enumerated the group; the first
-    materialization verifies rho(s)rho(x) = rho(sx) for every generator s
-    and element x, which extends inductively to the full homomorphism law.
+    ``actions[i]`` is the matrix of the i-th group generator.  The matrices
+    of all elements are built once, as sparse rows, breadth first along the
+    generator words that enumerated the group; the same pass verifies
+    rho(s)rho(x) = rho(sx) for every generator s and element x, which
+    extends inductively to the full homomorphism law.  Since rho(1) is the
+    identity, the pass also verifies rho(s)rho(s^-1) = 1: each generator
+    has an integer inverse, so it is unimodular.  The named constructors
+    run the pass when they build an atom and compute no determinant; a
+    lattice built from matrices is checked for unimodularity when built and
+    runs the pass on first use.
 
     ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
     pairs; a lattice not built by :func:`direct_sum` is its own atom.  An
@@ -95,36 +102,82 @@ class GLattice:
         self.label = label
         self.summands = summands
         self._kind = None
+        self._rows = None
         self._materialized = None
         self._gram = None
         self._fixed: dict[int, tuple] = {}
         self._default_dets: dict[int, Fraction] = {}
+        self._embeddings: set = set()
 
     def __repr__(self):
         return f"GLattice({self.label}, rank={self.rank}, {self.group.name})"
 
-    def materialized(self) -> tuple:
-        """One matrix per group element, verified to be a homomorphism."""
-        if self._materialized is None:
+    def _verified_rows(self) -> tuple:
+        """rho(x) for every element x as sparse rows, verified once.
+
+        A row is a tuple of (column, value) pairs in column order, so equal
+        rows are equal tuples.
+        """
+        if self._rows is None:
             grp = self.group
-            mats: list = [None] * grp.order
-            mats[0] = identity_matrix(self.rank)
-            # breadth first from the identity: each (generator s, element x)
-            # pair either defines rho(sx) or is checked against it once
+            gens = [tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                          for row in m) for m in self.actions]
+            rows: list = [None] * grp.order
+            rows[0] = tuple(((i, 1),) for i in range(self.rank))
+            # each (generator s, element x) pair either defines rho(sx) or
+            # is checked against it once
             queue = [0]
             for x in queue:
-                for gi, g in enumerate(grp.generators):
+                for gen, g in zip(gens, grp.generators):
                     y = grp.mul[g][x]
-                    prod = mat_mul(self.actions[gi], mats[x])
-                    if mats[y] is None:
-                        mats[y] = prod
+                    prod = _sparse_product(gen, rows[x])
+                    if rows[y] is None:
+                        rows[y] = prod
                         queue.append(y)
-                    elif prod != mats[y]:
+                    elif prod != rows[y]:
                         raise ValidationError(
                             f"actions of {self.label} do not respect the "
                             f"multiplication table of {grp.name}")
-            self._materialized = tuple(mats)
+            self._rows = tuple(rows)
+        return self._rows
+
+    def materialized(self) -> tuple:
+        """One dense matrix per group element, verified to be a homomorphism."""
+        if self._materialized is None:
+            self._materialized = tuple(_dense(rows, self.rank)
+                                       for rows in self._verified_rows())
         return self._materialized
+
+
+def _sparse_product(gen, rows) -> tuple:
+    """The sparse rows of gen @ m, for gen and m given as sparse rows.
+
+    A row of gen that is a single +1 picks a row of m unchanged.
+    """
+    out = []
+    for grow in gen:
+        if len(grow) == 1 and grow[0][1] == 1:
+            out.append(rows[grow[0][0]])
+            continue
+        acc: dict = {}
+        for k, a in grow:
+            for j, b in rows[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        row = [item for item in acc.items() if item[1]]
+        row.sort()
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense(rows, rank: int) -> tuple:
+    """The dense matrix of a sequence of sparse rows."""
+    out = []
+    for row in rows:
+        dense = [0] * rank
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -181,12 +234,25 @@ class RegulatorValue:
 # -- standard lattices --------------------------------------------------------
 
 
+def _named_atom(group: Group, actions: tuple, label: str, kind) -> GLattice:
+    """Build a named atom and run its homomorphism check at once.
+
+    The check compares rho(s)rho(s^-1) with rho(1) = 1, so every generator
+    has an integer inverse and |det| = 1 without a determinant.
+    """
+    lat = GLattice.__new__(GLattice)
+    lat._setup(group, actions, len(actions[0]) if actions else 0, label,
+               ((lat, 1),))
+    lat._verified_rows()
+    lat._kind = kind
+    return lat
+
+
 def trivial_lattice(group: Group) -> GLattice:
     """Z with every group element acting as the identity."""
     one = identity_matrix(1)
-    lat = GLattice(group, tuple(one for _ in group.generators), label="Z")
-    lat._kind = ("Z", None)
-    return lat
+    return _named_atom(group, tuple(one for _ in group.generators), "Z",
+                       ("Z", None))
 
 
 def coset_lattice(group: Group, subgroup_class) -> GLattice:
@@ -208,9 +274,8 @@ def coset_lattice(group: Group, subgroup_class) -> GLattice:
             image = frozenset(group.mul[g][x] for x in c)
             m[index[image]][i] = 1
         actions.append(tuple(tuple(row) for row in m))
-    lat = GLattice(group, tuple(actions), label=f"Coset({cls.label})")
-    lat._kind = ("Coset", cls.index)
-    return lat
+    return _named_atom(group, tuple(actions), f"Coset({cls.label})",
+                       ("Coset", cls.index))
 
 
 def regular_lattice(group: Group) -> GLattice:
@@ -240,9 +305,7 @@ def cyclic_quotient_lattice(group: Group) -> GLattice:
             else:
                 m[y - 1][x - 1] = 1
         actions.append(tuple(tuple(row) for row in m))
-    lat = GLattice(group, tuple(actions), label="A")
-    lat._kind = ("A", None)
-    return lat
+    return _named_atom(group, tuple(actions), "A", ("A", None))
 
 
 def augmentation_lattice(group: Group) -> GLattice:
@@ -260,18 +323,17 @@ def augmentation_lattice(group: Group) -> GLattice:
             if g != 0:
                 m[g - 1][x - 1] -= 1
         actions.append(tuple(tuple(row) for row in m))
-    lat = GLattice(group, tuple(actions), label="I")
-    lat._kind = ("I", None)
-    return lat
+    return _named_atom(group, tuple(actions), "I", ("I", None))
 
 
 def direct_sum(*parts: GLattice) -> GLattice:
     """Block-diagonal sum of lattices over the same group.
 
     The label nests to the left, ``Sum(Sum(a,b),c)``.  The blocks were
-    checked when their lattices were built and a block-diagonal determinant
-    is the product of the block determinants, so no unimodularity check
-    runs again.  The summands of the parts are merged by atom.
+    checked for unimodularity when their lattices were built and a
+    block-diagonal determinant is the product of the block determinants, so
+    that check does not run again; the sum runs its homomorphism check on
+    first use.  The summands of the parts are merged by atom.
     """
     if not parts:
         raise ValidationError("a direct sum needs at least one summand")
@@ -333,10 +395,9 @@ def inflate_lattice(group: Group, projection, lat: GLattice) -> GLattice:
     proj = tuple(projection)
     if len(proj) != group.order:
         raise ValidationError("projection must cover every group element")
-    mats = lat.materialized()
-    actions = tuple(mats[proj[g]] for g in group.generators)
-    out = GLattice(group, actions, label=f"Inf({lat.label})")
-    return out
+    rows = lat._verified_rows()
+    actions = tuple(_dense(rows[proj[g]], lat.rank) for g in group.generators)
+    return GLattice(group, actions, label=f"Inf({lat.label})")
 
 
 def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
@@ -348,8 +409,8 @@ def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
     emb = tuple(embedding)
     if len(emb) != sub.order:
         raise ValidationError("embedding must cover every subgroup element")
-    mats = lat.materialized()
-    actions = tuple(mats[emb[g]] for g in sub.generators)
+    rows = lat._verified_rows()
+    actions = tuple(_dense(rows[emb[g]], lat.rank) for g in sub.generators)
     return GLattice(sub, actions, label=f"Res({lat.label})")
 
 
@@ -357,15 +418,20 @@ def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
 
 
 def _averaged_gram(lat: GLattice) -> tuple:
-    """The integer matrix sum_g rho(g)^T rho(g), cached on the lattice."""
+    """The integer matrix sum_g rho(g)^T rho(g), cached on the lattice.
+
+    It is the sum of the outer products r^T r over the rows r of every
+    rho(g); equal rows are counted and their outer product added once.
+    """
     if lat._gram is None:
-        rank = lat.rank
-        total = [[0] * rank for _ in range(rank)]
-        for m in lat.materialized():
-            prod = mat_mul(transpose(m), m)
-            for i in range(rank):
-                total[i] = [a + b for a, b in zip(total[i], prod[i])]
-        lat._gram = tuple(tuple(row) for row in total)
+        total = [[0] * lat.rank for _ in range(lat.rank)]
+        counts = Counter(row for rows in lat._verified_rows() for row in rows)
+        for row, n in counts.items():
+            for i, a in row:
+                line = total[i]
+                for j, b in row:
+                    line[j] += n * a * b
+        lat._gram = tuple(tuple(line) for line in total)
     return lat._gram
 
 
@@ -387,12 +453,11 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
         if not gens:
             basis = identity_matrix(lat.rank)
         else:
-            mats = lat.materialized()
+            rows = lat._verified_rows()
             stacked = []
             for h in gens:
-                m = mats[h]
-                for i in range(lat.rank):
-                    row = list(m[i])
+                for i, row in enumerate(_dense(rows[h], lat.rank)):
+                    row = list(row)
                     row[i] -= 1
                     stacked.append(tuple(row))
             basis = kernel_basis(tuple(stacked))
@@ -448,9 +513,9 @@ def _closed_constant(atom: GLattice, theta: GRelation) -> Fraction:
 
     The factor of a class K is 1/|K| for Z and I, |K| for A, 1 for Reg, and
     for Z[G/H] the product of (K-orbit size)/|K| = 1/|K n xHx^-1| over the
-    K-orbits on the cosets xH.  The atom's homomorphism check still runs.
+    K-orbits on the cosets xH.  The atom passed its homomorphism check when
+    it was built (:func:`_named_atom`).
     """
-    atom.materialized()
     group = atom.group
     classes = group.subgroup_classes()
     name, sub = atom._kind
@@ -516,7 +581,9 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     """Compare C_Theta(M)/C_Theta(N) with prod [N^H : iota(M^H)]^(2 n_H).
 
     ``embed`` is an injective equivariant integer matrix from M's basis to
-    N's.  Returns (equality holds, {class label: index}).
+    N's; M records each (N, embed) pair it has checked, so a relation basis
+    checks the embedding once.  Returns (equality holds, {class label:
+    index}).
     """
     if m_lat.group is not n_lat.group:
         raise ValidationError("lattices live on different groups")
@@ -528,11 +595,13 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     if len(mat) != n_lat.rank or any(len(row) != m_lat.rank for row in mat):
         raise ValidationError(
             f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
-    if m_lat.rank and bareiss_determinant(mat) == 0:
-        raise ValidationError("embedding must be injective")
-    for ma, mb in zip(m_lat.actions, n_lat.actions):
-        if mat_mul(mb, mat) != mat_mul(mat, ma):
-            raise ValidationError("embedding is not equivariant")
+    if (n_lat, mat) not in m_lat._embeddings:
+        if m_lat.rank and bareiss_determinant(mat) == 0:
+            raise ValidationError("embedding must be injective")
+        for ma, mb in zip(m_lat.actions, n_lat.actions):
+            if mat_mul(mb, mat) != mat_mul(mat, ma):
+                raise ValidationError("embedding is not equivariant")
+        m_lat._embeddings.add((n_lat, mat))
     classes = m_lat.group.subgroup_classes()
     indices = {}
     rhs = Fraction(1)

@@ -1,11 +1,15 @@
 """Lattice engine tests.
 
-Named atoms take their regulator constants from closed forms, so the
-generic route (an explicit averaged pairing, fixed sublattices and Gram
-determinants) is their oracle on every census group.  The closed forms are
-also restated here straight from relation coefficients (product of
-|H|^{n_H} for the cyclic-quotient lattice, its inverse for the augmentation
-lattice, 1 for every coset lattice of a cyclic class).  Fixed sublattices
+The homomorphism check runs on sparse rows; the dense breadth-first loop
+it replaced is kept here as its oracle (``dense_oracle``), which decides
+acceptance of every census atom, sum, inflation and restriction and of
+perturbed user lattices.  Named atoms take their regulator constants from
+closed forms, so the generic route (an explicit averaged pairing, fixed
+sublattices and Gram determinants) is their oracle on every census group.
+The closed forms are also restated here straight from relation
+coefficients (product of |H|^{n_H} for the cyclic-quotient lattice, its
+inverse for the augmentation lattice, 1 for every coset lattice of a
+cyclic class).  Fixed sublattices
 are cross-checked against explicit orbit sums, and the embedding fixture
 freezes hand-derived per-class indices (G : H).
 """
@@ -28,7 +32,13 @@ from factoreq.groups import (
     quotient_group,
     subgroup_as_group,
 )
-from factoreq.intmat import identity_matrix, mat_mul, row_span_basis, transpose
+from factoreq.intmat import (
+    bareiss_determinant,
+    identity_matrix,
+    mat_mul,
+    row_span_basis,
+    transpose,
+)
 from factoreq.lattices import (
     GLattice,
     Pairing,
@@ -77,6 +87,42 @@ def closed_form(group, theta, sign=1):
     for idx, n_h in theta.coefficients:
         value *= Fraction(classes[idx].order) ** (sign * n_h)
     return value
+
+
+def dense_oracle(group, actions):
+    """The dense breadth-first homomorphism check, with the determinant
+    check of user lattices in front: one matrix per element, or None if the
+    actions are not unimodular or do not respect the multiplication table."""
+    if any(abs(bareiss_determinant(m)) != 1 for m in actions if m):
+        return None
+    rank = len(actions[0]) if actions else 0
+    mats = [None] * group.order
+    mats[0] = identity_matrix(rank)
+    queue = [0]
+    for x in queue:
+        for gi, g in enumerate(group.generators):
+            y = group.mul[g][x]
+            prod = mat_mul(actions[gi], mats[x])
+            if mats[y] is None:
+                mats[y] = prod
+                queue.append(y)
+            elif prod != mats[y]:
+                return None
+    return tuple(mats)
+
+
+def random_unimodular(rank, rng):
+    """(U, U^-1) from 2 * rank random elementary row operations."""
+    u = [list(row) for row in identity_matrix(rank)]
+    inv = [list(row) for row in identity_matrix(rank)]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # U <- E U for E = 1 + c e_i e_j^T, and U^-1 <- U^-1 E^-1
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return (tuple(tuple(row) for row in u), tuple(tuple(row) for row in inv))
 
 
 def seeded_pairing(lat, seed):
@@ -282,8 +328,91 @@ def test_named_atoms_need_no_determinant_or_kernel(monkeypatch):
     monkeypatch.setattr(lattices, "kernel_basis", forbidden)
     for theta in relation_basis(g):
         assert regulator_constant(lat, theta).value > 0
-    # each atom still ran its homomorphism check
-    assert all(atom._materialized is not None for atom, _ in lat.summands)
+    # each atom ran its homomorphism check (when it was built)
+    assert all(atom._rows is not None for atom, _ in lat.summands)
+
+
+def test_named_constructors_need_no_determinant_or_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a named constructor ran a dense check")
+
+    monkeypatch.setattr(lattices, "bareiss_determinant", forbidden)
+    monkeypatch.setattr(lattices, "mat_mul", forbidden)
+    for name in sorted(CENSUS):
+        g = CENSUS[name]()
+        for atom in named_atoms(g):
+            assert atom._rows is not None, (name, atom.label)
+            assert len(atom.materialized()) == g.order
+
+
+def test_named_build_path_rejects_bad_actions_when_built():
+    # C2 acting by 2: rho(s) rho(s^-1) = 4 is not rho(1) = 1, which is how
+    # the sparse check covers unimodularity
+    with pytest.raises(ValidationError, match="multiplication table"):
+        lattices._named_atom(cyclic_group(2), (((2,),),), "Z", ("Z", None))
+    # two involutions of V4 that do not commute
+    v4 = elementary_abelian_group(2, 2)
+    with pytest.raises(ValidationError, match="multiplication table"):
+        lattices._named_atom(v4, (((0, 1), (1, 0)), ((-1, 0), (0, 1))), "A",
+                             ("A", None))
+
+
+def oracle_cases(g):
+    """Every named atom, two sums, an inflation and a restriction."""
+    atoms = named_atoms(g)
+    cases = atoms + [direct_sum(*atoms[:3]), direct_sum(atoms[1], atoms[3])]
+    normal = next(c for c in g.subgroup_classes()
+                  if c.is_normal and c.order > 1)
+    quotient, projection = quotient_group(g, normal.representative)
+    cases.append(inflate_lattice(g, projection,
+                                 cyclic_quotient_lattice(quotient)))
+    proper = next(c for c in g.subgroup_classes() if 1 < c.order < g.order)
+    sub, emb = subgroup_as_group(g, proper.representative)
+    cases.append(restrict_lattice(augmentation_lattice(g), sub, emb))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_sparse_check_matches_the_dense_oracle(name):
+    g = CENSUS[name]()
+    for lat in oracle_cases(g):
+        assert lat.materialized() == dense_oracle(lat.group, lat.actions), (
+            name, lat.label)
+
+
+def sparse_decision(group, actions):
+    """The package's verdict on user actions: matrices, or None."""
+    try:
+        return GLattice(group, actions).materialized()
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D8", "Q8"])
+def test_perturbed_user_lattices_follow_the_dense_oracle(name):
+    g = GROUPS[name]()
+    rng = random.Random(f"perturbed:{name}")
+    unimodular = set()
+    for atom in (cyclic_quotient_lattice(g), augmentation_lattice(g),
+                 coset_lattice(g, 1)):
+        for _ in range(3):
+            u, inv = random_unimodular(atom.rank, rng)
+            assert mat_mul(u, inv) == identity_matrix(atom.rank)
+            conj = tuple(mat_mul(mat_mul(u, m), inv) for m in atom.actions)
+            assert sparse_decision(g, conj) == dense_oracle(g, conj)
+            assert dense_oracle(g, conj) is not None
+            for base in (conj, atom.actions):
+                gi = rng.randrange(len(base))
+                i, j = rng.randrange(atom.rank), rng.randrange(atom.rank)
+                changed = [list(map(list, m)) for m in base]
+                changed[gi][i][j] += rng.choice((-1, 1))
+                changed = tuple(tuple(map(tuple, m)) for m in changed)
+                assert (sparse_decision(g, changed)
+                        == dense_oracle(g, changed)), (atom.label, gi)
+                unimodular.add(abs(bareiss_determinant(changed[gi])) == 1)
+    # changes caught by the determinant at construction and changes caught
+    # by the homomorphism check on first use both occur
+    assert unimodular == {True, False}
 
 
 def test_lattices_without_a_kind_take_the_gram_route(monkeypatch):
@@ -560,6 +689,32 @@ def test_index_ratio_augmentation_inside_cyclic_quotient():
         for label, index in indices.items():
             cls = next(c for c in classes if c.label == label)
             assert index == d8.order // cls.order
+
+
+def test_index_ratio_checks_each_embedding_once(monkeypatch):
+    d8 = dihedral_group(8)
+    m_lat, n_lat = augmentation_lattice(d8), cyclic_quotient_lattice(d8)
+    embed = nat_embed(8)
+    seen = []
+    determinant = lattices.bareiss_determinant
+
+    def counting(rows):
+        seen.append(rows)
+        return determinant(rows)
+
+    monkeypatch.setattr(lattices, "bareiss_determinant", counting)
+    basis = relation_basis(d8)
+    assert len(basis) > 1
+    for theta in basis:
+        assert index_ratio_check(m_lat, n_lat, embed, theta)[0]
+    assert sum(rows == embed for rows in seen) == 1
+    # another target lattice makes another triple, checked on its own
+    index_ratio_check(m_lat, cyclic_quotient_lattice(d8), embed, basis[0])
+    assert sum(rows == embed for rows in seen) == 2
+    # a rejected embedding is not recorded, so it fails on every call
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not equivariant"):
+            index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
 
 
 def test_index_ratio_rejects_bad_embeddings():
