@@ -52,7 +52,6 @@ from .groups import (
     standard_group,
     subgroup_as_group,
     subgroup_generators,
-    subquotients_of_type,
 )
 from .lattices import (
     GLattice,

@@ -616,6 +616,9 @@ def _cmd_regconst(args):
 def _infer_prime(group: Group) -> int:
     from .intmat import prime_factorization
     primes = sorted(prime_factorization(group.order))
+    if not primes:
+        raise ValidationError(
+            f"{group.name} has order 1, which names no prime; pass --p")
     if len(primes) != 1:
         raise ValidationError(
             f"{group.name} has order {group.order} with several prime "

@@ -458,7 +458,7 @@ def _is_prime(p) -> bool:
     return True
 
 
-# -- quotients, subgroups-as-groups, subquotients ----------------------------
+# -- quotients, subgroups as groups, subquotients, sections of G -------------
 
 
 def quotient_group(group: Group, normal):
@@ -526,76 +526,10 @@ def subgroup_as_group(group: Group, subset):
 
 
 @dataclass(frozen=True)
-class ElemAbelianP2:
-    """Subquotient type: elementary abelian of order p^2."""
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValidationError(f"{self.p} is not prime")
-
-    def matches(self, quot: Group) -> bool:
-        return (quot.order == self.p ** 2
-                and all(o in (1, self.p) for o in quot.element_orders))
-
-
-@dataclass(frozen=True)
-class HeisenbergP3:
-    """Subquotient type: nonabelian of order p^3 and exponent p (p odd)."""
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValidationError(f"{self.p} is not an odd prime")
-
-    def matches(self, quot: Group) -> bool:
-        return (quot.order == self.p ** 3
-                and all(o in (1, self.p) for o in quot.element_orders)
-                and not quot.is_abelian())
-
-
-@dataclass(frozen=True)
-class Dihedral2N:
-    """Subquotient type: dihedral of order 2^n, n >= 3.
-
-    Recognized structurally: a cyclic subgroup of index 2, nonabelian, and
-    generated by the involutions outside that cyclic subgroup (which rules
-    out the generalized quaternion, semidihedral, and modular groups of the
-    same order).
-
-    The order-8 case is included: the relation lattice of the order-8
-    dihedral group is not spanned by relations lifted from its proper
-    subquotients (they span an index-2 sublattice), so the group itself
-    must contribute its centre-pair relation.
-    """
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValidationError("dihedral subquotient type needs n >= 3")
-
-    def matches(self, quot: Group) -> bool:
-        size = 2 ** self.n
-        if quot.order != size or quot.is_abelian():
-            return False
-        half = size // 2
-        pivot = next((x for x in range(size) if quot.element_orders[x] == half),
-                     None)
-        if pivot is None:
-            return False
-        cyc = quot.subgroup_generated_by([pivot])
-        outside = [x for x in range(size)
-                   if quot.element_orders[x] == 2 and x not in cyc]
-        return bool(outside) and len(quot.subgroup_generated_by(outside)) == size
-
-
-@dataclass(frozen=True)
 class Subquotient:
     """A pair B <= H <= G with B normal in H, together with H/B.
 
-    ``projection`` maps ambient indices of elements of H to quotient indices;
-    ``quotient_type`` records which structural family H/B fell into (or None
-    for an untyped subquotient).
+    ``projection`` maps ambient indices of elements of H to quotient indices.
     """
 
     group: Group
@@ -603,7 +537,6 @@ class Subquotient:
     bottom: frozenset
     quotient: Group
     projection: dict
-    quotient_type: object = None
 
     def preimage(self, quotient_subgroup) -> frozenset:
         """Subgroup of G sitting between B and H over a subgroup of H/B."""
@@ -620,11 +553,11 @@ class Subquotient:
 
     def __repr__(self):
         return (f"Subquotient(top order {len(self.top)}, "
-                f"bottom order {len(self.bottom)}, type={self.quotient_type})")
+                f"bottom order {len(self.bottom)})")
 
 
-def make_subquotient(group: Group, top, bottom, quotient_type=None) -> Subquotient:
-    """The subquotient H/B of G, with B normal in H.
+def make_subquotient(group: Group, top, bottom) -> Subquotient:
+    """The subquotient H/B of G, with B normal in H, as a group of its own.
 
     H/B is built from G's own cosets xB (x in H) in one closure, seeded by
     the cosets of H's generators (``subgroup_generators``) in breadth-first
@@ -641,19 +574,9 @@ def make_subquotient(group: Group, top, bottom, quotient_type=None) -> Subquotie
         raise ValidationError("bottom must be contained in top")
     if not group.is_subgroup(bottom):
         raise ValidationError("not a subgroup")
-    gens = subgroup_generators(group, top)
-    if not _normalized_by(group, gens, bottom):
+    top_gens = subgroup_generators(group, top)
+    if not _normalized_by(group, top_gens, bottom):
         raise ValidationError("subgroup is not normal")
-    return _subquotient(group, top, gens, bottom, quotient_type)
-
-
-def _normalized_by(group: Group, gens, sub) -> bool:
-    """Is ``sub`` normalized by every element of ``gens`` (so by <gens>)?"""
-    return all(group.conjugate_subgroup(g, sub) == sub for g in gens)
-
-
-def _subquotient(group, top, top_gens, bottom, quotient_type) -> Subquotient:
-    """H/B from the cosets of B in H; B must be normal in H (not checked)."""
     mul = group.mul
     coset_of = {}
     for x in top:
@@ -670,14 +593,20 @@ def _subquotient(group, top, top_gens, bottom, quotient_type) -> Subquotient:
                                  f"{group.name}|sub{len(top)}/N")
     index = {c: i for i, c in enumerate(items)}
     projection = {g: index[coset_of[g]] for g in top}
-    return Subquotient(group, top, bottom, quot, projection, quotient_type)
+    return Subquotient(group, top, bottom, quot, projection)
+
+
+def _normalized_by(group: Group, gens, sub) -> bool:
+    """Is ``sub`` normalized by every element of ``gens`` (so by <gens>)?"""
+    return all(group.conjugate_subgroup(g, sub) == sub for g in gens)
 
 
 def _normal_sections(group: Group, index: int):
     """Yield (H, generators of H, B) with B normal in H and [H:B] = index.
 
     H runs over subgroup-class representatives in canonical order; for each,
-    B runs over the subgroups of H in ``all_subgroups`` order.
+    B runs over the subgroups of H in ``all_subgroups`` order.  H and B are
+    subsets of G; no quotient group is built.
     """
     by_order: dict[int, list] = {}
     for sub in group.all_subgroups():
@@ -700,30 +629,3 @@ def _commutators_in(group: Group, gens, sub) -> bool:
     mul, inv = group.mul, group.inverse
     return all(mul[mul[inv[a]][inv[b]]][mul[a][b]] in sub
                for i, a in enumerate(gens) for b in gens[:i])
-
-
-def subquotients_of_type(group: Group, qtype):
-    """All (H, B) with H up to conjugacy, B exactly, and H/B of the given type.
-
-    H runs over subgroup-class representatives in canonical order; for each,
-    B runs over the normal subgroups of H of the right index, sorted by their
-    element tuples.  The nonabelian types skip every (H, B) whose generator
-    commutators lie in B (H/B abelian) before H/B is built; ``matches``
-    decides on the rest.  ``bouc_generators`` builds its elementary abelian
-    relations from the sections directly and calls this only for the
-    Heisenberg and dihedral types.
-    """
-    if not hasattr(qtype, "matches"):
-        raise ValidationError(f"{qtype!r} is not a subquotient type")
-    target = {ElemAbelianP2: lambda t: t.p ** 2,
-              HeisenbergP3: lambda t: t.p ** 3,
-              Dihedral2N: lambda t: 2 ** t.n}[type(qtype)](qtype)
-    nonabelian = not isinstance(qtype, ElemAbelianP2)
-    found = []
-    for top, gens, bottom in _normal_sections(group, target):
-        if nonabelian and _commutators_in(group, gens, bottom):
-            continue
-        sq = _subquotient(group, top, gens, bottom, qtype)
-        if qtype.matches(sq.quotient):
-            found.append(sq)
-    return tuple(found)

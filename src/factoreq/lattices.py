@@ -107,7 +107,7 @@ class GLattice:
         self._gram = None
         self._fixed: dict[int, tuple] = {}
         self._default_dets: dict[int, Fraction] = {}
-        self._embeddings: set = set()
+        self._embeddings: dict[tuple, dict[int, int]] = {}
 
     def __repr__(self):
         return f"GLattice({self.label}, rank={self.rank}, {self.group.name})"
@@ -581,8 +581,9 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     """Compare C_Theta(M)/C_Theta(N) with prod [N^H : iota(M^H)]^(2 n_H).
 
     ``embed`` is an injective equivariant integer matrix from M's basis to
-    N's; M records each (N, embed) pair it has checked, so a relation basis
-    checks the embedding once.  Returns (equality holds, {class label:
+    N's; M records each (N, embed) pair it has checked, with the index of
+    each class found under it, so a relation basis checks the embedding and
+    finds each class's index once.  Returns (equality holds, {class label:
     index}).
     """
     if m_lat.group is not n_lat.group:
@@ -595,20 +596,24 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     if len(mat) != n_lat.rank or any(len(row) != m_lat.rank for row in mat):
         raise ValidationError(
             f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
-    if (n_lat, mat) not in m_lat._embeddings:
+    known = m_lat._embeddings.get((n_lat, mat))
+    if known is None:
         if m_lat.rank and bareiss_determinant(mat) == 0:
             raise ValidationError("embedding must be injective")
         for ma, mb in zip(m_lat.actions, n_lat.actions):
             if mat_mul(mb, mat) != mat_mul(mat, ma):
                 raise ValidationError("embedding is not equivariant")
-        m_lat._embeddings.add((n_lat, mat))
+        known = m_lat._embeddings[(n_lat, mat)] = {}
     classes = m_lat.group.subgroup_classes()
     indices = {}
     rhs = Fraction(1)
     for idx, n_h in theta.coefficients:
         cls = classes[idx]
-        image = mat_mul(mat, fixed_sublattice(m_lat, cls))
-        index = sublattice_index(fixed_sublattice(n_lat, cls), image)
+        index = known.get(idx)
+        if index is None:
+            image = mat_mul(mat, fixed_sublattice(m_lat, cls))
+            index = known[idx] = sublattice_index(
+                fixed_sublattice(n_lat, cls), image)
         indices[cls.label] = index
         rhs *= Fraction(index) ** (2 * n_h)
     # both constants on the whole lattices, whose fixed sublattices the

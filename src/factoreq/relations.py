@@ -5,8 +5,9 @@ subgroups so that the corresponding permutation characters cancel:
 ``sum_H n_H chi_{G/H} = 0``.  The set of relations is a saturated integer
 lattice; :func:`relation_basis` returns its canonical (Hermite normal form)
 basis.  For p-groups, :func:`bouc_generators` produces the classical
-generating family obtained by inducing and inflating three kinds of
-small-quotient relations, and the two spans must agree.
+generating family: the relations of three kinds of small sections H/B,
+induced and inflated to G.  Each is read off G's own subgroup lattice,
+without H/B being built, and the two spans must agree.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from dataclasses import dataclass
 
 from .errors import FactoreqError, ValidationError
 from .groups import (
-    Dihedral2N,
     Group,
-    HeisenbergP3,
     SubgroupClass,
     Subquotient,
+    _commutators_in,
     _is_prime,
     _normal_sections,
-    subquotients_of_type,
 )
 from .intmat import kernel_basis, row_span_basis
 
@@ -199,15 +198,10 @@ def induce_inflate(group: Group, sq: Subquotient, rel: GRelation) -> GRelation:
     if not is_relation(sq.quotient, rel):
         raise ValidationError("input is not a relation of the quotient")
     qclasses = sq.quotient.subgroup_classes()
-    acc: dict[int, int] = {}
-    for idx, val in rel.coefficients:
-        pre = sq.preimage(qclasses[idx].representative)
-        gidx = group.class_of_subgroup(pre)
-        acc[gidx] = acc.get(gidx, 0) + val
-    out = GRelation(group, tuple(sorted((k, v) for k, v in acc.items() if v)))
-    if not is_relation(group, out):
-        raise FactoreqError("induced-inflated image failed to cancel")
-    return out
+    return _relation_on_classes(
+        group, ((sq.preimage(qclasses[idx].representative), val)
+                for idx, val in rel.coefficients),
+        "induced-inflated image failed to cancel")
 
 
 def induce_relation(group: Group, embedding, rel: GRelation) -> GRelation:
@@ -220,14 +214,25 @@ def induce_relation(group: Group, embedding, rel: GRelation) -> GRelation:
     if len(embedding) != sub.order:
         raise ValidationError("embedding length must match the subgroup order")
     sclasses = sub.subgroup_classes()
+    return _relation_on_classes(
+        group, ((frozenset(embedding[i] for i in sclasses[idx].representative),
+                 val) for idx, val in rel.coefficients),
+        "induced image failed to cancel")
+
+
+def _relation_on_classes(group: Group, terms, failure: str) -> GRelation:
+    """Sum (subgroup of G, coefficient) terms over G's subgroup classes.
+
+    Zero coefficients are dropped; raises ``FactoreqError(failure)`` unless
+    the sum is a relation.
+    """
     acc: dict[int, int] = {}
-    for idx, val in rel.coefficients:
-        image = frozenset(embedding[i] for i in sclasses[idx].representative)
-        gidx = group.class_of_subgroup(image)
-        acc[gidx] = acc.get(gidx, 0) + val
+    for sub, val in terms:
+        idx = group.class_of_subgroup(sub)
+        acc[idx] = acc.get(idx, 0) + val
     out = GRelation(group, tuple(sorted((k, v) for k, v in acc.items() if v)))
     if not is_relation(group, out):
-        raise FactoreqError("induced image failed to cancel")
+        raise FactoreqError(failure)
     return out
 
 
@@ -235,24 +240,23 @@ def bouc_generators(group: Group, p: int) -> tuple:
     """The classical generating relations of a p-group.
 
     Three sources, read off every matching section B <= H <= G (H up to
-    conjugacy, B normal in H):
+    conjugacy, B normal in H).  Each section is decided and its relations
+    are built on G's own subgroup lattice; no quotient group is built:
 
     * elementary abelian p^2 quotients contribute
-      ``B - sum_C C + p * H`` over the p + 1 subgroups B < C < H.  They are
-      found and built on G's own subgroup lattice: H/B is elementary
-      abelian of order p^2 iff [H:B] = p^2 and x^p lies in B for every x in
-      H, and each C is <B, x> for an x in H outside B.  No quotient group
-      is built;
+      ``B - sum_C C + p * H`` over the p + 1 subgroups B < C < H.  H/B is
+      elementary abelian of order p^2 iff [H:B] = p^2 and x^p lies in B for
+      every x in H, and each C is <B, x> for an x in H outside B;
     * for odd p, exponent-p Heisenberg quotients contribute
       ``I - IZ - J + JZ`` for every pair of non-conjugate non-central
-      order-p classes (Z the center);
+      order-p classes (Z the center).  H/B is one iff [H:B] = p^3, some
+      commutator of H's generators lies outside B, and x^p lies in B for
+      every x in H;
     * for p = 2, dihedral quotients of order 2^n, n >= 3, contribute the
       same ``I - IZ - J + JZ`` pattern for order-2 classes.  The order-8
       dihedral case is needed: its own relation lattice exceeds the span
       of its elementary abelian subquotient relations by index 2.
 
-    The last two build H/B (``subquotients_of_type``, which skips the
-    sections with H/B abelian first) and induce and inflate its relations.
     Every generator is checked to be a relation of G.  Their span is the
     full relation lattice (checked in the tests, not here).
     """
@@ -267,68 +271,112 @@ def bouc_generators(group: Group, p: int) -> tuple:
     power = list(range(group.order))
     for _ in range(p - 1):
         power = [mul[y][x] for x, y in enumerate(power)]
+    indices = [p * p] + ([p ** 3] if p % 2 else
+                         [2 ** k for k in range(3, group.order.bit_length())])
     out = []
-    for top, _, bottom in _normal_sections(group, p * p):
-        if all(power[x] in bottom for x in top):
-            out.append(_elementary_abelian_relation(group, top, bottom, p))
-    if p % 2:
-        for sq in subquotients_of_type(group, HeisenbergP3(p)):
-            out.extend(induce_inflate(group, sq, rel)
-                       for rel in _center_pair_relations(sq.quotient, p))
-    else:
-        size = group.order
-        n_max = size.bit_length() - 1
-        for nn in range(3, n_max + 1):
-            for sq in subquotients_of_type(group, Dihedral2N(nn)):
-                out.extend(induce_inflate(group, sq, rel)
-                           for rel in _center_pair_relations(sq.quotient, 2))
+    for index in indices:
+        for top, gens, bottom in _normal_sections(group, index):
+            if index == p * p:
+                if all(power[x] in bottom for x in top):
+                    out.append(_elementary_abelian_relation(group, top,
+                                                            bottom, p))
+            elif not _commutators_in(group, gens, bottom) and (
+                    _is_dihedral(group, top, bottom, power) if p == 2
+                    else all(power[x] in bottom for x in top)):
+                out.extend(_center_pair_relations_on(group, top, gens,
+                                                     bottom, power))
     return tuple(out)
+
+
+def _cyclic_over(group: Group, sub, x) -> frozenset:
+    """<sub, x> = sub u x sub u x^2 sub u ..., for x normalizing ``sub``."""
+    mul = group.mul
+    out, y = set(sub), x
+    while y not in sub:
+        out.update(mul[y][b] for b in sub)
+        y = mul[y][x]
+    return frozenset(out)
 
 
 def _elementary_abelian_relation(group: Group, top, bottom, p) -> GRelation:
     """B - sum_C C + p * H for H/B elementary abelian of order p^2.
 
-    C runs over the p + 1 subgroups <B, x> = B u xB u ... u x^(p-1)B
-    strictly between B and H.
+    C runs over the p + 1 subgroups <B, x> strictly between B and H.
     """
-    mul = group.mul
-    acc = {group.class_of_subgroup(bottom): 1}
+    terms = [(bottom, 1), (top, p)]
     covered = set(bottom)
     for x in top:
-        if x in covered:
+        if x not in covered:
+            middle = _cyclic_over(group, bottom, x)
+            covered |= middle
+            terms.append((middle, -1))
+    return _relation_on_classes(group, terms, "elementary abelian section "
+                                "relation failed to cancel")
+
+
+def _is_dihedral(group: Group, top, bottom, square) -> bool:
+    """Is H/B, a non-abelian 2-group, dihedral?
+
+    It is iff some x has order [H:B]/2 modulo B and every y in H outside
+    <B, x> has y^2 in B.  H/B is not cyclic, so x has that order iff
+    x^([H:B]/4) lies outside B.
+    """
+    steps = (len(top) // len(bottom)).bit_length() - 3
+    for x in top:
+        y = x
+        for _ in range(steps):
+            y = square[y]
+        if y not in bottom:
+            cyclic = _cyclic_over(group, bottom, x)
+            return all(square[y] in bottom for y in top if y not in cyclic)
+    return False
+
+
+def _center_pair_relations_on(group: Group, top, gens, bottom, power) -> list:
+    """I - IZ - J + JZ over pairs of non-central order-p classes of H/B.
+
+    Read on G: Z is the preimage of the center of H/B, I runs over the
+    subgroups B < I <= H with [I:B] = p and I not in Z, and IZ = <I, Z>.
+    The pairs follow H/B's own ``subgroup_classes`` order: with the cosets
+    xB numbered as ``make_subquotient`` numbers them (breadth first from B,
+    right-multiplying by H's generators), classes are ordered by their
+    least member's sorted coset numbers.
+    """
+    mul, inv = group.mul, group.inverse
+    center = frozenset(x for x in top
+                       if all(mul[mul[inv[x]][inv[g]]][mul[x][g]] in bottom
+                              for g in gens))
+    coset = dict.fromkeys(bottom, 0)
+    reps = [0]
+    for r in reps:
+        for g in gens:
+            y = mul[r][g]
+            if y not in coset:
+                coset.update((mul[y][b], len(reps)) for b in bottom)
+                reps.append(y)
+    # a non-central x with x^p in B lies in just one such I, <B, x>
+    found, covered = [], set(center)
+    for x in top:
+        if x not in covered and power[x] in bottom:
+            sub = _cyclic_over(group, bottom, x)
+            covered |= sub
+            found.append((sorted({coset[y] for y in sub}), sub, x))
+    found.sort(key=lambda entry: entry[0])
+    classes, seen = [], set()
+    for _, sub, x in found:
+        if sub in seen:
             continue
-        middle, y = set(bottom), x
-        while y not in bottom:
-            middle.update(mul[y][b] for b in bottom)
-            y = mul[y][x]
-        covered |= middle
-        idx = group.class_of_subgroup(middle)
-        acc[idx] = acc.get(idx, 0) - 1
-    acc[group.class_of_subgroup(top)] = p
-    out = GRelation(group, tuple(sorted(acc.items())))
-    if not is_relation(group, out):
-        raise FactoreqError("elementary abelian section relation failed to "
-                            "cancel")
-    return out
-
-
-def _center_pair_relations(q: Group, p: int):
-    """I - IZ - J + JZ over pairs of non-central order-p classes of q."""
-    z = q.center()
-    noncentral = [cls for cls in q.subgroup_classes()
-                  if cls.order == p and not cls.representative <= z]
-    rels = []
-    for a in range(len(noncentral)):
-        for b in range(a + 1, len(noncentral)):
-            big_i, big_j = noncentral[a], noncentral[b]
-            iz = q.subgroup_generated_by(big_i.representative | z)
-            jz = q.subgroup_generated_by(big_j.representative | z)
-            coeffs: dict[int, int] = {}
-            for idx, val in ((big_i.index, 1),
-                             (q.class_of_subgroup(iz), -1),
-                             (big_j.index, -1),
-                             (q.class_of_subgroup(jz), 1)):
-                coeffs[idx] = coeffs.get(idx, 0) + val
-            rels.append(GRelation(q, tuple(sorted(
-                (k, v) for k, v in coeffs.items() if v))))
-    return rels
+        seen.add(sub)
+        orbit = [sub]
+        for member in orbit:
+            for g in gens:
+                conj = group.conjugate_subgroup(g, member)
+                if conj not in seen:
+                    seen.add(conj)
+                    orbit.append(conj)
+        classes.append((sub, _cyclic_over(group, center, x)))
+    return [_relation_on_classes(group, ((big_i, 1), (iz, -1), (big_j, -1),
+                                         (jz, 1)),
+                                 "center-pair relation failed to cancel")
+            for a, (big_i, iz) in enumerate(classes)
+            for big_j, jz in classes[a + 1:]]

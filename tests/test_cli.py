@@ -350,6 +350,19 @@ def test_bouc_listing_and_span(capsys):
     assert code == 2 and err.startswith("error:validation:")
 
 
+def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):
+    code, _, err = invoke(capsys, "bouc", "cyclic:1")
+    assert code == 2
+    assert err == ("error:validation:C1 has order 1, which names no prime; "
+                   "pass --p\n")
+    code, _, err = invoke(capsys, "bouc", "cyclic:6")
+    assert code == 2
+    assert err == ("error:validation:C6 has order 6 with several prime "
+                   "factors; pass --p\n")
+    code, out, _ = invoke(capsys, "bouc", "cyclic:1", "--p", "2")
+    assert code == 0 and out.startswith("classical generators of C1 at p=2: 0")
+
+
 def test_bouc_profile_check(capsys):
     assert invoke(capsys, "bouc", "--check",
                   fixture("elemab32_good.json"))[0] == 0

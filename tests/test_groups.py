@@ -14,9 +14,6 @@ import pytest
 
 from factoreq.errors import ResourceError, ValidationError
 from factoreq.groups import (
-    Dihedral2N,
-    ElemAbelianP2,
-    HeisenbergP3,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -29,6 +26,11 @@ from factoreq.groups import (
     semidirect_product,
     standard_group,
     subgroup_as_group,
+)
+from test_relations import (
+    Dihedral2N,
+    ElemAbelianP2,
+    HeisenbergP3,
     subquotients_of_type,
 )
 
@@ -322,6 +324,8 @@ def test_subgroup_as_group():
 
 
 # -- subquotients ------------------------------------------------------------
+# The typed search ``subquotients_of_type`` is the test oracle of
+# ``bouc_generators``, kept in test_relations.py.
 
 def test_subquotients_elementary_abelian():
     e9 = elementary_abelian_group(3, 2)
@@ -383,7 +387,7 @@ def test_subquotients_dihedral8():
 
 def test_subquotient_intermediates():
     q8 = quaternion_group()
-    sq = subquotients_of_type(q8, ElemAbelianP2(2))[0]
+    sq = make_subquotient(q8, range(8), q8.center())
     inter = sq.intermediate_classes()
     labels = {q8.subgroup_classes()[v].label for v in inter.values()}
     # preimages of V4's subgroups: the center, the three C4s, and Q8 itself
@@ -396,7 +400,6 @@ def test_make_subquotient_generic():
     d8 = dihedral_group(8)
     sq = make_subquotient(d8, range(8), [0])
     assert sq.quotient.order == 8
-    assert sq.quotient_type is None
     with pytest.raises(ValidationError):
         make_subquotient(d8, range(8), [1])
     with pytest.raises(ValidationError, match="top is not a subgroup"):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from factoreq import lattices
+from factoreq import cli, lattices
 from factoreq.errors import FactoreqError, ResourceError, ValidationError
 from factoreq.groups import (
     Group,
@@ -715,6 +715,22 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValidationError, match="not equivariant"):
             index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
+
+
+def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
+    # five relations touch 11 distinct classes of Heis(3); the index of each
+    # class depends only on the class and the embedding
+    calls = []
+    index = lattices.sublattice_index
+    monkeypatch.setattr(lattices, "sublattice_index",
+                        lambda *a: calls.append(a) or index(*a))
+    assert cli.run(["index-check", "heisenberg:3", "Sum(A,I)",
+                    "--scale", "3"]) == 0
+    assert "overall: true" in capsys.readouterr().out
+    basis = relation_basis(heisenberg_group(3))
+    assert len(basis) == 5
+    assert len({idx for theta in basis for idx, _ in theta.coefficients}) == 11
+    assert len(calls) == 11
 
 
 def test_index_ratio_rejects_bad_embeddings():

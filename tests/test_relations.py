@@ -8,7 +8,7 @@ matrices written out.
 
 import ast
 import pathlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import pytest
@@ -16,9 +16,10 @@ import pytest
 from factoreq import groups, relations
 from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
-    Dihedral2N,
-    ElemAbelianP2,
-    HeisenbergP3,
+    Group,
+    _commutators_in,
+    _is_prime,
+    _normal_sections,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -27,7 +28,6 @@ from factoreq.groups import (
     make_subquotient,
     quaternion_group,
     subgroup_as_group,
-    subquotients_of_type,
 )
 from factoreq.relations import (
     GRelation,
@@ -143,7 +143,7 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
     assert type(exc.value) is FactoreqError
 
     q8 = quaternion_group()
-    sq = subquotients_of_type(q8, ElemAbelianP2(2))[0]
+    sq = make_subquotient(q8, range(8), q8.center())
     rel = relation_basis(sq.quotient)[0]
     with monkeypatch.context() as m:
         m.setattr(relations, "is_relation", lambda group, cand: group is not q8)
@@ -166,6 +166,15 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
         m.setattr(relations, "is_relation", lambda group, cand: False)
         with pytest.raises(FactoreqError, match="failed to cancel") as exc:
             bouc_generators(v4_group, 2)
+    assert type(exc.value) is FactoreqError
+
+    with monkeypatch.context() as m:
+        m.setattr(relations, "is_relation", lambda group, cand: False)
+        m.setattr(relations, "_elementary_abelian_relation",
+                  lambda group, top, bottom, p: GRelation(group, ()))
+        with pytest.raises(FactoreqError,
+                           match="center-pair relation failed to cancel") as exc:
+            bouc_generators(d8, 2)
     assert type(exc.value) is FactoreqError
 
 
@@ -236,7 +245,7 @@ def test_relation_arithmetic_helpers():
 
 def test_induce_inflate_through_center_of_q8():
     q8 = quaternion_group()
-    sq = subquotients_of_type(q8, ElemAbelianP2(2))[0]
+    sq = make_subquotient(q8, range(8), q8.center())
     rel = relation_basis(sq.quotient)[0]
     image = induce_inflate(q8, sq, rel)
     assert image.coefficients == ((1, 1), (2, -1), (3, -1), (4, -1), (5, 2))
@@ -319,6 +328,122 @@ def test_span_basis_is_canonical():
 
 
 # -- Bouc generators against the route through quotient groups ---------------
+#
+# The oracle builds every candidate quotient H/B as a group, decides its type
+# on that group and reads the relations off its own subgroup lattice, as
+# ``bouc_generators`` did before it read every section off G's lattice.
+
+
+@dataclass(frozen=True)
+class ElemAbelianP2:
+    """Subquotient type: elementary abelian of order p^2."""
+    p: int
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValidationError(f"{self.p} is not prime")
+
+    def matches(self, quot: Group) -> bool:
+        return (quot.order == self.p ** 2
+                and all(o in (1, self.p) for o in quot.element_orders))
+
+
+@dataclass(frozen=True)
+class HeisenbergP3:
+    """Subquotient type: nonabelian of order p^3 and exponent p (p odd)."""
+    p: int
+
+    def __post_init__(self):
+        if not _is_prime(self.p) or self.p == 2:
+            raise ValidationError(f"{self.p} is not an odd prime")
+
+    def matches(self, quot: Group) -> bool:
+        return (quot.order == self.p ** 3
+                and all(o in (1, self.p) for o in quot.element_orders)
+                and not quot.is_abelian())
+
+
+@dataclass(frozen=True)
+class Dihedral2N:
+    """Subquotient type: dihedral of order 2^n, n >= 3.
+
+    Recognized structurally: a cyclic subgroup of index 2, nonabelian, and
+    generated by the involutions outside that cyclic subgroup (which rules
+    out the generalized quaternion, semidihedral, and modular groups of the
+    same order).
+    """
+    n: int
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ValidationError("dihedral subquotient type needs n >= 3")
+
+    def matches(self, quot: Group) -> bool:
+        size = 2 ** self.n
+        if quot.order != size or quot.is_abelian():
+            return False
+        half = size // 2
+        pivot = next((x for x in range(size) if quot.element_orders[x] == half),
+                     None)
+        if pivot is None:
+            return False
+        cyc = quot.subgroup_generated_by([pivot])
+        outside = [x for x in range(size)
+                   if quot.element_orders[x] == 2 and x not in cyc]
+        return bool(outside) and len(quot.subgroup_generated_by(outside)) == size
+
+
+@dataclass(frozen=True)
+class TypedSubquotient(groups.Subquotient):
+    """A subquotient with the type its quotient matched."""
+    quotient_type: object = None
+
+
+def subquotients_of_type(group, qtype):
+    """All (H, B) with H up to conjugacy, B exactly, and H/B of the given type.
+
+    H runs over subgroup-class representatives in canonical order; for each,
+    B runs over the normal subgroups of H of the right index, sorted by their
+    element tuples.  The nonabelian types skip every (H, B) whose generator
+    commutators lie in B (H/B abelian) before H/B is built; ``matches``
+    decides on the rest.
+    """
+    target = {ElemAbelianP2: lambda t: t.p ** 2,
+              HeisenbergP3: lambda t: t.p ** 3,
+              Dihedral2N: lambda t: 2 ** t.n}[type(qtype)](qtype)
+    nonabelian = not isinstance(qtype, ElemAbelianP2)
+    found = []
+    for top, gens, bottom in _normal_sections(group, target):
+        if nonabelian and _commutators_in(group, gens, bottom):
+            continue
+        sq = make_subquotient(group, top, bottom)
+        if qtype.matches(sq.quotient):
+            found.append(TypedSubquotient(sq.group, sq.top, sq.bottom,
+                                          sq.quotient, sq.projection, qtype))
+    return tuple(found)
+
+
+def center_pair_relations(q, p):
+    """I - IZ - J + JZ over pairs of non-central order-p classes of q."""
+    z = q.center()
+    noncentral = [cls for cls in q.subgroup_classes()
+                  if cls.order == p and not cls.representative <= z]
+    rels = []
+    for a in range(len(noncentral)):
+        for b in range(a + 1, len(noncentral)):
+            big_i, big_j = noncentral[a], noncentral[b]
+            iz = q.subgroup_generated_by(big_i.representative | z)
+            jz = q.subgroup_generated_by(big_j.representative | z)
+            coeffs: dict[int, int] = {}
+            for idx, val in ((big_i.index, 1),
+                             (q.class_of_subgroup(iz), -1),
+                             (big_j.index, -1),
+                             (q.class_of_subgroup(jz), 1)):
+                coeffs[idx] = coeffs.get(idx, 0) + val
+            rels.append(GRelation(q, tuple(sorted(
+                (k, v) for k, v in coeffs.items() if v))))
+    return rels
+
 
 BOUC_CENSUS = {
     "V4": (lambda: elementary_abelian_group(2, 2), 2),
@@ -326,6 +451,8 @@ BOUC_CENSUS = {
     "E16": (lambda: elementary_abelian_group(2, 4), 2),
     "D8": (lambda: dihedral_group(8), 2),
     "D16": (lambda: dihedral_group(16), 2),
+    "D32": (lambda: dihedral_group(32), 2),
+    "D64": (lambda: dihedral_group(64), 2),
     "Q8": (quaternion_group, 2),
     "C4xC4": (lambda: direct_product(cyclic_group(4), cyclic_group(4)), 2),
     "Q8xC2": (lambda: direct_product(quaternion_group(), cyclic_group(2)), 2),
@@ -334,6 +461,7 @@ BOUC_CENSUS = {
     "E9": (lambda: elementary_abelian_group(3, 2), 3),
     "E27": (lambda: elementary_abelian_group(3, 3), 3),
     "Heis3": (lambda: heisenberg_group(3), 3),
+    "Heis5": (lambda: heisenberg_group(5), 5),
     "C9xC3": (lambda: direct_product(cyclic_group(9), cyclic_group(3)), 3),
 }
 
@@ -347,8 +475,7 @@ def generators_through_quotients(group, p):
     """The Bouc generators with every quotient H/B built as a group.
 
     Each section's quotient carries its own relation, which is induced and
-    inflated to G, as ``bouc_generators`` did before it read the
-    elementary abelian relations off G's subgroup lattice.
+    inflated to G.
     """
     out = []
     for sq in subquotients_of_type(group, ElemAbelianP2(p)):
@@ -361,8 +488,8 @@ def generators_through_quotients(group, p):
              [Dihedral2N(n) for n in range(3, group.order.bit_length())])
     for qtype in types:
         for sq in subquotients_of_type(group, qtype):
-            out.extend(induce_inflate(group, sq, rel) for rel in
-                       relations._center_pair_relations(sq.quotient, p))
+            out.extend(induce_inflate(group, sq, rel)
+                       for rel in center_pair_relations(sq.quotient, p))
     return tuple(out)
 
 
@@ -382,16 +509,30 @@ def test_span_basis_of_sorted_distinct_rows_matches_generation_order(name):
         tuple(r.as_vector() for r in gens))
 
 
-def test_bouc_on_elementary_abelian_builds_no_group(monkeypatch):
-    g = elementary_abelian_group(2, 4)
+def recorded_builds(monkeypatch):
+    """Record every group closure and ``Group.__init__`` call from now on."""
     built = []
     closure, init = groups._closure_group, groups.Group.__init__
     monkeypatch.setattr(groups, "_closure_group",
                         lambda *a, **k: built.append(a) or closure(*a, **k))
     monkeypatch.setattr(groups.Group, "__init__",
                         lambda *a, **k: built.append(a) or init(*a, **k))
+    return built
+
+
+def test_bouc_on_elementary_abelian_builds_no_group(monkeypatch):
+    g = elementary_abelian_group(2, 4)
+    built = recorded_builds(monkeypatch)
     assert len(bouc_generators(g, 2)) == 175
     assert built == []
     # the patches do see a build
     groups.make_subquotient(g, range(16), [0])
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_bouc_generators_build_no_group(name, monkeypatch):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    built = recorded_builds(monkeypatch)
+    bouc_generators(g, p)
+    assert built == []
