@@ -4,8 +4,16 @@ A :class:`Group` lives on element indices ``0..order-1`` with 0 the identity.
 Construction always goes through a breadth-first closure from the identity
 (products taken in generator order), so element indexing is deterministic:
 building the same group twice gives identical tables, labels, and subgroup
-orderings.  The supported scale is deliberately small (order <= 200); this is
-a desk calculator, not a census tool.
+orderings.  The closure multiplies each element by each generator once and
+fills the rest of the table from that right action.  The supported scale is
+deliberately small (order <= 200); this is a desk calculator, not a census
+tool.  The named families check their known order against the cap before
+anything is built.
+
+The subgroup lattice is enumerated one conjugacy class at a time (cyclic
+extension, after Neubueser 1960): cyclic subgroups are joined onto one
+member of each class, and each new subgroup's class is its orbit under
+conjugation by the generators, kept for :meth:`Group.subgroup_classes`.
 """
 
 from __future__ import annotations
@@ -78,7 +86,9 @@ class Group:
         if len(self._closure(generators)) != n:
             raise ValidationError("generators do not generate the group")
         self._element_classes = None
+        self._class_of_element = None
         self._all_subgroups = None
+        self._subgroup_orbits = None
         self._subgroup_classes = None
         self._class_of_subgroup = None
         self._permutation_characters = {}
@@ -93,7 +103,8 @@ class Group:
         return self.mul[self.mul[g][x]][self.inverse[g]]
 
     def conjugate_subgroup(self, g: int, sub) -> frozenset:
-        return frozenset(self.conjugate_element(g, x) for x in sub)
+        mul, row, g_inv = self.mul, self.mul[g], self.inverse[g]
+        return frozenset(mul[row[x]][g_inv] for x in sub)
 
     def _closure(self, seed) -> frozenset:
         gens = sorted(set(seed))
@@ -136,17 +147,22 @@ class Group:
     # -- conjugacy classes of elements ---------------------------------------
 
     def element_classes(self):
-        """Conjugacy classes of elements, sorted by least member; {0} first."""
+        """Conjugacy classes of elements, sorted by least member; {0} first.
+
+        Also caches ``_class_of_element[x]``, the index of x's class.
+        """
         if self._element_classes is None:
-            seen = set()
+            class_of = [None] * self.order
             classes = []
             for x in range(self.order):
-                if x in seen:
+                if class_of[x] is not None:
                     continue
                 orbit = {self.conjugate_element(g, x) for g in range(self.order)}
-                seen |= orbit
+                for y in orbit:
+                    class_of[y] = len(classes)
                 classes.append(tuple(sorted(orbit)))
             self._element_classes = tuple(classes)
+            self._class_of_element = tuple(class_of)
         return self._element_classes
 
     # -- subgroup lattice ----------------------------------------------------
@@ -156,27 +172,53 @@ class Group:
 
         Any subgroup is a join of cyclic ones, and each partial join is a
         subgroup, so saturating joins with cyclic subgroups finds them all,
-        insoluble ones included.  <H, x> grows from H as a union of left
-        cosets k*H, by breadth-first search over representatives k
-        left-multiplied by x and the cyclic generators that built H: the
-        union holds 1 and is closed under them, so it is <H, x>, found in
-        about |<H, x>| steps rather than |<H, x>| * |H|.  Since
-        <H, hx> = <H, x>, one x per coset Hx is joined.
+        insoluble ones included.  Joins are made onto one member H of each
+        conjugacy class only: <H, x>^g = <H^g, x^g>, so the classes reached
+        from H are those reached from its conjugates.  Each new subgroup's
+        class is its orbit, found breadth first under conjugation by the
+        non-central generators and kept for :meth:`subgroup_classes`.
+
+        <H, x> grows from H as a union of left cosets k*H, by breadth-first
+        search over representatives k left-multiplied by x and the cyclic
+        generators that built H: the union holds 1 and is closed under
+        them, so it is <H, x>, found in about |<H, x>| steps rather than
+        |<H, x>| * |H|.  Since <H, hx> = <H, x>, one x per coset Hx is
+        joined.
         """
         if self._all_subgroups is None:
             mul = self.mul
-            gens_of = {}
+            cyclic = {}
             for x in range(self.order):
-                gens_of.setdefault(self._closure([x]), (x,))
-            joins = [x for (x,) in gens_of.values()]
-            queue = list(gens_of)
-            for sub in queue:
+                cyclic.setdefault(self._closure([x]), x)
+            joins = list(cyclic.values())
+            # a generator that commutes with every generator is central, and
+            # conjugation by it fixes every subgroup
+            movers = [g for g in self.generators
+                      if any(mul[g][h] != mul[h][g] for h in self.generators)]
+            queue, orbits, known = [], [], set()
+
+            def new_class(sub, gens):
+                queue.append((sub, gens))
+                known.add(sub)
+                orbit = [sub]
+                for member in orbit:
+                    for g in movers:
+                        conj = self.conjugate_subgroup(g, member)
+                        if conj not in known:
+                            known.add(conj)
+                            orbit.append(conj)
+                orbits.append(orbit)
+
+            for sub, x in cyclic.items():
+                if sub not in known:
+                    new_class(sub, (x,))
+            for sub, gens in queue:
                 seen = set(sub)
                 for x in joins:
                     if x in seen:
                         continue
                     seen.update(mul[h][x] for h in sub)
-                    step = gens_of[sub] + (x,)
+                    step = gens + (x,)
                     elems, reps = set(sub), [0]
                     for k in reps:
                         for s in step:
@@ -185,39 +227,35 @@ class Group:
                                 elems.update(mul[y][h] for h in sub)
                                 reps.append(y)
                     new = frozenset(elems)
-                    if new not in gens_of:
-                        gens_of[new] = step
-                        queue.append(new)
-            self._all_subgroups = tuple(sorted(
-                gens_of, key=lambda s: (len(s), tuple(sorted(s)))))
+                    if new not in known:
+                        new_class(new, step)
+            self._subgroup_orbits = orbits
+            self._all_subgroups = tuple(sorted(known, key=_subgroup_key))
         return self._all_subgroups
 
     def subgroup_classes(self):
+        """Conjugacy classes of subgroups, read off the orbits that
+        :meth:`all_subgroups` kept.
+
+        Members are sorted by their sorted element tuples, the least one is
+        the representative, and classes are ordered by (order,
+        representative), so labels ``o<order>#<k>`` number them within each
+        order.
+        """
         if self._subgroup_classes is None:
-            classes = []
-            assigned = {}
-            for sub in self.all_subgroups():
-                if sub in assigned:
-                    continue
-                orbit = [sub]
-                for member in orbit:
-                    for g in self.generators:
-                        conj = self.conjugate_subgroup(g, member)
-                        if conj not in orbit:
-                            orbit.append(conj)
-                members = tuple(sorted(orbit, key=lambda s: tuple(sorted(s))))
-                for m in members:
-                    assigned[m] = len(classes)
-                classes.append(members)
-            # all_subgroups is sorted by (order, least member tuple) and the
-            # first-seen member of each orbit is its least one, so `classes`
-            # is already in canonical order.
+            self.all_subgroups()
+            classes = sorted((tuple(sorted(orbit, key=_subgroup_key))
+                              for orbit in self._subgroup_orbits),
+                             key=lambda members: _subgroup_key(members[0]))
             per_order: dict[int, int] = {}
+            assigned = {}
             out = []
             for idx, members in enumerate(classes):
                 rep = members[0]
                 k = per_order.get(len(rep), 0)
                 per_order[len(rep)] = k + 1
+                for m in members:
+                    assigned[m] = idx
                 is_cyc = any(self.element_orders[x] == len(rep) for x in rep)
                 out.append(SubgroupClass(
                     index=idx, label=f"o{len(rep)}#{k}", order=len(rep),
@@ -267,7 +305,28 @@ class SubgroupClass:
         return f"SubgroupClass({self.label}, size={self.class_size})"
 
 
+def _subgroup_key(sub):
+    """Canonical order of subgroups: by order, then sorted members."""
+    return len(sub), tuple(sorted(sub))
+
+
 # -- construction ------------------------------------------------------------
+
+
+def _check_cap(base: int, exp: int = 1):
+    """Refuse a group of order ``base ** exp`` (base >= 1) over the cap.
+
+    The named families call this with their known order before building
+    anything.  An order over 2^64 is named as the power, unevaluated.
+    """
+    if exp * (base.bit_length() - 1) > 64:
+        order = f"{base}^{exp}"
+    else:
+        order = base ** exp
+        if order <= DESK_SCALE_CAP:
+            return
+    raise ValidationError(
+        f"group of order {order} exceeds the supported cap of {DESK_SCALE_CAP}")
 
 
 def _closure_group(identity_item, gen_items, mul_fn, name,
@@ -275,24 +334,37 @@ def _closure_group(identity_item, gen_items, mul_fn, name,
     """Breadth-first closure from the identity; returns (Group, items).
 
     ``items[i]`` is the abstract object behind element index ``i``; products
-    are explored in generator order, which fixes the indexing.
+    are explored in generator order, which fixes the indexing.  ``mul_fn``,
+    which must be associative, is called once per element and generator:
+    ``right[k][i]`` is the index of ``items[i] * gen_k``, and each new
+    element b is recorded as ``items[i] * gen_k`` for its parent (i, k).
+    Then a * b = (a * parent) * gen_k, so the table column of b is the
+    column of its parent mapped through ``right[k]``, filled in breadth-first
+    order: n^2 list lookups instead of n^2 calls of ``mul_fn``.
     """
     index = {identity_item: 0}
     items = [identity_item]
-    for cur in items:
-        for g in gen_items:
+    right = [[] for _ in gen_items]
+    parent = [None]
+    for i, cur in enumerate(items):
+        for k, g in enumerate(gen_items):
             nxt = mul_fn(cur, g)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(items) >= element_budget:
                     raise ResourceError(
                         f"closure exceeded the element budget of {element_budget}")
-                index[nxt] = len(items)
+                j = index[nxt] = len(items)
                 items.append(nxt)
+                parent.append((i, k))
+            right[k].append(j)
     n = len(items)
-    if n > DESK_SCALE_CAP:
-        raise ValidationError(
-            f"group of order {n} exceeds the supported cap of {DESK_SCALE_CAP}")
-    mul = tuple(tuple(index[mul_fn(a, b)] for b in items) for a in items)
+    _check_cap(n)
+    columns = [range(n)]
+    for i, k in parent[1:]:
+        step = right[k]
+        columns.append([step[a] for a in columns[i]])
+    mul = tuple(zip(*columns))
     gens = tuple(index[g] for g in gen_items)
     return Group(mul, gens, name), items
 
@@ -327,6 +399,7 @@ def group_from_generators(perms, element_budget=DEFAULT_ELEMENT_BUDGET,
 def cyclic_group(n: int) -> Group:
     if not isinstance(n, int) or n < 1:
         raise ValidationError("cyclic group order must be a positive integer")
+    _check_cap(n)
     if n == 1:
         return group_from_generators([(0,)], name="C1")
     shift = tuple((i + 1) % n for i in range(n))
@@ -334,10 +407,13 @@ def cyclic_group(n: int) -> Group:
 
 
 def elementary_abelian_group(p: int, k: int) -> Group:
-    if not _is_prime(p):
+    # trial division only up to the cap: a larger p fails the order check
+    if not isinstance(p, int) or p < 2 or (
+            p <= DESK_SCALE_CAP and not _is_prime(p)):
         raise ValidationError(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValidationError("rank must be a positive integer")
+    _check_cap(p, k)
     gens = []
     points = p * k
     for j in range(k):
@@ -352,6 +428,7 @@ def dihedral_group(m: int) -> Group:
     """Dihedral group of order m (m even): symmetries of an (m/2)-gon."""
     if not isinstance(m, int) or m < 2 or m % 2:
         raise ValidationError("dihedral group order must be an even integer >= 2")
+    _check_cap(m)
     k = m // 2
     if k == 1:
         return group_from_generators([(1, 0)], name="D2")
@@ -375,8 +452,11 @@ def heisenberg_group(p: int) -> Group:
 
     Exists only for odd primes (for p = 2 the exponent condition fails).
     """
-    if not _is_prime(p) or p == 2:
+    # trial division only up to the cap: a larger p fails the order check
+    if not isinstance(p, int) or p < 3 or (
+            p <= DESK_SCALE_CAP and not _is_prime(p)):
         raise ValidationError(f"{p} is not an odd prime")
+    _check_cap(p, 3)
 
     def mult(u, v):
         a, b, c = u
@@ -389,6 +469,8 @@ def heisenberg_group(p: int) -> Group:
 
 
 def direct_product(a: Group, b: Group) -> Group:
+    _check_cap(a.order * b.order)
+
     def mult(x, y):
         return (a.mul[x[0]][y[0]], b.mul[x[1]][y[1]])
 
@@ -404,6 +486,7 @@ def semidirect_product(a: Group, b: Group, action) -> Group:
     element j of B acts.  The whole map must be a homomorphism into Aut(A);
     this is validated, not trusted.
     """
+    _check_cap(a.order * b.order)
     action = [tuple(phi) for phi in action]
     if len(action) != b.order:
         raise ValidationError(

@@ -42,21 +42,27 @@ class CharacterVector:
 def permutation_character(group: Group, subgroup_class) -> CharacterVector:
     """Character of the coset action G/H: fixed cosets per element class.
 
-    ``subgroup_class`` may be a SubgroupClass, its index, or its label.  The
-    count ``#{x : x^-1 g x in H}`` is always divisible by |H|; the quotient
-    is the number of fixed cosets; values are cached on the group.
+    ``subgroup_class`` may be a SubgroupClass, its index, or its label.  By
+    Isaacs, *Character Theory of Finite Groups*, (5.2),
+
+        chi_{G/H}(g) = |C_G(g)| * |H & g^G| / |H|,
+
+    where H & g^G is the set of members of H conjugate to g, so one pass
+    over H counts its members in each element class.  The numerator equals
+    ``#{x : x^-1 g x in H}`` and is always divisible by |H| (checked);
+    values are cached on the group.
     """
     cls = _as_class(group, subgroup_class)
     values = group._permutation_characters.get(cls.index)
     if values is None:
-        members = cls.representative
-        mul, inv = group.mul, group.inverse
+        classes = group.element_classes()
+        class_of = group._class_of_element
+        counts = [0] * len(classes)
+        for h in cls.representative:
+            counts[class_of[h]] += 1
         values = []
-        for ec in group.element_classes():
-            g = ec[0]
-            hits = sum(1 for x in range(group.order)
-                       if mul[mul[inv[x]][g]][x] in members)
-            fixed, rem = divmod(hits, cls.order)
+        for ec, count in zip(classes, counts):
+            fixed, rem = divmod(group.order // len(ec) * count, cls.order)
             if rem:
                 raise FactoreqError("conjugation count not divisible by |H|")
             values.append(fixed)

@@ -82,6 +82,28 @@ def test_group_spec_rejects(bad):
         parse_group_spec(bad)
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("cyclic:100000", "100000"),
+    ("dihedral:100000", "100000"),
+    ("elemab:2,30", "1073741824"),
+    ("elemab:3,12", "531441"),
+    ("elemab:2,1000000000", "2^1000000000"),
+    ("heisenberg:7", "343"),
+    ("heisenberg:1000000007", "1000000007^3"),
+    ("product:cyclic:200;cyclic:200", "40000"),
+    ("semidirect:cyclic:100;cyclic:3;[(0)]", "300"),
+])
+def test_oversized_named_groups_are_refused_before_building(capsys, spec,
+                                                            order):
+    # the known order is checked against the cap before any closure
+    start = time.monotonic()
+    code, out, err = invoke(capsys, "group", spec)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error:validation:group of order {order} exceeds the "
+                   f"supported cap of 200\n")
+
+
 def test_element_budget_env(monkeypatch):
     monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "4")
     with pytest.raises(Exception, match="budget"):

@@ -4,7 +4,9 @@ Subgroup enumeration is checked against three independent oracles: full
 power-set closure (|G| <= 16), closures of all generating sets of size
 <= log2|G| (|G| < 32, since any subgroup of order n is generated by at most
 log2(n) elements), and, for every group, the element-seeded join closure
-that the coset-extension enumeration replaced.
+that the coset-extension enumeration replaced.  Subgroup classes are checked
+against orbits under every element of G, and closure tables against the
+table built with one product call per pair of elements.
 """
 
 import math
@@ -12,8 +14,10 @@ from itertools import combinations
 
 import pytest
 
+from factoreq import groups
 from factoreq.errors import ResourceError, ValidationError
 from factoreq.groups import (
+    Group,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -72,6 +76,44 @@ def oracle_subgroups_join_closure(g):
                     found.add(new)
                     queue.append(new)
     return found
+
+
+def oracle_subgroup_classes(g, subs):
+    """(members, label, is_cyclic, is_normal) per class, from orbits under
+    conjugation by every element of G, in canonical order."""
+    mul, inv = g.mul, g.inverse
+
+    def conj(x, sub):
+        return frozenset(mul[mul[x][h]][inv[x]] for h in sub)
+
+    def key(sub):
+        return len(sub), sorted(sub)
+
+    orbits = {frozenset(conj(x, sub) for x in range(g.order)) for sub in subs}
+    out, per_order = [], {}
+    for members in sorted((sorted(o, key=key) for o in orbits),
+                          key=lambda m: key(m[0])):
+        rep = members[0]
+        k = per_order.get(len(rep), 0)
+        per_order[len(rep)] = k + 1
+        out.append((tuple(members), f"o{len(rep)}#{k}",
+                    any(g.subgroup_generated_by([x]) == rep for x in rep),
+                    all(conj(x, rep) == rep for x in range(g.order))))
+    return out
+
+
+def oracle_closure_table(identity_item, gen_items, mul_fn):
+    """The closure's table with one ``mul_fn`` call per pair of elements,
+    as built before the table was filled from the generators' action."""
+    index = {identity_item: 0}
+    items = [identity_item]
+    for cur in items:
+        for gen in gen_items:
+            nxt = mul_fn(cur, gen)
+            if nxt not in index:
+                index[nxt] = len(items)
+                items.append(nxt)
+    return tuple(tuple(index[mul_fn(a, b)] for b in items) for a in items)
 
 
 def order_multiset(g):
@@ -246,6 +288,28 @@ def test_subgroup_enumeration_against_oracles(name):
     classes = g.subgroup_classes()
     assert len(classes) == nclasses
     assert sum(c.class_size for c in classes) == total
+    expected = oracle_subgroup_classes(g, subs)
+    assert [(c.members, c.label, c.is_cyclic, c.is_normal)
+            for c in classes] == expected
+    for idx, c in enumerate(classes):
+        assert c.index == idx and c.order == len(c.representative)
+        assert c.representative == c.members[0]
+
+
+def test_subgroup_classes_reuse_the_enumeration_orbits(monkeypatch):
+    # one conjugation orbit pass in all: all_subgroups conjugates each of
+    # the 156 subgroups of S5 at most once per generator, and
+    # subgroup_classes reads the orbits it kept
+    g = build("S5")
+    calls = []
+    conjugate = Group.conjugate_subgroup
+    monkeypatch.setattr(Group, "conjugate_subgroup",
+                        lambda self, x, sub: calls.append(x)
+                        or conjugate(self, x, sub))
+    g.all_subgroups()
+    enumerated = len(calls)
+    g.subgroup_classes()
+    assert len(calls) == enumerated <= 156 * len(g.generators)
 
 
 def test_class_metadata():
@@ -282,6 +346,52 @@ def test_element_classes():
     q8 = quaternion_group()
     assert len(q8.element_classes()) == 5
     assert q8.element_classes()[0] == (0,)
+
+
+# -- closure tables ------------------------------------------------------------
+
+
+def _section_quotient():
+    # S4/V4 inside S5, built from S5's own cosets
+    g = build("S5")
+    top = next(s for s in g.all_subgroups() if len(s) == 24)
+    bottom = next(s for s in g.all_subgroups()
+                  if len(s) == 4 and s <= top
+                  and all(g.conjugate_subgroup(h, s) == s for h in top))
+    return make_subquotient(g, top, bottom).quotient
+
+
+TABLE_GROUPS = {
+    "C64": lambda: cyclic_group(64),
+    "D64": lambda: dihedral_group(64),
+    "S5": lambda: build("S5"),
+    "A5": lambda: build("A5"),
+    "Heis5": lambda: heisenberg_group(5),
+    "D8xC3": lambda: direct_product(dihedral_group(8), cyclic_group(3)),
+    # C7 x| C3 with the generator of C3 acting as x -> 2x
+    "C7x|C3": lambda: semidirect_product(
+        cyclic_group(7), cyclic_group(3),
+        [tuple(pow(2, j) * x % 7 for x in range(7)) for j in range(3)]),
+    "Heis5/Z": lambda: quotient_group(heisenberg_group(5),
+                                      heisenberg_group(5).center())[0],
+    "S4/V4": _section_quotient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_closure_table_matches_the_pairwise_oracle(name, monkeypatch):
+    closure, checked = groups._closure_group, []
+
+    def recording(identity_item, gen_items, mul_fn, *rest):
+        group, items = closure(identity_item, gen_items, mul_fn, *rest)
+        checked.append((group.mul, oracle_closure_table(identity_item,
+                                                        gen_items, mul_fn)))
+        return group, items
+
+    monkeypatch.setattr(groups, "_closure_group", recording)
+    group = TABLE_GROUPS[name]()
+    assert group.mul == checked[-1][0]
+    assert all(mul == oracle for mul, oracle in checked)
 
 
 # -- quotients and subgroups as groups ---------------------------------------

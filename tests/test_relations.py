@@ -536,3 +536,36 @@ def test_bouc_generators_build_no_group(name, monkeypatch):
     built = recorded_builds(monkeypatch)
     bouc_generators(g, p)
     assert built == []
+
+
+# -- permutation characters against the conjugation count ----------------------
+
+
+def oracle_character_by_conjugation(group, cls):
+    """#{x : x^-1 g x in H} / |H| per element class g, over all x in G, as
+    computed before characters were read off class counts."""
+    mul, inv = group.mul, group.inverse
+    values = []
+    for ec in group.element_classes():
+        g = ec[0]
+        hits = sum(1 for x in range(group.order)
+                   if mul[mul[inv[x]][g]][x] in cls.representative)
+        assert hits % cls.order == 0
+        values.append(hits // cls.order)
+    return tuple(values)
+
+
+CHARACTER_GROUPS = sorted(BOUC_CENSUS) + ["D12", "S5"]
+
+
+@pytest.mark.parametrize("name", CHARACTER_GROUPS)
+def test_characters_match_the_conjugation_count(name):
+    if name in BOUC_CENSUS:
+        g = census_group(name)
+    elif name == "D12":
+        g = dihedral_group(12)
+    else:
+        g = groups.group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    for cls in g.subgroup_classes():
+        assert permutation_character(g, cls).values == \
+            oracle_character_by_conjugation(g, cls)
