@@ -36,7 +36,7 @@ from .factorisable import (
     is_factorisable_abelian,
 )
 from .groups import (
-    DEFAULT_ELEMENT_BUDGET,
+    DESK_SCALE_CAP,
     Group,
     cyclic_group,
     dihedral_group,
@@ -71,9 +71,7 @@ _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
 # -- small parsing helpers -----------------------------------------------------
 
 
-def _budget(variable: str, default: int, explicit=None) -> int:
-    if explicit is not None:
-        return explicit
+def _budget(variable: str, default=None):
     raw = os.environ.get(variable)
     if raw is None:
         return default
@@ -84,10 +82,6 @@ def _budget(variable: str, default: int, explicit=None) -> int:
     if budget < 1:
         raise ParseError(f"{variable} must be a positive integer, got {raw!r}")
     return budget
-
-
-def _element_budget(explicit=None) -> int:
-    return _budget("FACTOREQ_ELEMENT_BUDGET", DEFAULT_ELEMENT_BUDGET, explicit)
 
 
 def _rank_budget() -> int:
@@ -197,7 +191,7 @@ def _parse_cycle_generators(text: str) -> list:
     return perms
 
 
-def parse_group_spec(text: str, element_budget=None) -> Group:
+def parse_group_spec(text: str) -> Group:
     """Build a group from the mini-language (see ``--help`` for the kinds)."""
     spec = _strip_outer_parens(str(text))
     if not spec:
@@ -225,20 +219,20 @@ def parse_group_spec(text: str, element_budget=None) -> Group:
                                         _parse_int(parts[1], "rank"))
     if head == "perm":
         gens = _parse_cycle_generators(rest)
-        return group_from_generators(gens, _element_budget(element_budget))
+        return group_from_generators(gens, _budget("FACTOREQ_ELEMENT_BUDGET"))
     if head == "product":
         parts = _split_top(rest, ";")
         if len(parts) != 2:
             raise ParseError(f"product takes two sub-specs joined by ';', "
                              f"got {len(parts)} in {rest!r}")
-        return direct_product(parse_group_spec(parts[0], element_budget),
-                              parse_group_spec(parts[1], element_budget))
+        return direct_product(parse_group_spec(parts[0]),
+                              parse_group_spec(parts[1]))
     if head == "semidirect":
         parts = _split_top(rest, ";")
         if len(parts) != 3:
             raise ParseError(f"semidirect takes a;b;[action], got {rest!r}")
-        acting = parse_group_spec(parts[1], element_budget)
-        base = parse_group_spec(parts[0], element_budget)
+        acting = parse_group_spec(parts[1])
+        base = parse_group_spec(parts[0])
         action = [_parse_point_tuple(entry, "action entry")
                   for entry in _parse_tuples(parts[2], "action list")]
         return semidirect_product(base, acting, action)
@@ -797,9 +791,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact G-relations, regulator constants, and "
                     "factor-equivalence checks.",
         epilog=f"group specs: {_KINDS}. Lattice expressions: A, I, Z, Reg, "
-               f"Coset(label), Sum(e1,e2,...), e^m. Set "
-               f"FACTOREQ_ELEMENT_BUDGET to bound permutation closures and "
-               f"FACTOREQ_RANK_BUDGET to bound lattice ranks.")
+               f"Coset(label), Sum(e1,e2,...), e^m. Every group closure stops "
+               f"at the order cap of {DESK_SCALE_CAP}; FACTOREQ_ELEMENT_BUDGET "
+               f"bounds permutation closures below it, FACTOREQ_RANK_BUDGET "
+               f"lattice ranks.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     def add(name, handler, help_text):

@@ -7,8 +7,9 @@ building the same group twice gives identical tables, labels, and subgroup
 orderings.  The closure multiplies each element by each generator once and
 fills the rest of the table from that right action.  The supported scale is
 deliberately small (order <= 200); this is a desk calculator, not a census
-tool.  The named families check their known order against the cap before
-anything is built.
+tool.  The cap bounds every closure, so an element budget matters only
+below it, and the named families check their known order against the cap
+before anything is built.
 
 The subgroup lattice is enumerated one conjugacy class at a time (cyclic
 extension, after Neubueser 1960): cyclic subgroups are joined onto one
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from .errors import ResourceError, ValidationError
 
 DESK_SCALE_CAP = 200
-DEFAULT_ELEMENT_BUDGET = 10 ** 6
 
 
 class Group:
@@ -118,6 +118,19 @@ class Group:
                     queue.append(nxt)
         return frozenset(elems)
 
+    def _subgroup_orbit(self, sub, gens, seen) -> list:
+        """Orbit of ``sub`` under conjugation by ``gens``, breadth first;
+        members already in ``seen`` are skipped, new ones added to it."""
+        seen.add(sub)
+        orbit = [sub]
+        for member in orbit:
+            for g in gens:
+                conj = self.conjugate_subgroup(g, member)
+                if conj not in seen:
+                    seen.add(conj)
+                    orbit.append(conj)
+        return orbit
+
     def subgroup_generated_by(self, seed) -> frozenset:
         """Underlying set of the subgroup generated by the given indices."""
         if any(not (0 <= x < self.order) for x in seed):
@@ -196,22 +209,10 @@ class Group:
             movers = [g for g in self.generators
                       if any(mul[g][h] != mul[h][g] for h in self.generators)]
             queue, orbits, known = [], [], set()
-
-            def new_class(sub, gens):
-                queue.append((sub, gens))
-                known.add(sub)
-                orbit = [sub]
-                for member in orbit:
-                    for g in movers:
-                        conj = self.conjugate_subgroup(g, member)
-                        if conj not in known:
-                            known.add(conj)
-                            orbit.append(conj)
-                orbits.append(orbit)
-
             for sub, x in cyclic.items():
                 if sub not in known:
-                    new_class(sub, (x,))
+                    queue.append((sub, (x,)))
+                    orbits.append(self._subgroup_orbit(sub, movers, known))
             for sub, gens in queue:
                 seen = set(sub)
                 for x in joins:
@@ -228,7 +229,8 @@ class Group:
                                 reps.append(y)
                     new = frozenset(elems)
                     if new not in known:
-                        new_class(new, step)
+                        queue.append((new, step))
+                        orbits.append(self._subgroup_orbit(new, movers, known))
             self._subgroup_orbits = orbits
             self._all_subgroups = tuple(sorted(known, key=_subgroup_key))
         return self._all_subgroups
@@ -330,7 +332,7 @@ def _check_cap(base: int, exp: int = 1):
 
 
 def _closure_group(identity_item, gen_items, mul_fn, name,
-                   element_budget=DEFAULT_ELEMENT_BUDGET):
+                   element_budget=None):
     """Breadth-first closure from the identity; returns (Group, items).
 
     ``items[i]`` is the abstract object behind element index ``i``; products
@@ -351,15 +353,18 @@ def _closure_group(identity_item, gen_items, mul_fn, name,
             nxt = mul_fn(cur, g)
             j = index.get(nxt)
             if j is None:
-                if len(items) >= element_budget:
+                if element_budget is not None and len(items) >= element_budget:
                     raise ResourceError(
                         f"closure exceeded the element budget of {element_budget}")
+                if len(items) == DESK_SCALE_CAP:
+                    raise ValidationError(
+                        f"group of order over {DESK_SCALE_CAP} exceeds the "
+                        f"supported cap of {DESK_SCALE_CAP}")
                 j = index[nxt] = len(items)
                 items.append(nxt)
                 parent.append((i, k))
             right[k].append(j)
     n = len(items)
-    _check_cap(n)
     columns = [range(n)]
     for i, k in parent[1:]:
         step = right[k]
@@ -369,13 +374,12 @@ def _closure_group(identity_item, gen_items, mul_fn, name,
     return Group(mul, gens, name), items
 
 
-def group_from_generators(perms, element_budget=DEFAULT_ELEMENT_BUDGET,
+def group_from_generators(perms, element_budget=None,
                           name: str = "") -> Group:
     """Group generated by permutations (tuples over 0..k-1) under composition.
 
-    Composition is ``(p * q)(x) = p(q(x))``.  Raises a resource error if the
-    closure exceeds ``element_budget`` and a validation error if the finished
-    group is larger than the supported cap.
+    Composition is ``(p * q)(x) = p(q(x))``.  The closure stops with a
+    validation error past the cap, or a resource error past ``element_budget``.
     """
     perms = [tuple(p) for p in perms]
     if not perms:
@@ -514,7 +518,8 @@ def semidirect_product(a: Group, b: Group, action) -> Group:
 
 
 def standard_group(kind: str, *params) -> Group:
-    """Dispatch by family name; the CLI's group mini-language ends up here."""
+    """Dispatch by family name, for callers in Python; the CLI's group
+    mini-language does not come here, as its parser calls the constructors."""
     table = {
         "cyclic": cyclic_group,
         "elementary_abelian": elementary_abelian_group,
@@ -554,9 +559,8 @@ def quotient_group(group: Group, normal):
     n_set = frozenset(normal)
     if not group.is_subgroup(n_set):
         raise ValidationError("not a subgroup")
-    for g in range(group.order):
-        if group.conjugate_subgroup(g, n_set) != n_set:
-            raise ValidationError("subgroup is not normal")
+    if not _normalized_by(group, group.generators, n_set):
+        raise ValidationError("subgroup is not normal")
     coset_of = {}
     for x in range(group.order):
         if x not in coset_of:
@@ -582,12 +586,17 @@ def subgroup_generators(group: Group, subset) -> tuple:
     s = frozenset(subset)
     if not group.is_subgroup(s):
         raise ValidationError("not a subgroup")
+    return _greedy_generators(group, s)
+
+
+def _greedy_generators(group: Group, sub) -> tuple:
+    """:func:`subgroup_generators` of a set known to be a subgroup."""
     gens = []
     cl = frozenset([0])
-    for x in sorted(s):
+    for x in sorted(sub):
         if x not in cl:
             gens.append(x)
-            cl = group.subgroup_generated_by(gens)
+            cl = group._closure(gens)
     return tuple(gens)
 
 
@@ -640,14 +649,8 @@ class Subquotient:
 
 
 def make_subquotient(group: Group, top, bottom) -> Subquotient:
-    """The subquotient H/B of G, with B normal in H, as a group of its own.
-
-    H/B is built from G's own cosets xB (x in H) in one closure, seeded by
-    the cosets of H's generators (``subgroup_generators``) in breadth-first
-    order.  So its table, generators, name and projection are those that
-    ``quotient_group`` gives on ``subgroup_as_group(group, top)`` and the
-    image of B there, without H being built as a group of its own.  B's
-    normality is checked once, on H's generators.
+    """The subquotient H/B of G, with B normal in H, as a group of its own:
+    ``quotient_group`` of ``subgroup_as_group(group, top)`` by B's image.
     """
     top = frozenset(top)
     bottom = frozenset(bottom)
@@ -655,27 +658,10 @@ def make_subquotient(group: Group, top, bottom) -> Subquotient:
         raise ValidationError("top is not a subgroup")
     if not bottom <= top:
         raise ValidationError("bottom must be contained in top")
-    if not group.is_subgroup(bottom):
-        raise ValidationError("not a subgroup")
-    top_gens = subgroup_generators(group, top)
-    if not _normalized_by(group, top_gens, bottom):
-        raise ValidationError("subgroup is not normal")
-    mul = group.mul
-    coset_of = {}
-    for x in top:
-        if x not in coset_of:
-            coset = frozenset(mul[x][b] for b in bottom)
-            for y in coset:
-                coset_of[y] = coset
-
-    def mult(c1, c2):
-        return coset_of[mul[min(c1)][min(c2)]]
-
-    gens = [coset_of[g] for g in top_gens] or [bottom]
-    quot, items = _closure_group(bottom, gens, mult,
-                                 f"{group.name}|sub{len(top)}/N")
-    index = {c: i for i, c in enumerate(items)}
-    projection = {g: index[coset_of[g]] for g in top}
+    sub, embedding = subgroup_as_group(group, top)
+    back = {g: i for i, g in enumerate(embedding)}
+    quot, proj = quotient_group(sub, [back[b] for b in bottom])
+    projection = {g: proj[i] for i, g in enumerate(embedding)}
     return Subquotient(group, top, bottom, quot, projection)
 
 
@@ -698,7 +684,7 @@ def _normal_sections(group: Group, index: int):
         if cls.order % index:
             continue
         top = cls.representative
-        gens = subgroup_generators(group, top)
+        gens = _greedy_generators(group, top)
         for bottom in by_order.get(cls.order // index, ()):
             if bottom <= top and _normalized_by(group, gens, bottom):
                 yield top, gens, bottom

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FactoreqError, ResourceError, ValidationError
-from .groups import Group, subgroup_generators
+from .groups import Group, _greedy_generators
 from .intmat import (
     bareiss_determinant,
     fraction_valuations,
@@ -449,7 +449,7 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
     """
     cls = _as_class(lat.group, subgroup_class)
     if cls.index not in lat._fixed:
-        gens = subgroup_generators(lat.group, cls.representative)
+        gens = _greedy_generators(lat.group, cls.representative)
         if not gens:
             basis = identity_matrix(lat.rank)
         else:
@@ -616,9 +616,9 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
                 fixed_sublattice(n_lat, cls), image)
         indices[cls.label] = index
         rhs *= Fraction(index) ** (2 * n_h)
-    # both constants on the whole lattices, whose fixed sublattices the
-    # indices have just computed
-    lhs = _whole_constant(m_lat, theta) / _whole_constant(n_lat, theta)
+    # C_Theta does not depend on the pairing: named atoms take closed forms
+    lhs = (regulator_constant(m_lat, theta).value
+           / regulator_constant(n_lat, theta).value)
     return lhs == rhs, indices
 
 

@@ -370,17 +370,9 @@ def _center_pair_relations_on(group: Group, top, gens, bottom, power) -> list:
     found.sort(key=lambda entry: entry[0])
     classes, seen = [], set()
     for _, sub, x in found:
-        if sub in seen:
-            continue
-        seen.add(sub)
-        orbit = [sub]
-        for member in orbit:
-            for g in gens:
-                conj = group.conjugate_subgroup(g, member)
-                if conj not in seen:
-                    seen.add(conj)
-                    orbit.append(conj)
-        classes.append((sub, _cyclic_over(group, center, x)))
+        if sub not in seen:
+            group._subgroup_orbit(sub, gens, seen)
+            classes.append((sub, _cyclic_over(group, center, x)))
     return [_relation_on_classes(group, ((big_i, 1), (iz, -1), (big_j, -1),
                                          (jz, 1)),
                                  "center-pair relation failed to cancel")

@@ -104,6 +104,25 @@ def test_oversized_named_groups_are_refused_before_building(capsys, spec,
                    f"supported cap of 200\n")
 
 
+@pytest.mark.parametrize("spec", [
+    "perm:[(0,1,2,3,4,5,6),(0,1)]",
+    "perm:[(0,1,2,3,4,5,6,7,8,9),(0,1)]",
+])
+def test_oversized_permutation_groups_stop_at_the_cap(capsys, monkeypatch,
+                                                      spec):
+    # S7 and S10: the closure stops at 201 elements, and a budget above the
+    # cap does not change the error
+    for budget in (None, "1000"):
+        if budget:
+            monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", budget)
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "group", spec)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:validation:")
+        assert "supported cap of 200" in err
+
+
 def test_element_budget_env(monkeypatch):
     monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "4")
     with pytest.raises(Exception, match="budget"):

@@ -188,8 +188,8 @@ def test_group_from_generators():
     with pytest.raises(ResourceError):
         group_from_generators([tuple((i + 1) % 12 for i in range(12))],
                               element_budget=10)
-    # Closure finishes but the group is over the desk-scale cap.
-    with pytest.raises(ValidationError):
+    # The closure stops once it passes the desk-scale cap.
+    with pytest.raises(ValidationError, match="supported cap of 200"):
         group_from_generators([tuple((i + 1) % 256 for i in range(256))])
 
 

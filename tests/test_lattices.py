@@ -717,6 +717,21 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
             index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
 
 
+def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):
+    # a sum of named atoms needs no Gram determinant on either side
+    g = heisenberg_group(3)
+    lat = direct_sum(cyclic_quotient_lattice(g), augmentation_lattice(g))
+    three = tuple(tuple(3 * x for x in row)
+                  for row in identity_matrix(lat.rank))
+    seen = []
+    gram_det = lattices._scaled_gram_det
+    monkeypatch.setattr(lattices, "_scaled_gram_det",
+                        lambda *a: seen.append(a) or gram_det(*a))
+    for theta in relation_basis(g):
+        assert index_ratio_check(lat, lat, three, theta)[0]
+    assert seen == []
+
+
 def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     # five relations touch 11 distinct classes of Heis(3); the index of each
     # class depends only on the class and the embedding
