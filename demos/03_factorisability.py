@@ -10,8 +10,10 @@ Moebius transform:
     f'(D)     = prod_{C <= <D>} f(C)^{mu(<D> : C)}        per division D,
     f~(H)     = ( prod_{D inside H} f'(D) ) / f(H)        per subgroup H.
 
-f~ is identically 1 on cyclic subgroups no matter what f is; the
-factorisability decision applies the same combination on the dual group.
+f~ is identically 1 on cyclic subgroups no matter what f is.  The
+factorisability decision is the same combination for the character group,
+read through duality on G's own subgroups: the cyclic subgroups of the
+character group become the subgroups K of G with G/K cyclic.
 
 Run:  python demos/03_factorisability.py
 """

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DataError, ValidationError
 from .groups import Group
-from .intmat import fraction_valuations, prime_factorization
+from .intmat import fraction_valuations, prime_factorization, valuation
 from .lattices import GLattice, RegulatorValue, regulator_constant
 from .relations import GRelation, _as_class, bouc_generators
 
@@ -84,7 +84,7 @@ class ArithmeticProfile:
             if self.p is None:
                 raise ValidationError(
                     f"h_p on class {cls.label} given without declaring p")
-            if prime_factorization(entry.h_p).keys() - {self.p}:
+            if entry.h_p != self.p ** valuation(entry.h_p, self.p):
                 raise ValidationError(
                     f"h_p on class {cls.label} must be a power of {self.p}")
         if cls.order == 1 and entry.lam not in (None, 1):
@@ -248,20 +248,18 @@ def _unit_valuation(profile: ArithmeticProfile, theta: GRelation,
     p-part of h.
     """
     p = profile.p
-
-    def v_p(x) -> int:
-        return fraction_valuations(Fraction(x)).get(p, 0)
-
     support = [classes[idx] for idx, _ in theta.coefficients]
     use_regulators = all(profile._entry(cls).regulator is not None
                          for cls in support)
     contributions = []
     for cls, (_, n_h) in zip(support, theta.coefficients):
-        exponent = -n_h * v_p(cls.order) - 2 * n_h * v_p(profile.lam(cls))
+        exponent = -n_h * (valuation(cls.order, p)
+                           + 2 * valuation(profile.lam(cls), p))
         if use_regulators:
-            exponent += 2 * n_h * v_p(profile.regulator(cls))
+            exponent += 2 * n_h * valuation(profile.regulator(cls), p)
         else:
-            exponent += 2 * n_h * (v_p(profile.w(cls)) - v_p(profile.h_p(cls)))
+            exponent += 2 * n_h * (valuation(profile.w(cls), p)
+                                   - valuation(profile.h_p(cls), p))
         contributions.append((cls.label, exponent))
     return contributions
 
@@ -309,7 +307,7 @@ def bouc_condition_check(profile: ArithmeticProfile,
                         "prime p")
     p = profile.p
     order = profile.group.order
-    if prime_factorization(order).keys() - {p}:
+    if order != p ** valuation(order, p):
         raise ValidationError(
             f"{profile.group.name} (order {order}) is not a {p}-group")
     if relations is None:

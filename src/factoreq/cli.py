@@ -71,21 +71,18 @@ _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
 # -- small parsing helpers -----------------------------------------------------
 
 
-def _budget(variable: str, default=None):
-    raw = os.environ.get(variable)
+def _rank_budget() -> int:
+    raw = os.environ.get("FACTOREQ_RANK_BUDGET")
     if raw is None:
-        return default
+        return DEFAULT_RANK_BUDGET
     try:
         budget = int(raw)
     except ValueError:
         budget = 0
     if budget < 1:
-        raise ParseError(f"{variable} must be a positive integer, got {raw!r}")
+        raise ParseError("FACTOREQ_RANK_BUDGET must be a positive integer, "
+                         f"got {raw!r}")
     return budget
-
-
-def _rank_budget() -> int:
-    return _budget("FACTOREQ_RANK_BUDGET", DEFAULT_RANK_BUDGET)
 
 
 def _check_rank(rank: int, text: str):
@@ -171,22 +168,24 @@ def _parse_cycle_generators(text: str) -> list:
             cycles.append(_parse_point_tuple(rest[:close + 1], "cycle"))
             rest = rest[close + 1:].strip()
         raw_gens.append(cycles)
-    points = [pt for cycles in raw_gens for cyc in cycles for pt in cyc]
-    if any(pt < 0 for pt in points):
+    points = sorted({pt for cycles in raw_gens for cyc in cycles for pt in cyc})
+    if points and points[0] < 0:
         raise ParseError("cycle points must be non-negative integers")
-    size = max(points, default=-1) + 1
-    if size == 0:
+    if not points:
         raise ParseError("permutations need at least one point")
+    # Renaming the points conjugates every generator by one bijection, which
+    # leaves the group table unchanged; tuples are sized by the points named.
+    label = {pt: i for i, pt in enumerate(points)}
     perms = []
     for cycles in raw_gens:
         seen = set()
-        image = list(range(size))
+        image = list(range(len(points)))
         for cyc in cycles:
             if seen & set(cyc) or len(set(cyc)) != len(cyc):
                 raise ParseError("cycles within one generator must be disjoint")
             seen |= set(cyc)
             for i, pt in enumerate(cyc):
-                image[pt] = cyc[(i + 1) % len(cyc)]
+                image[label[pt]] = label[cyc[(i + 1) % len(cyc)]]
         perms.append(tuple(image))
     return perms
 
@@ -219,7 +218,7 @@ def parse_group_spec(text: str) -> Group:
                                         _parse_int(parts[1], "rank"))
     if head == "perm":
         gens = _parse_cycle_generators(rest)
-        return group_from_generators(gens, _budget("FACTOREQ_ELEMENT_BUDGET"))
+        return group_from_generators(gens)
     if head == "product":
         parts = _split_top(rest, ";")
         if len(parts) != 2:
@@ -704,7 +703,8 @@ def _candidate_lattice(group: Group, text: str) -> GLattice:
         floors = _parse_int(text[len("tower:"):], "tower parameter")
         if floors < 0:
             raise ParseError("tower parameter must be >= 0")
-        return tower_lattice(group, floors, max_rank=_rank_budget())
+        _check_rank((2 + floors) * group.order - 1, text)
+        return tower_lattice(group, floors)
     return parse_lattice_expr(group, text)
 
 
@@ -792,9 +792,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "factor-equivalence checks.",
         epilog=f"group specs: {_KINDS}. Lattice expressions: A, I, Z, Reg, "
                f"Coset(label), Sum(e1,e2,...), e^m. Every group closure stops "
-               f"at the order cap of {DESK_SCALE_CAP}; FACTOREQ_ELEMENT_BUDGET "
-               f"bounds permutation closures below it, FACTOREQ_RANK_BUDGET "
-               f"lattice ranks.")
+               f"at the order cap of {DESK_SCALE_CAP}; FACTOREQ_RANK_BUDGET "
+               f"(default {DEFAULT_RANK_BUDGET}) bounds lattice ranks.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     def add(name, handler, help_text):

@@ -6,14 +6,31 @@ generate the same cyclic subgroup.  For a function f on subgroups,
     f'(D)  = prod_{C <= Dbar} f(C)^{mu((Dbar : C))}
     ftilde(H) = (prod_{D subset H} f'(D)) / f(H)
 
-and f is factorisable exactly when ftilde is identically 1.  The product in
-f' runs over all subgroups of Dbar including Dbar itself (the standard
-Moebius-inversion convention); that choice is what makes ftilde vanish on
-every cyclic subgroup.
+and ftilde is identically 1 exactly when f is a product of an element
+function over the subgroup members.  The product in f' runs over all
+subgroups of Dbar including Dbar itself (the standard Moebius-inversion
+convention); that choice is what makes ftilde vanish on every cyclic
+subgroup.
+
+f is *factorisable* when f(H) = prod_{chi trivial on H} g(chi) for some
+positive g on the characters.  Under perp, X -> X^perp = common kernel of
+X, the subgroups of the character group correspond to those of G,
+reversing inclusion, and the characters trivial on H are the elements of
+H^perp.  So f is factorisable iff F(X) = f(X^perp) has ftilde = 1 on the
+character group.  Perp sends each cyclic X to a K with G/K cyclic (X is
+the dual of G/K), and |X|/|C| to [C^perp : K] for C <= X.  Read on G:
+
+    phi(K) = prod_{K' >= K} f(K')^{mu([K' : K])}     for G/K cyclic,
+    f is factorisable iff prod_{K >= H, G/K cyclic} phi(K) = f(H) for all H.
+
+:func:`is_factorisable_abelian` tests exactly this on G's own subgroup
+lattice; the characters are needed only to build factorisable functions
+from character data.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import FactoreqError, ValidationError
 from .groups import Group
@@ -135,26 +152,34 @@ def is_factorisable_abelian(f: SubgroupFunction) -> bool:
     """Decide factorisability: does character data g with
     f(H) = prod_{chi trivial on H} g(chi) exist?
 
-    The division test answers this when run on the character group: pull f
-    back along the perp map (a subgroup of the dual goes to the common
-    kernel of its members), then ask for the pulled-back quotient to be
-    identically 1.  Functions with trivial quotient over an ambient group
-    are exactly the products of an element function over the subgroup
-    members, and under perp those correspond to the character products
-    above.  Running the test on G itself instead would reject genuinely
+    The division test answers this on the character group, for
+    F(X) = f(X^perp).  Perp reverses inclusion, sends each cyclic X to a K
+    with G/K cyclic and |X|/|C| to [C^perp : K], so the test reads on G:
+    with phi(K) = prod_{K' >= K} f(K')^{mu([K' : K])} for each K with G/K
+    cyclic, f is factorisable iff prod_{K >= H, G/K cyclic} phi(K) = f(H)
+    for every subgroup H.  No dual group or character is built.  Running
+    the division test on G itself instead would reject genuinely
     factorisable functions (already on the Klein four-group).
     """
-    dual, chars = _dual_group(f.group)
-    kernels = [character_kernel(f.group, chi) for chi in chars]
-    full = frozenset(range(f.group.order))
-    table = {}
-    for xi in dual.all_subgroups():
-        perp = full
-        for i in xi:
-            perp &= kernels[i]
-        table[xi] = f.value(perp)
-    pulled = SubgroupFunction(dual, table)
-    return all(v == 1 for v in factorisable_quotient(pulled).values.values())
+    subs = f.group.all_subgroups()
+    phi = {k: prod(f.values[above] ** _mobius(len(above) // len(k))
+                   for above in subs if k <= above)
+           for k in subs if _cyclic_quotient(f.group, k)}
+    return all(prod(v for k, v in phi.items() if h <= k) == f.values[h]
+               for h in subs)
+
+
+def _cyclic_quotient(group: Group, sub) -> bool:
+    """Is G/sub cyclic?  G is abelian, so G/sub has the lcm of its
+    generators' orders as exponent, and is cyclic iff that is [G : sub]."""
+    exponent = 1
+    for g in group.generators:
+        n, x = 1, g
+        while x not in sub:
+            x = group.mul[x][g]
+            n += 1
+        exponent = lcm(exponent, n)
+    return exponent * len(sub) == group.order
 
 
 # -- characters ----------------------------------------------------------------
@@ -210,38 +235,6 @@ def abelian_characters(group: Group) -> tuple:
 def character_kernel(group: Group, character) -> frozenset:
     """The subgroup where the character vanishes."""
     return frozenset(x for x, v in enumerate(character) if v == 0)
-
-
-def _dual_group(group: Group):
-    """The character group as a Group, plus its characters in index order.
-
-    Characters multiply by pointwise addition mod the exponent; the
-    all-zero (trivial) character sorts first, as the identity must.
-    """
-    chars = abelian_characters(group)
-    m = group.exponent()
-    position = {chi: i for i, chi in enumerate(chars)}
-    n = len(chars)
-    mul = tuple(
-        tuple(position[tuple((a + b) % m for a, b in zip(chars[i], chars[j]))]
-              for j in range(n))
-        for i in range(n))
-    gens: list[int] = []
-    generated = {0}
-    for i in range(1, n):
-        if i not in generated:
-            gens.append(i)
-            queue = [i]
-            generated.add(i)
-            while queue:
-                x = queue.pop()
-                for y in tuple(generated):
-                    z = mul[x][y]
-                    if z not in generated:
-                        generated.add(z)
-                        queue.append(z)
-    dual = Group(mul, tuple(gens or [0]), name=f"{group.name}^dual")
-    return dual, chars
 
 
 def function_from_character_data(group: Group, g_values) -> SubgroupFunction:

@@ -7,9 +7,8 @@ building the same group twice gives identical tables, labels, and subgroup
 orderings.  The closure multiplies each element by each generator once and
 fills the rest of the table from that right action.  The supported scale is
 deliberately small (order <= 200); this is a desk calculator, not a census
-tool.  The cap bounds every closure, so an element budget matters only
-below it, and the named families check their known order against the cap
-before anything is built.
+tool.  The cap bounds every closure, and the named families check their
+known order against it before anything is built.
 
 The subgroup lattice is enumerated one conjugacy class at a time (cyclic
 extension, after Neubueser 1960): cyclic subgroups are joined onto one
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 
 DESK_SCALE_CAP = 200
 
@@ -331,8 +330,7 @@ def _check_cap(base: int, exp: int = 1):
         f"group of order {order} exceeds the supported cap of {DESK_SCALE_CAP}")
 
 
-def _closure_group(identity_item, gen_items, mul_fn, name,
-                   element_budget=None):
+def _closure_group(identity_item, gen_items, mul_fn, name):
     """Breadth-first closure from the identity; returns (Group, items).
 
     ``items[i]`` is the abstract object behind element index ``i``; products
@@ -353,9 +351,6 @@ def _closure_group(identity_item, gen_items, mul_fn, name,
             nxt = mul_fn(cur, g)
             j = index.get(nxt)
             if j is None:
-                if element_budget is not None and len(items) >= element_budget:
-                    raise ResourceError(
-                        f"closure exceeded the element budget of {element_budget}")
                 if len(items) == DESK_SCALE_CAP:
                     raise ValidationError(
                         f"group of order over {DESK_SCALE_CAP} exceeds the "
@@ -374,12 +369,11 @@ def _closure_group(identity_item, gen_items, mul_fn, name,
     return Group(mul, gens, name), items
 
 
-def group_from_generators(perms, element_budget=None,
-                          name: str = "") -> Group:
+def group_from_generators(perms, name: str = "") -> Group:
     """Group generated by permutations (tuples over 0..k-1) under composition.
 
     Composition is ``(p * q)(x) = p(q(x))``.  The closure stops with a
-    validation error past the cap, or a resource error past ``element_budget``.
+    validation error past the cap.
     """
     perms = [tuple(p) for p in perms]
     if not perms:
@@ -395,8 +389,7 @@ def group_from_generators(perms, element_budget=None,
     def compose(p, q):
         return tuple(p[x] for x in q)
 
-    group, _ = _closure_group(identity, perms, compose,
-                              name or "perm-group", element_budget)
+    group, _ = _closure_group(identity, perms, compose, name or "perm-group")
     return group
 
 

@@ -315,6 +315,22 @@ def prime_factorization(n: int) -> dict[int, int]:
     return out
 
 
+def valuation(x, p: int) -> int:
+    """v_p(x) of a positive int or Fraction, by repeated division by p.
+
+    Costs O(v_p) divisions however large the other prime factors are.
+    """
+    x = Fraction(x)
+    if x <= 0 or p < 2:
+        raise ValueError("valuations need a positive rational and p >= 2")
+    out = 0
+    for part, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while part % p == 0:
+            part //= p
+            out += sign
+    return out
+
+
 def fraction_valuations(x: Fraction) -> dict[int, int]:
     """Map p -> v_p(x) for a positive rational, zeros omitted."""
     if x <= 0:

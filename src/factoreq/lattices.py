@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import FactoreqError, ResourceError, ValidationError
+from .errors import FactoreqError, ValidationError
 from .groups import Group, _greedy_generators
 from .intmat import (
     bareiss_determinant,
@@ -365,23 +365,14 @@ def direct_sum(*parts: GLattice) -> GLattice:
     return out
 
 
-def tower_lattice(group: Group, m: int, max_rank=None) -> GLattice:
-    """The unit-lattice model A + I + Z + Reg^m, labelled ``Tower(m)``.
-
-    If its rank exceeds ``max_rank``, raises :class:`ResourceError` before
-    any block is built.
-    """
+def tower_lattice(group: Group, m: int) -> GLattice:
+    """The unit-lattice model A + I + Z + Reg^m, labelled ``Tower(m)``."""
     if not isinstance(m, int) or m < 0:
         raise ValidationError("the number of regular summands must be a "
                               "non-negative integer")
     base = (cyclic_quotient_lattice(group), augmentation_lattice(group),
             trivial_lattice(group))
-    reg = regular_lattice(group)
-    rank = sum(part.rank for part in base) + m * reg.rank
-    if max_rank is not None and rank > max_rank:
-        raise ResourceError(f"lattice Tower({m}) has rank {rank}, over the "
-                            f"rank budget of {max_rank}")
-    out = direct_sum(*base, *[reg] * m)
+    out = direct_sum(*base, *[regular_lattice(group)] * m)
     out.label = f"Tower({m})"
     return out
 

@@ -23,7 +23,7 @@ from .groups import (
     _is_prime,
     _normal_sections,
 )
-from .intmat import kernel_basis, row_span_basis
+from .intmat import kernel_basis, row_span_basis, valuation
 
 
 @dataclass(frozen=True)
@@ -268,10 +268,7 @@ def bouc_generators(group: Group, p: int) -> tuple:
     """
     if not _is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    n = group.order
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if group.order != p ** valuation(group.order, p):
         raise ValidationError(f"group of order {group.order} is not a {p}-group")
     mul = group.mul
     power = list(range(group.order))

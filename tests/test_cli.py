@@ -108,30 +108,30 @@ def test_oversized_named_groups_are_refused_before_building(capsys, spec,
     "perm:[(0,1,2,3,4,5,6),(0,1)]",
     "perm:[(0,1,2,3,4,5,6,7,8,9),(0,1)]",
 ])
-def test_oversized_permutation_groups_stop_at_the_cap(capsys, monkeypatch,
-                                                      spec):
-    # S7 and S10: the closure stops at 201 elements, and a budget above the
-    # cap does not change the error
-    for budget in (None, "1000"):
-        if budget:
-            monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", budget)
-        start = time.monotonic()
-        code, out, err = invoke(capsys, "group", spec)
-        assert time.monotonic() - start < 1
-        assert (code, out) == (2, "")
-        assert err.startswith("error:validation:")
-        assert "supported cap of 200" in err
+def test_oversized_permutation_groups_stop_at_the_cap(capsys, spec):
+    # S7 and S10: the closure stops at 201 elements
+    start = time.monotonic()
+    code, out, err = invoke(capsys, "group", spec)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error:validation:")
+    assert "supported cap of 200" in err
 
 
-def test_element_budget_env(monkeypatch):
-    monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "4")
-    with pytest.raises(Exception, match="budget"):
-        parse_group_spec("perm:[(0,1),(1,2)]")
-    monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "600")
-    assert parse_group_spec("perm:[(0,1),(1,2)]").order == 6
-    monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "junk")
-    with pytest.raises(ParseError, match="FACTOREQ_ELEMENT_BUDGET"):
-        parse_group_spec("perm:[(0,1)]")
+def test_perm_points_are_renumbered(capsys):
+    # tuples are sized by the points named, not by the largest label
+    start = time.monotonic()
+    big = invoke(capsys, "group", "perm:[(0,100000000)]", "--json")
+    assert time.monotonic() - start < 1
+    small = invoke(capsys, "group", "perm:[(0,1)]", "--json")
+    assert big[0] == small[0] == 0
+    assert big[1].replace("100000000", "1") == small[1]
+    assert parse_group_spec("perm:[(5,9)(2,7)]").mul == parse_group_spec(
+        "perm:[(2,3)(0,1)]").mul
+    spread = invoke(capsys, "relations", "perm:[(3,7,11,20),(3,7)]", "--json")
+    packed = invoke(capsys, "relations", "perm:[(0,1,2,3),(0,1)]", "--json")
+    assert spread[1].replace("(3,7,11,20),(3,7)", "(0,1,2,3),(0,1)") == (
+        packed[1])
 
 
 # -- lattice expressions ----------------------------------------------------------
@@ -181,10 +181,20 @@ def test_rank_budget(monkeypatch, capsys):
 
     with monkeypatch.context() as m:
         m.setattr(cli, "direct_sum", no_blocks)
+        m.setattr(cli, "tower_lattice", no_blocks)
         with pytest.raises(ResourceError, match="rank budget"):
             parse_lattice_expr(group, "Z^1001")
         with pytest.raises(ResourceError, match="rank 1004"):
             parse_lattice_expr(group, "Sum(" + ",".join(["Reg"] * 251) + ")")
+        with pytest.raises(ResourceError, match="rank 4000000000007"):
+            _candidate_lattice(group, "tower:1000000000000")
+        monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "35")
+        e9 = parse_group_spec("elemab:3,2")
+        with pytest.raises(ResourceError, match="rank 44"):
+            _candidate_lattice(e9, "tower:3")
+    # the rank 2|G| - 1 + m|G| checked up front is the rank built
+    assert _candidate_lattice(e9, "tower:2").rank == 35
+    monkeypatch.delenv("FACTOREQ_RANK_BUDGET")
     assert parse_lattice_expr(group, "Sum(A,Reg)^142").rank == 994
     monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "7")
     assert parse_lattice_expr(group, "Sum(A,Reg)").rank == 7
@@ -358,6 +368,31 @@ def test_check_units_p_part(capsys):
     assert code == 2 and err.startswith("error:parse:")
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    # a 17-digit prime regulator: the p-part needs one division, not its
+    # factorization
+    ("R", "10000000000000061/1", (1, "residual 1/4")),
+    ("h_p", 2 * 10000000000000061,
+     (2, "error:validation:h_p on class o1#0 must be a power of 2")),
+])
+def test_p_part_valuations_of_large_primes(capsys, tmp_path, field, value,
+                                           expected):
+    with open(fixture("v4_consistent.json")) as handle:
+        data = json.load(handle)
+    data["p"] = 2
+    for entry in data["classes"]:
+        if field == "R":
+            entry["R"] = value
+        else:
+            entry["h_p"] = value if entry["label"] == "o1#0" else 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, out, err = invoke(capsys, "check-units", str(path), "--p-part")
+    assert time.monotonic() - start < 1
+    assert code == expected[0] and expected[1] in out + err
+
+
 def test_bk_check(capsys):
     assert invoke(capsys, "bk-check", fixture("v4_consistent.json"))[0] == 0
     code, out, _ = invoke(capsys, "bk-check", fixture("v4_perturbed.json"),
@@ -514,7 +549,3 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_profile_env_budget_flows_through(capsys, monkeypatch):
-    monkeypatch.setenv("FACTOREQ_ELEMENT_BUDGET", "2")
-    code, _, err = invoke(capsys, "group", "perm:[(0,1),(1,2)]")
-    assert code == 2 and err.startswith("error:resource:")

@@ -4,7 +4,9 @@ Division structure and the Moebius transform are frozen from hand
 evaluations (V4 and cyclic groups small enough to enumerate divisors by
 eye).  The factorisability decision is exercised both ways: every function
 built from character data must pass, and the order function on the Klein
-four-group must fail with quotient value exactly 2.
+four-group must fail with quotient value exactly 2.  The decision runs on
+G's own subgroup lattice; the division test run on the character group,
+built as a Group of its own, is kept here as its oracle.
 """
 
 import random
@@ -26,6 +28,7 @@ from factoreq.factorisable import (
     is_factorisable_abelian,
 )
 from factoreq.groups import (
+    Group,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -208,3 +211,85 @@ def test_character_count_is_checked(monkeypatch):
     with pytest.raises(FactoreqError, match="exactly 6") as exc:
         abelian_characters(dihedral_group(6))
     assert type(exc.value) is FactoreqError
+
+
+# -- the decision against the character-group route ----------------------------
+
+
+def _dual_group_decision(f):
+    """The division test on the character group, for F(X) = f(X^perp).
+
+    Characters multiply by pointwise addition mod the exponent; every
+    character is passed as a generator.
+    """
+    group = f.group
+    chars = abelian_characters(group)
+    m = group.exponent()
+    position = {chi: i for i, chi in enumerate(chars)}
+    mul = [[position[tuple((a + b) % m for a, b in zip(x, y))]
+            for y in chars] for x in chars]
+    dual = Group(mul, range(len(chars)), name=f"{group.name}^dual")
+    kernels = [character_kernel(group, chi) for chi in chars]
+    table = {}
+    for xi in dual.all_subgroups():
+        perp = frozenset(range(group.order))
+        for i in xi:
+            perp &= kernels[i]
+        table[xi] = f.value(perp)
+    pulled = SubgroupFunction(dual, table)
+    return all(v == 1 for v in factorisable_quotient(pulled).values.values())
+
+
+def _census():
+    c, e = cyclic_group, elementary_abelian_group
+    return [c(1), c(8), c(30), c(64), e(2, 2), e(2, 3), e(2, 4), e(2, 5),
+            e(3, 2), e(3, 3), e(5, 2), direct_product(c(4), c(4)),
+            direct_product(c(2), direct_product(c(4), c(4))),
+            direct_product(c(4), c(6))]
+
+
+def test_decision_matches_the_character_group_route():
+    rng = random.Random(20261018)
+    verdicts = []
+    for g in _census():
+        data = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for _ in range(g.order)]
+        built = function_from_character_data(g, data)
+        perturbed = dict(built.values)
+        perturbed[rng.choice(g.all_subgroups())] *= 2
+        for f in (built, SubgroupFunction(g, perturbed),
+                  SubgroupFunction.from_callable(g, len)):
+            verdict = is_factorisable_abelian(f)
+            assert verdict == _dual_group_decision(f), g.name
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_every_function_on_a_cyclic_group_is_factorisable():
+    # a cyclic group is its own character group, and the division test
+    # accepts every function there
+    rng = random.Random(11)
+    groups = [cyclic_group(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27)]
+    # cyclic, but from generators of coprime orders
+    groups += [direct_product(cyclic_group(2), cyclic_group(3)),
+               direct_product(cyclic_group(4), cyclic_group(9))]
+    for g in groups:
+        for _ in range(5):
+            f = SubgroupFunction.from_callable(
+                g, lambda s: Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+            assert is_factorisable_abelian(f)
+
+
+def test_decision_builds_no_group_and_no_characters(monkeypatch):
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    built = function_from_character_data(g, range(1, g.order + 1))
+    order_fn = SubgroupFunction.from_callable(g, len)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decision must stay on G's own lattice")
+
+    monkeypatch.setattr(Group, "__init__", forbidden)
+    monkeypatch.setattr(factorisable, "abelian_characters", forbidden)
+    monkeypatch.setattr(factorisable, "character_kernel", forbidden)
+    assert is_factorisable_abelian(built)
+    assert not is_factorisable_abelian(order_fn)

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from factoreq import groups
-from factoreq.errors import ResourceError, ValidationError
+from factoreq.errors import ValidationError
 from factoreq.groups import (
     Group,
     cyclic_group,
@@ -185,9 +185,6 @@ def test_group_from_generators():
         group_from_generators([])
     with pytest.raises(ValidationError):
         group_from_generators([(0, 0, 1)])
-    with pytest.raises(ResourceError):
-        group_from_generators([tuple((i + 1) % 12 for i in range(12))],
-                              element_budget=10)
     # The closure stops once it passes the desk-scale cap.
     with pytest.raises(ValidationError, match="supported cap of 200"):
         group_from_generators([tuple((i + 1) % 256 for i in range(256))])

@@ -26,6 +26,7 @@ from factoreq.intmat import (
     row_span_basis,
     sublattice_index,
     transpose,
+    valuation,
 )
 
 
@@ -359,6 +360,27 @@ def test_valuations_reassemble_the_rational(x):
     for p, e in fraction_valuations(x).items():
         prod *= Fraction(p) ** e
     assert prod == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 400), max_value=400,
+                    max_denominator=500).filter(lambda x: x > 0),
+       st.sampled_from([2, 3, 5, 7, 401]))
+def test_valuation_matches_the_factorization(x, p):
+    assert valuation(x, p) == fraction_valuations(x).get(p, 0)
+
+
+def test_valuation_by_division():
+    big = 10000000000000061  # prime
+    assert valuation(big, 2) == 0
+    assert valuation(Fraction(2 ** 5 * big, 3 * big ** 2), 2) == 5
+    assert valuation(Fraction(1, 9 * big), 3) == -2
+    assert valuation(2 ** 300 * big, 2) == 300
+    for bad in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            valuation(bad, 2)
+    with pytest.raises(ValueError):
+        valuation(4, 1)
 
 
 def test_transpose_roundtrip():
