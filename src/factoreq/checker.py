@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DataError, ValidationError
 from .groups import Group
-from .intmat import fraction_valuations, prime_factorization, valuation
+from .intmat import fraction_valuations, is_prime, valuation
 from .lattices import GLattice, RegulatorValue, regulator_constant
 from .relations import GRelation, _as_class, bouc_generators
 
@@ -50,7 +50,7 @@ class ArithmeticProfile:
     def __init__(self, group: Group, classes, p: int | None = None,
                  totally_real: bool = False, odd_degree: bool = False):
         if p is not None:
-            if not isinstance(p, int) or p < 2 or prime_factorization(p) != {p: 1}:
+            if not is_prime(p):
                 raise ValidationError(f"{p!r} is not a prime")
         self.group = group
         self.p = p

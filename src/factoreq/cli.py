@@ -9,6 +9,7 @@ exits with status 1.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -367,12 +368,15 @@ def _require_int(entry, key, where):
     return value
 
 
-def _resolve_label(group: Group, label, where: str) -> str:
-    valid = [cls.label for cls in group.subgroup_classes()]
-    if label not in valid:
+def _resolve_label(group: Group, label, where: str):
+    """The subgroup class labelled ``label``, or a data error naming
+    ``where`` and listing the valid labels."""
+    try:
+        return group.class_by_label(label)
+    except ValidationError:
+        valid = ", ".join(cls.label for cls in group.subgroup_classes())
         raise DataError(f"{where}: unknown class label {label!r} for "
-                        f"{group.name}; valid labels: {', '.join(valid)}")
-    return label
+                        f"{group.name}; valid labels: {valid}") from None
 
 
 def profile_from_data(data, source: str = "profile") -> ArithmeticProfile:
@@ -410,7 +414,7 @@ def profile_from_data(data, source: str = "profile") -> ArithmeticProfile:
         if not isinstance(entry.get("label"), str):
             raise ParseError(f"{where}: field 'label' must be a class label "
                              f"string")
-        label = _resolve_label(group, entry["label"], where)
+        label = _resolve_label(group, entry["label"], where).label
         if label in table:
             raise ParseError(f"{where}: duplicate label {label!r}")
         fields = {}
@@ -667,11 +671,10 @@ def _cmd_factorizable(args):
                               f"groups only; {group.name} is non-abelian")
     source, data = _load_value_table(args.values)
     classes = group.subgroup_classes()
-    valid = {cls.label: cls for cls in classes}
     table = {}
     for label, raw in data.items():
-        _resolve_label(group, label, source)
-        table[valid[label].representative] = _parse_rational(
+        cls = _resolve_label(group, label, source)
+        table[cls.representative] = _parse_rational(
             raw, f"{source}: value for {label}")
     missing = [cls.label for cls in classes
                if cls.representative not in table]
@@ -785,7 +788,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first :func:`run`.
+
+    It keeps no state between calls: ``parse_args`` returns a fresh
+    namespace, :class:`_Parser` raises on errors instead of exiting, and
+    the help text is made of constants.
+    """
     parser = _Parser(
         prog="factoreq",
         description="Exact G-relations, regulator constants, and "
@@ -869,7 +879,12 @@ def _single_line(message) -> str:
 
 
 def run(argv) -> int:
-    """Dispatch one invocation; returns the exit code, never raises."""
+    """Dispatch one invocation; returns the exit code, never raises.
+
+    Cheap to call repeatedly in one process: the argument parser is built
+    on the first call and reused, so each further call costs only its
+    command's own work.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

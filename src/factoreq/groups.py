@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .intmat import is_prime
 
 DESK_SCALE_CAP = 200
 
@@ -90,6 +91,7 @@ class Group:
         self._subgroup_orbits = None
         self._subgroup_classes = None
         self._class_of_subgroup = None
+        self._class_by_label = None
         self._permutation_characters = {}
 
     def __repr__(self):
@@ -264,6 +266,7 @@ class Group:
                     is_cyclic=is_cyc, is_normal=len(members) == 1))
             self._subgroup_classes = tuple(out)
             self._class_of_subgroup = assigned
+            self._class_by_label = {cls.label: cls for cls in out}
         return self._subgroup_classes
 
     def class_of_subgroup(self, subset) -> int:
@@ -275,9 +278,10 @@ class Group:
         return self._class_of_subgroup[key]
 
     def class_by_label(self, label: str):
-        for cls in self.subgroup_classes():
-            if cls.label == label:
-                return cls
+        self.subgroup_classes()
+        cls = self._class_by_label.get(label)
+        if cls is not None:
+            return cls
         valid = ", ".join(c.label for c in self.subgroup_classes())
         raise ValidationError(f"no subgroup class labelled {label!r} (valid: {valid})")
 
@@ -404,9 +408,9 @@ def cyclic_group(n: int) -> Group:
 
 
 def elementary_abelian_group(p: int, k: int) -> Group:
-    # trial division only up to the cap: a larger p fails the order check
+    # a p over the cap fails the order check, prime or not
     if not isinstance(p, int) or p < 2 or (
-            p <= DESK_SCALE_CAP and not _is_prime(p)):
+            p <= DESK_SCALE_CAP and not is_prime(p)):
         raise ValidationError(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValidationError("rank must be a positive integer")
@@ -449,9 +453,9 @@ def heisenberg_group(p: int) -> Group:
 
     Exists only for odd primes (for p = 2 the exponent condition fails).
     """
-    # trial division only up to the cap: a larger p fails the order check
+    # a p over the cap fails the order check, prime or not
     if not isinstance(p, int) or p < 3 or (
-            p <= DESK_SCALE_CAP and not _is_prime(p)):
+            p <= DESK_SCALE_CAP and not is_prime(p)):
         raise ValidationError(f"{p} is not an odd prime")
     _check_cap(p, 3)
 
@@ -526,17 +530,6 @@ def standard_group(kind: str, *params) -> Group:
         raise ValidationError(
             f"unknown group family {kind!r} (known: {', '.join(sorted(table))})")
     return table[kind](*params)
-
-
-def _is_prime(p) -> bool:
-    if not isinstance(p, int) or p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- quotients, subgroups as groups, subquotients, sections of G -------------

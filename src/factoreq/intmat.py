@@ -296,7 +296,12 @@ def sublattice_index(basis, sub_basis) -> int:
 
 
 def prime_factorization(n: int) -> dict[int, int]:
-    """Trial-division factorization; our integers are smooth by construction."""
+    """Trial-division factorization of a positive integer.
+
+    The work grows with the square root of n's largest prime factor, so it
+    suits the smooth integers the package builds (group orders, indices,
+    regulator constants); test primality with :func:`is_prime`.
+    """
     if n <= 0:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
@@ -313,6 +318,42 @@ def prime_factorization(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Miller-Rabin to these bases is exact below _MILLER_RABIN_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n) -> bool:
+    """Whether ``n`` is a prime; False for anything but an integer.
+
+    Deterministic Miller-Rabin with the first 13 primes as bases, which is
+    proven exact below 3,317,044,064,679,887,385,961,981; above that bound
+    a number that passes is confirmed by trial division, so the answer is
+    exact everywhere.
+    """
+    if not isinstance(n, int) or n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MILLER_RABIN_EXACT_BELOW or prime_factorization(n) == {n: 1}
 
 
 def valuation(x, p: int) -> int:

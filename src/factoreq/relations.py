@@ -20,10 +20,9 @@ from .groups import (
     SubgroupClass,
     Subquotient,
     _commutators_in,
-    _is_prime,
     _normal_sections,
 )
-from .intmat import kernel_basis, row_span_basis, valuation
+from .intmat import is_prime, kernel_basis, row_span_basis, valuation
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,10 @@ def _as_class(group, spec):
     if isinstance(spec, str):
         return group.class_by_label(spec)
     # an index lookup, not ``spec in classes``: that scan calls the dataclass
-    # ``__eq__`` once per class
+    # ``__eq__`` once per class; identity first, since ``__eq__`` compares
+    # every member, and an equal class from a second build of G still passes
     if (isinstance(spec, SubgroupClass) and 0 <= spec.index < len(classes)
-            and classes[spec.index] == spec):
+            and (classes[spec.index] is spec or classes[spec.index] == spec)):
         return spec
     raise ValidationError(f"{spec!r} does not name a subgroup class")
 
@@ -266,7 +266,7 @@ def bouc_generators(group: Group, p: int) -> tuple:
     Every generator is checked to be a relation of G.  Their span is the
     full relation lattice (checked in the tests, not here).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if group.order != p ** valuation(group.order, p):
         raise ValidationError(f"group of order {group.order} is not a {p}-group")

@@ -8,6 +8,8 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from factoreq.lattices import direct_sum, tower_lattice
 from factoreq.relations import relation_basis
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def fixture(name):
@@ -393,6 +396,32 @@ def test_p_part_valuations_of_large_primes(capsys, tmp_path, field, value,
     assert code == expected[0] and expected[1] in out + err
 
 
+NOT_A_BIG_P_GROUP = ("error:validation:group of order 4 is not a "
+                     "10000000000000061-group")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check-units", "{profile}", "--p-part"], (0, "overall: true")),
+    (["bouc", "--check", "{profile}"], (2, NOT_A_BIG_P_GROUP)),
+    (["bouc", "elemab:2,2", "--p", "10000000000000061"],
+     (2, NOT_A_BIG_P_GROUP)),
+])
+def test_large_declared_prime_is_tested_at_once(capsys, tmp_path, argv,
+                                                expected):
+    # a 17-digit prime p: trial division up to sqrt(p) took 6-21 s a command
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps({
+        "group": "elemab:2,2", "p": 10000000000000061,
+        "classes": [{"label": label, "h": 1, "h_p": 1, "w": 2, "lambda": 1,
+                     "R": "1"}
+                    for label in ("o1#0", "o2#0", "o2#1", "o2#2", "o4#0")]}))
+    start = time.monotonic()
+    code, out, err = invoke(capsys, *[arg.format(profile=path)
+                                      for arg in argv])
+    assert time.monotonic() - start < 1
+    assert code == expected[0] and expected[1] in out + err
+
+
 def test_bk_check(capsys):
     assert invoke(capsys, "bk-check", fixture("v4_consistent.json"))[0] == 0
     code, out, _ = invoke(capsys, "bk-check", fixture("v4_perturbed.json"),
@@ -507,7 +536,9 @@ def test_factorizable_value_errors(capsys):
     assert code == 2 and err.startswith("error:data:")
     code, _, err = invoke(capsys, "factorizable", "elemab:2,2",
                           '{"o9#9": 1}')
-    assert code == 2 and "valid labels" in err
+    assert code == 2
+    assert err == ("error:data:values: unknown class label 'o9#9' for (2^2); "
+                   "valid labels: o1#0, o2#0, o2#1, o2#2, o4#0\n")
     code, _, err = invoke(capsys, "factorizable", "dihedral:8",
                           '{"o1#0": 1}')
     assert code == 2 and err.startswith("error:validation:")
@@ -549,3 +580,54 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "factoreq.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    # one invocation of every subcommand and of every argparse exit path
+    commands = [
+        ["group", "cyclic:4"],
+        ["regconst", "elemab:2,2", "A", "--relation-index", "0", "--all"],
+        ["relations", "elemab:2,2", "--json"],
+        ["--help"],
+        ["regconst", "elemab:2,2", "A"],
+        ["relations", "elemab:3,2", "--bogus"],
+        ["bouc", "elemab:2,2", "--verify-span"],
+        [],
+        ["factorizable", "elemab:2,2", fixture("v4_order_values.json")],
+        ["regconst", "--help"],
+        ["check-units", fixture("v4_consistent.json")],
+        ["bk-check", fixture("v4_consistent.json"), "--json"],
+        ["index-check", "elemab:2,2", "Reg", "--scale", "3"],
+    ]
+    expected = [_fresh_process(argv) for argv in commands]
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *args, **kw:
+                        built.append(1) or init(self, *args, **kw))
+    cli._build_parser.cache_clear()
+    # each command twice, interleaved with all the others
+    order = list(range(len(commands)))
+    for step, index in enumerate(order + order[::-1]):
+        assert invoke(capsys, *commands[index]) == expected[index], \
+            commands[index]
+        if step == 0:
+            parser, once = cli._build_parser(), len(built)
+    assert once and len(built) == once
+    assert cli._build_parser() is parser
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", "from factoreq import cli; "
+         "print(cli._build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "0\n", done.stderr

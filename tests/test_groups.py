@@ -326,8 +326,12 @@ def test_class_metadata():
     # cyclicity flags
     assert all(c.is_cyclic for c in classes if c.order <= 2)
     assert not classes[-1].is_cyclic
-    with pytest.raises(ValidationError):
+    assert all(d8.class_by_label(c.label) is c for c in classes)
+    with pytest.raises(ValidationError) as exc:
         d8.class_by_label("o3#0")
+    assert str(exc.value) == (
+        "no subgroup class labelled 'o3#0' (valid: "
+        "o1#0, o2#0, o2#1, o2#2, o4#0, o4#1, o4#2, o8#0)")
 
 
 def test_normality_flags():

@@ -8,11 +8,12 @@ package computes both without any transform.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from factoreq import lattices, relations
+from factoreq import intmat, lattices, relations
 from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError
 from factoreq.intmat import (
@@ -20,6 +21,7 @@ from factoreq.intmat import (
     fraction_valuations,
     identity_matrix,
     is_positive_definite,
+    is_prime,
     kernel_basis,
     mat_mul,
     prime_factorization,
@@ -342,6 +344,31 @@ def test_sublattice_index_squared_is_the_gram_ratio(pair):
     index = sublattice_index(basis, sub)
     assert index > 0
     assert index ** 2 * gram_det(basis) == gram_det(sub)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == (n > 1 and all(n % d for d in
+                                             range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_numbers():
+    # strong pseudoprimes to base 2, to bases 2-7 and to bases 2-23
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(10000000000000061)
+    assert not is_prime(3 * 10000000000000061)
+    assert not is_prime(True) and not is_prime(7.0)
+
+
+def test_is_prime_confirms_by_trial_division_above_the_proven_bound(
+        monkeypatch):
+    # with base 2 alone, proven exact only below 2047, the strong
+    # pseudoprime 2047 = 23 * 89 must fall to trial division
+    monkeypatch.setattr(intmat, "_MILLER_RABIN_BASES", (2,))
+    monkeypatch.setattr(intmat, "_MILLER_RABIN_EXACT_BELOW", 2047)
+    assert not is_prime(2047)
+    assert is_prime(2053) and is_prime(2039)
 
 
 def test_prime_factorization_and_valuations():

@@ -18,7 +18,6 @@ from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
     Group,
     _commutators_in,
-    _is_prime,
     _normal_sections,
     cyclic_group,
     dihedral_group,
@@ -40,7 +39,8 @@ from factoreq.relations import (
     relation_span_basis,
     spans_match,
 )
-from factoreq.intmat import row_span_basis
+from factoreq.cli import parse_group_spec
+from factoreq.intmat import is_prime, row_span_basis
 
 
 def oracle_character(group, subgroup):
@@ -121,13 +121,18 @@ def test_class_arguments_are_checked_by_index(monkeypatch):
             relations._as_class(d8, other)
     with pytest.raises(ValidationError, match="does not name"):
         relations._as_class(d8, 1.5)
-    # one comparison, not a scan over the classes
+    # the group's own class passes on identity, an equal one from a second
+    # parse of the same spec on one comparison: never a scan over the classes
     calls = []
     eq = type(twin).__eq__
     monkeypatch.setattr(type(twin), "__eq__",
                         lambda a, b: calls.append(1) or eq(a, b))
     assert relations._as_class(d8, classes[-1]) is classes[-1]
-    assert len(calls) <= 1
+    assert not calls
+    reparsed = parse_group_spec("dihedral:8").subgroup_classes()[2]
+    assert reparsed is not classes[2]
+    assert relations._as_class(d8, reparsed) is reparsed
+    assert len(calls) == 1
 
 
 def test_broken_invariants_raise_internal_errors(monkeypatch):
@@ -340,7 +345,7 @@ class ElemAbelianP2:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
 
     def matches(self, quot: Group) -> bool:
@@ -354,7 +359,7 @@ class HeisenbergP3:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
+        if not is_prime(self.p) or self.p == 2:
             raise ValidationError(f"{self.p} is not an odd prime")
 
     def matches(self, quot: Group) -> bool:
