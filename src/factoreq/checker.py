@@ -71,14 +71,14 @@ class ArithmeticProfile:
             val = getattr(entry, name)
             if val is None:
                 continue
-            if not isinstance(val, int) or val < 1:
+            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ValidationError(
                     f"{name} on class {cls.label} must be a positive integer")
         if entry.regulator is not None:
             reg = Fraction(entry.regulator)
-            if reg <= 0:
-                raise ValidationError(
-                    f"regulator on class {cls.label} must be positive")
+            if isinstance(entry.regulator, bool) or reg <= 0:
+                raise ValidationError(f"regulator on class {cls.label} must "
+                                      f"be a positive rational")
             entry = ClassData(entry.h, entry.h_p, entry.w, entry.lam, reg)
         if entry.h_p is not None:
             if self.p is None:
@@ -179,20 +179,29 @@ def _product_verdict(profile: ArithmeticProfile, relations, base) -> Verdict:
     """Verdict on prod_H base(H)^{n_H} = 1, one residual per relation.
 
     ``base`` maps a subgroup class to a positive rational.  It is called
-    class by class in each relation's order, so missing data is reported
-    for the first class that lacks it.
+    once per class, on the class's first use in the relations' order, so
+    missing data is reported for the first class that lacks it.  Each
+    residual is multiplied out in integers and reduced once.
     """
     classes = profile.group.subgroup_classes()
+    bases = {}
     entries = []
     for theta in _own_relations(profile, relations):
-        residual = Fraction(1)
+        num = den = 1
         breakdown = []
         for idx, n_h in theta.coefficients:
             cls = classes[idx]
-            value = base(cls)
-            residual *= value ** n_h
+            value = bases.get(idx)
+            if value is None:
+                value = bases[idx] = base(cls)
+            if n_h > 0:
+                num *= value.numerator ** n_h
+                den *= value.denominator ** n_h
+            else:
+                num *= value.denominator ** -n_h
+                den *= value.numerator ** -n_h
             breakdown.append((cls.label, value, n_h))
-        entries.append((residual, tuple(breakdown)))
+        entries.append((Fraction(num, den), tuple(breakdown)))
     return _make_verdict(entries)
 
 

@@ -7,15 +7,18 @@ minors, so divisions are exact), and a rational matrix is cleared to
 integers by its common denominator first.  No floats ever.
 
 One elimination loop does all echelon work, and none of it carries a
-transform.  :func:`row_span_basis` runs it with the entries above each pivot
-reduced (the Hermite normal form).  :func:`kernel_basis` runs it without that
-reduction on the matrix with its columns reversed: the columns left without a
-pivot are the pivot columns of the kernel's Hermite normal form, and
-back-substitution gives one rational kernel vector for each.  When one of
-those vectors is not integral, a single saturation step (one more Hermite
-normal form, modulo the common denominator) picks the integral combinations.
-:func:`sublattice_index` compares two Hermite normal forms, which are
-canonical, pivot by pivot.
+transform.  A row operation subtracts a multiple of the pivot row, which is
+zero left of its pivot, so it touches only the pivot row's nonzero entries:
+on sparse rows (the Bouc generators of a span check) a handful of cells, not
+the whole row.  :func:`row_span_basis` runs the loop with the entries above
+each pivot reduced (the Hermite normal form).  :func:`kernel_basis` runs it
+without that reduction on the matrix with its columns reversed: the columns
+left without a pivot are the pivot columns of the kernel's Hermite normal
+form, and back-substitution gives one rational kernel vector for each.  When
+one of those vectors is not integral, a single saturation step (one more
+Hermite normal form, modulo the common denominator) picks the integral
+combinations.  :func:`sublattice_index` compares two Hermite normal forms,
+which are canonical, pivot by pivot.
 """
 
 from __future__ import annotations
@@ -66,12 +69,18 @@ def mat_mul(a, b):
 
 
 def _echelon_in_place(a, reduce):
-    """Bring the row list ``a`` to row echelon form over Z, in place.
+    """Bring the list of row lists ``a`` to row echelon form over Z, in place.
 
-    Rows are combined by unimodular gcd steps and each pivot is made
-    positive.  With ``reduce`` the entries above each pivot are reduced into
-    ``[0, pivot)`` as well, which gives the Hermite normal form.  Returns the
-    pivot column of each nonzero row; the zero rows end up at the bottom.
+    Column by column, the row with the least nonzero |entry| (the first
+    such) becomes the pivot row, every other live row (nonzero in that
+    column) has the pivot row subtracted q times, q the floor quotient of
+    their entries, and this repeats until only the pivot row is live; each
+    pivot is then made positive.  With ``reduce`` the entries above each
+    pivot are reduced into ``[0, pivot)`` as well, which gives the Hermite
+    normal form.  The pivot row is zero left of the pivot column, so a row
+    operation updates, in place, only the columns where the pivot row is
+    nonzero (listed once per pivot row).  Returns the pivot column of each
+    nonzero row; the zero rows end up at the bottom.
     """
     m = len(a)
     ncols = len(a[0]) if m else 0
@@ -80,34 +89,45 @@ def _echelon_in_place(a, reduce):
     for c in range(ncols):
         if r == m:
             break
-        # Kill all but one nonzero in column c at rows >= r via gcd steps.
+        live = [i for i in range(r, m) if a[i][c]]
+        if not live:
+            continue
+        # Kill all but one nonzero in column c at rows >= r via gcd steps;
+        # ``live`` lists, ascending, the rows >= r still nonzero there.
         while True:
-            live = [i for i in range(r, m) if a[i][c]]
-            if not live:
-                break
             piv = min(live, key=lambda i: abs(a[i][c]))
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-            done = True
-            for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c]:
-                        done = False
-            if done:
+            prow = a[r]
+            p = prow[c]
+            nonzeros = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+            rest = []
+            for i in live:
+                row = a[i]
+                if i == r or not row[c]:
+                    continue
+                q = row[c] // p
+                for j, y in nonzeros:
+                    row[j] -= q * y
+                if row[c]:
+                    rest.append(i)
+            if not rest:
                 break
-        if r < m and a[r][c]:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            if reduce:
-                for i in range(r):
-                    q = a[i][c] // a[r][c]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
+            live = [r, *rest]
+        if p < 0:
+            p = -p
+            nonzeros = [(j, -y) for j, y in nonzeros]
+            for j, y in nonzeros:
+                prow[j] = y
+        if reduce:
+            for i in range(r):
+                row = a[i]
+                q = row[c] // p
+                if q:
+                    for j, y in nonzeros:
+                        row[j] -= q * y
+        pivots.append(c)
+        r += 1
     return pivots
 
 

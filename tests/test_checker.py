@@ -85,6 +85,15 @@ def test_profile_rejects_bad_values():
         ArithmeticProfile(v4, {"o2#0": ClassData()}, p=6)
 
 
+@pytest.mark.parametrize("field", ["h", "h_p", "w", "lam", "regulator"])
+def test_profile_rejects_bools(field):
+    # isinstance(True, int) holds, so True must not pass for the integer 1
+    v4 = elementary_abelian_group(2, 2)
+    with pytest.raises(ValidationError,
+                       match=f"{field} on class o2#0 must be a positive"):
+        ArithmeticProfile(v4, {"o2#0": {field: True}}, p=2)
+
+
 def test_profile_accepts_mappings_and_class_keys():
     v4 = elementary_abelian_group(2, 2)
     cls = v4.subgroup_classes()[1]
@@ -371,6 +380,30 @@ def test_bouc_condition_mirrors_the_global_criterion():
         data[lab] = ClassData(h_p=3)
     patterned = bouc_condition_check(ArithmeticProfile(e9, data, p=3))
     assert patterned.overall and patterned.residuals == (Fraction(1),)
+
+
+def test_bouc_condition_evaluates_each_class_once(monkeypatch):
+    # each class's base is read once, on its first use in relation order,
+    # and every residual is still the product of its factors
+    d16 = dihedral_group(16)
+    classes = d16.subgroup_classes()
+    prof = ArithmeticProfile(d16, {cls.label: ClassData(h_p=2 ** (i % 3))
+                                   for i, cls in enumerate(classes)}, p=2)
+    rels = bouc_generators(d16, 2)
+    calls = []
+    h_p = prof.h_p
+    monkeypatch.setattr(prof, "h_p",
+                        lambda cls: calls.append(cls.index) or h_p(cls))
+    verdict = bouc_condition_check(prof, rels)
+    first_uses = [idx for theta in rels for idx, _ in theta.coefficients]
+    assert calls == list(dict.fromkeys(first_uses))
+    assert len(calls) < len(first_uses)
+    for theta, residual in zip(rels, verdict.residuals):
+        product = Fraction(1)
+        for idx, n_h in theta.coefficients:
+            product *= Fraction(2 ** (idx % 3) * classes[idx].order) ** n_h
+        assert residual == product
+    assert not verdict.overall
 
 
 def test_bouc_condition_validates_the_group():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -493,7 +494,7 @@ def test_bouc_check_takes_its_prime_from_the_profile(capsys, tmp_path):
     code, _, err = invoke(capsys, "bouc", "--check", str(c6), "--p", "2")
     assert code == 2 and err.startswith("error:parse:")
     e9 = tmp_path / "e9.json"
-    data = json.loads(open(fixture("elemab32_good.json")).read())
+    data = json.loads(Path(fixture("elemab32_good.json")).read_text())
     del data["p"]
     for cls in data["classes"]:
         del cls["h_p"]

@@ -4,7 +4,9 @@ Determinants are checked against naive Laplace expansion, kernels against
 brute-force enumeration over a small box, and normal forms against their
 defining properties (canonical shape).  The transform-carrying Hermite
 normal form and the two-HNF kernel it feeds live here as oracles: the
-package computes both without any transform.
+package computes both without any transform.  So does an elimination loop
+that rebuilds each combined row whole, which the package's in-place sparse
+row operations must follow step for step.
 """
 
 from fractions import Fraction
@@ -79,6 +81,65 @@ def oracle_kernel_basis(mat):
     null_rows = tuple(u[i] for i in range(len(h)) if not any(h[i]))
     basis, _ = hermite_normal_form(null_rows)
     return tuple(row for row in basis if any(row))
+
+
+def oracle_echelon_in_place(a, reduce):
+    """Oracle: the echelon loop that rebuilds each combined row whole.
+
+    Same column sweep, pivot choice and sign rule as
+    ``intmat._echelon_in_place``, so both leave the same matrix behind.
+    """
+    m = len(a)
+    ncols = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            live = [i for i in range(r, m) if a[i][c]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(a[i][c]))
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    if a[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            if reduce:
+                for i in range(r):
+                    q = a[i][c] // a[r][c]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            pivots.append(c)
+            r += 1
+    return pivots
+
+
+def assert_echelon_matches_the_oracle(rows):
+    """Same pivots and matrix as the oracle loop, with and without
+    reduction; so the same span basis, and the same kernel (saturation
+    included) as with the oracle patched in."""
+    for reduce in (False, True):
+        fast, slow = [list(row) for row in rows], [list(row) for row in rows]
+        assert (intmat._echelon_in_place(fast, reduce), fast) == (
+            oracle_echelon_in_place(slow, reduce), slow)
+    assert row_span_basis(rows) == tuple(tuple(row) for row in slow
+                                         if any(row))
+    kernel = kernel_basis(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intmat, "_echelon_in_place", oracle_echelon_in_place)
+        assert kernel_basis(rows) == kernel
 
 
 def laplace_det(rows):
@@ -172,6 +233,25 @@ def test_row_span_basis_matches_transform_carrying_hnf(mat):
     assert row_span_basis(mat) == tuple(row for row in h if any(row))
 
 
+@st.composite
+def echelon_inputs(draw):
+    """Dense to sparse matrices with negative entries, zero rows and
+    repeated rows, in any order."""
+    n = draw(st.integers(1, 8))
+    zeros = draw(st.sampled_from((0, 2, 8)))
+    entries = st.sampled_from((0,) * zeros + tuple(range(-9, 10)))
+    rows = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=10))
+    extra = draw(st.lists(st.just((0,) * n) | st.sampled_from(rows),
+                          max_size=4))
+    return tuple(draw(st.permutations(rows + extra)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_echelon_matches_the_whole_row_oracle(rows):
+    assert_echelon_matches_the_oracle(rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_rows=3, max_cols=3, entries=st.integers(-3, 3)))
 def test_kernel_annihilates_and_saturates(mat):
@@ -233,6 +313,23 @@ CENSUS_LATTICES = (
     ("elemab:2,4", "Sum(A,I,Reg^2)"), ("heisenberg:3", "Coset(o3#1)^8"),
     ("dihedral:16", "Reg^4"), ("heisenberg:3", "Sum(A,I)"),
 )
+
+
+# the p-groups among them, whose Bouc generators the span check eliminates
+CENSUS_P_GROUPS = tuple(spec for spec in CENSUS_GROUPS if spec not in (
+    "cyclic:12", "dihedral:12", "dihedral:24", "perm:[(0,1,2,3),(0,1)]",
+    "perm:[(0,1,2,3,4),(0,1)]"))
+
+
+@pytest.mark.parametrize("spec", CENSUS_P_GROUPS)
+def test_echelon_of_bouc_generators_matches_the_oracle(spec):
+    # the rows of the span check: in generation order (with repeats) and
+    # sorted and distinct, as relation_span_basis feeds them
+    group = parse_group_spec(spec)
+    (p,) = prime_factorization(group.order)
+    rows = [rel.as_vector() for rel in relations.bouc_generators(group, p)]
+    assert_echelon_matches_the_oracle(tuple(rows))
+    assert_echelon_matches_the_oracle(tuple(sorted(set(rows))))
 
 
 @pytest.mark.parametrize("spec", CENSUS_GROUPS)
