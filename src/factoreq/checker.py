@@ -19,7 +19,13 @@ from fractions import Fraction
 
 from .errors import DataError, ValidationError
 from .groups import Group
-from .intmat import fraction_valuations, is_prime, valuation
+from .intmat import (
+    fraction_valuations,
+    is_prime,
+    power_product,
+    reassembles,
+    valuation,
+)
 from .lattices import GLattice, RegulatorValue, regulator_constant
 from .relations import GRelation, _as_class, bouc_generators
 
@@ -75,8 +81,9 @@ class ArithmeticProfile:
                 raise ValidationError(
                     f"{name} on class {cls.label} must be a positive integer")
         if entry.regulator is not None:
-            reg = Fraction(entry.regulator)
-            if isinstance(entry.regulator, bool) or reg <= 0:
+            # a float is refused, not expanded: 0.1 is not 1/10 in binary
+            if isinstance(entry.regulator, (bool, float)) or (
+                    reg := Fraction(entry.regulator)) <= 0:
                 raise ValidationError(f"regulator on class {cls.label} must "
                                       f"be a positive rational")
             entry = ClassData(entry.h, entry.h_p, entry.w, entry.lam, reg)
@@ -138,7 +145,8 @@ class Verdict:
     """One exact residual per relation; overall true iff all equal 1.
 
     ``explanations[i]`` decomposes ``residuals[i]`` into (label, base,
-    exponent) factors whose product reassembles the residual exactly.
+    exponent) factors, with int or Fraction bases, whose product
+    reassembles the residual exactly.
     """
 
     residuals: tuple
@@ -153,10 +161,8 @@ class Verdict:
         for residual, breakdown in zip(self.residuals, self.explanations):
             if residual <= 0:
                 raise ValidationError("residuals are positive rationals")
-            check = Fraction(1)
-            for _, base, exponent in breakdown:
-                check *= Fraction(base) ** exponent
-            if check != residual:
+            if not reassembles(residual, ((base, exponent)
+                                          for _, base, exponent in breakdown)):
                 raise ValidationError("breakdown does not reassemble the "
                                       "residual")
 
@@ -187,20 +193,14 @@ def _product_verdict(profile: ArithmeticProfile, relations, base) -> Verdict:
     bases = {}
     entries = []
     for theta in _own_relations(profile, relations):
-        num = den = 1
         breakdown = []
         for idx, n_h in theta.coefficients:
             cls = classes[idx]
             value = bases.get(idx)
             if value is None:
                 value = bases[idx] = base(cls)
-            if n_h > 0:
-                num *= value.numerator ** n_h
-                den *= value.denominator ** n_h
-            else:
-                num *= value.denominator ** -n_h
-                den *= value.numerator ** -n_h
             breakdown.append((cls.label, value, n_h))
+        num, den = power_product((b, n) for _, b, n in breakdown)
         entries.append((Fraction(num, den), tuple(breakdown)))
     return _make_verdict(entries)
 

@@ -469,6 +469,62 @@ def _load_value_table(arg: str):
 # -- reports -------------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, out: list, newline: str) -> None:
+    """Append ``obj`` to ``out`` exactly as ``json.dumps(obj, indent=2)``.
+
+    ``newline`` is a line break plus the indent of the line ``obj`` starts
+    on.  Types are tested in the stdlib's order: str (by the stdlib's own
+    C quoting), None, bool, int, then lists, tuples and dicts with str
+    keys.  Anything else, a float or a Fraction included, raises
+    TypeError: reports hold no floats.  The stdlib runs its C encoder
+    only without ``indent``; with it, its generator per container cost
+    more than twice this writer's time.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        separator = "," + inner
+        for item in obj:
+            out.append(head)
+            head = separator
+            _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        separator = "," + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            out.append(head + _quote(key) + ": ")
+            head = separator
+            _write_json(value, out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        f"serializable")
+
+
 @dataclass
 class Report:
     """Structured command output, rendered as text lines or as JSON."""
@@ -478,14 +534,21 @@ class Report:
     lines: tuple
 
     def render(self, as_json: bool) -> str:
+        """The text lines, or ``{"command": ..., **payload}`` as JSON.
+
+        The JSON is byte for byte ``json.dumps(..., indent=2)`` plus a
+        newline, written by :func:`_write_json`, which refuses floats.
+        """
         if as_json:
-            return json.dumps({"command": self.command, **self.payload},
-                              indent=2) + "\n"
+            out = []
+            _write_json({"command": self.command, **self.payload}, out, "\n")
+            out.append("\n")
+            return "".join(out)
         return "\n".join(self.lines) + "\n"
 
 
 def _frs(value) -> str:
-    value = Fraction(value)
+    """An int or Fraction as ``"num/den"``."""
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -899,6 +962,7 @@ def run(argv) -> int:
         return 2
     try:
         code, report = args.handler(args)
+        text = report.render(args.json)
     except FactoreqError as exc:
         print(f"error:{exc.category}:{_single_line(exc)}", file=sys.stderr)
         return 2
@@ -906,7 +970,7 @@ def run(argv) -> int:
         print(f"error:internal:{type(exc).__name__}: {_single_line(exc)}",
               file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(args.json))
+    sys.stdout.write(text)
     return code
 
 

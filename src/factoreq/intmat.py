@@ -400,3 +400,32 @@ def fraction_valuations(x: Fraction) -> dict[int, int]:
     for p, e in prime_factorization(x.denominator).items():
         vals[p] = vals.get(p, 0) - e
     return {p: e for p, e in sorted(vals.items()) if e}
+
+
+def power_product(factors) -> tuple[int, int]:
+    """Integers (num, den) with num/den = prod base**exponent, unreduced.
+
+    ``factors`` yields (base, exponent) pairs; each base is an int or a
+    Fraction.  Its numerator and denominator are raised apart, swapped for
+    a negative exponent, so no gcd is taken.  ``den`` is 0 when a zero base
+    has a negative exponent, and may be negative for a negative base.
+    """
+    num = den = 1
+    for base, exponent in factors:
+        if exponent >= 0:
+            num *= base.numerator ** exponent
+            den *= base.denominator ** exponent
+        else:
+            num *= base.denominator ** -exponent
+            den *= base.numerator ** -exponent
+    return num, den
+
+
+def reassembles(value, factors) -> bool:
+    """Whether prod base**exponent over ``factors`` equals ``value`` exactly.
+
+    One cross-multiplication of :func:`power_product`'s integers against
+    the int or Fraction ``value``.
+    """
+    num, den = power_product(factors)
+    return den != 0 and num * value.denominator == value.numerator * den

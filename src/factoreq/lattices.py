@@ -51,6 +51,7 @@ from .intmat import (
     is_positive_definite,
     kernel_basis,
     mat_mul,
+    reassembles,
     sublattice_index,
     transpose,
 )
@@ -218,10 +219,7 @@ class RegulatorValue:
     def __post_init__(self):
         if self.value <= 0:
             raise ValidationError("regulator constants are positive")
-        check = Fraction(1)
-        for p, e in self.valuations.items():
-            check *= Fraction(p) ** e
-        if check != self.value:
+        if not reassembles(self.value, self.valuations.items()):
             raise ValidationError("valuations do not reassemble the value")
 
     def valuation(self, p: int) -> int:

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factoreq.checker import (
     ArithmeticProfile,
@@ -31,6 +32,7 @@ from factoreq.groups import (
     heisenberg_group,
 )
 from factoreq.lattices import (
+    RegulatorValue,
     augmentation_lattice,
     cyclic_quotient_lattice,
     direct_sum,
@@ -83,6 +85,17 @@ def test_profile_rejects_bad_values():
         ArithmeticProfile(v4, {"o1#0": ClassData(lam=2)})
     with pytest.raises(ValidationError):
         ArithmeticProfile(v4, {"o2#0": ClassData()}, p=6)
+
+
+@pytest.mark.parametrize("regulator", [0.1, 2.0, float("nan")])
+def test_profile_refuses_float_regulators(regulator):
+    # 0.1 would be taken as 3602879701896397/36028797018963968
+    v4 = elementary_abelian_group(2, 2)
+    with pytest.raises(ValidationError, match="regulator on class o2#0 "
+                                              "must be a positive rational"):
+        ArithmeticProfile(v4, {"o2#0": {"regulator": regulator}})
+    assert ArithmeticProfile(v4, {"o2#0": {"regulator": Fraction(1, 10)}}
+                             ).regulator("o2#0") == Fraction(1, 10)
 
 
 @pytest.mark.parametrize("field", ["h", "h_p", "w", "lam", "regulator"])
@@ -141,6 +154,81 @@ def test_verdict_invariants():
         Verdict((Fraction(1),), True, ())
     v = Verdict((Fraction(1),), True, ((("x", Fraction(1), 1),),))
     assert v.overall
+
+
+def reassembles_by_fractions(value, factors):
+    """The reassembly check as first written: one Fraction per factor."""
+    check = Fraction(1)
+    for base, exponent in factors:
+        check *= Fraction(base) ** exponent
+    return check == value
+
+
+def reassembled(factors):
+    out = Fraction(1)
+    for base, exponent in factors:
+        out *= Fraction(base) ** exponent
+    return out
+
+
+_bases = (st.integers(-12, 12).filter(bool)
+          | st.fractions(max_denominator=12).filter(bool))
+_factors = st.lists(st.tuples(_bases, st.integers(-4, 4)), max_size=6)
+_scales = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3),
+                           Fraction(5, 7), Fraction(-1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factors, _scales)
+def test_verdict_reassembly_agrees_with_the_fraction_loop(factors, scale):
+    residual = abs(reassembled(factors)) * scale
+    if residual <= 0:
+        return
+    breakdown = tuple(("x", base, exponent) for base, exponent in factors)
+    try:
+        Verdict((residual,), residual == 1, (breakdown,))
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == reassembles_by_fractions(residual, factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]),
+                       st.integers(-5, 5), max_size=4), _scales)
+def test_regulator_value_reassembly_agrees_with_the_fraction_loop(
+        valuations, scale):
+    value = reassembled(valuations.items()) * abs(scale)
+    try:
+        RegulatorValue(value, valuations)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == reassembles_by_fractions(value, valuations.items())
+
+
+def test_reassembly_off_by_one_prime_factor_is_refused():
+    e9 = elementary_abelian_group(3, 2)
+    verdict = minkowski_factor_check(
+        uniform_profile(e9, ClassData(h=1, w=2, lam=1)), relation_basis(e9))
+    (residual,), (breakdown,) = verdict.residuals, verdict.explanations
+    Verdict((residual,), False, (breakdown,))
+    for p in (2, 3, 5):
+        for off in (residual * p, residual / p):
+            with pytest.raises(ValidationError, match="reassemble"):
+                Verdict((off,), off == 1, (breakdown,))
+        with pytest.raises(ValidationError, match="reassemble"):
+            Verdict((residual,), False, (breakdown + (("x", p, 1),),))
+    RegulatorValue(Fraction(12, 5), {2: 2, 3: 1, 5: -1})
+    for valuations in ({2: 2, 3: 1}, {2: 2, 3: 1, 5: -2},
+                       {2: 1, 3: 1, 5: -1}, {2: 2, 3: 1, 5: -1, 7: 1}):
+        with pytest.raises(ValidationError, match="reassemble"):
+            RegulatorValue(Fraction(12, 5), valuations)
+    # int bases are read as they are, with no Fraction around them
+    Verdict((Fraction(4, 9),), False, ((("x", 2, 2), ("y", 3, -2)),))
+    # 0 * 0^-1 is no rational, though both cross-products are 0
+    with pytest.raises(ValidationError, match="reassemble"):
+        Verdict((Fraction(3),), False, ((("x", 0, 1), ("y", 0, -1)),))
 
 
 # -- the global criterion ------------------------------------------------------

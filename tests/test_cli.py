@@ -8,6 +8,7 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factoreq import cli
 from factoreq.checker import ArithmeticProfile
@@ -31,7 +33,8 @@ from factoreq.lattices import direct_sum, tower_lattice
 from factoreq.relations import relation_basis
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def fixture(name):
@@ -345,6 +348,122 @@ def test_json_output_deterministic(capsys):
     first = invoke(capsys, "regconst", "dihedral:8", "Sum(A,Reg)", "--json")
     second = invoke(capsys, "regconst", "dihedral:8", "Sum(A,Reg)", "--json")
     assert first == second
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+
+def written(obj):
+    out = []
+    cli._write_json(obj, out, "\n")
+    return "".join(out)
+
+
+_text = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\/\x00\x07\x1f\x7f\n\té€'
+                                  '\U0001f600\U0010fc00\ud800\udfff'))
+_ints = st.integers() | st.sampled_from([2 ** 64, -2 ** 64 - 1, 2 ** 200,
+                                         -(3 ** 90), 0, -1])
+_trees = st.recursive(
+    st.none() | st.booleans() | _ints | _text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_writer_matches_json_dumps_indent_2(obj):
+    assert written(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_on_empty_and_deeply_nested_containers():
+    deep = "leaf"
+    for depth in range(150):
+        deep = [deep, {}] if depth % 2 else {"k": deep, "e": [], "t": ()}
+    for obj in ([], {}, (), [[]], {"": {}}, [(), [[], {}]], deep, "x", 7,
+                None, True, False):
+        assert written(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {1: "x"},
+                                 [{"a": [0.0]}], {"a": {None: 1}}, {1, 2}])
+def test_writer_refuses_floats_fractions_and_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "dihedral:8"],
+    ["relations", "elemab:3,2"],
+    ["regconst", "dihedral:8", "Sum(A,Reg)"],
+    ["bouc", "heisenberg:3", "--verify-span"],
+    ["bouc", "--check", fixture("elemab32_good.json")],
+    ["factorizable", "elemab:2,2", fixture("v4_order_values.json")],
+    ["check-units", fixture("elemab32_bad.json")],
+    ["check-units", fixture("elemab32_good.json"), "--p-part",
+     "--candidate", "tower:2"],
+    ["bk-check", fixture("v4_perturbed.json")],
+    ["index-check", "heisenberg:3", "Sum(A,I)", "--scale", "3"],
+])
+def test_every_subcommand_prints_json_dumps_indent_2(capsys, argv):
+    args = cli._build_parser().parse_args([*argv, "--json"])
+    code, report = args.handler(args)
+    expected = json.dumps({"command": report.command, **report.payload},
+                          indent=2) + "\n"
+    assert invoke(capsys, *argv, "--json") == (code, expected, "")
+
+
+def test_a_render_failure_is_an_internal_error(capsys, monkeypatch):
+    def handler(args):
+        return 0, cli.Report("group", {"order": Fraction(1, 2)}, ("ok",))
+
+    monkeypatch.setattr(cli, "_cmd_group", handler)
+    cli._build_parser.cache_clear()
+    try:
+        code, out, err = invoke(capsys, "group", "cyclic:2", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:internal:TypeError: ")
+        assert err.count("\n") == 1
+        # the text report of the same handler still renders
+        assert invoke(capsys, "group", "cyclic:2") == (0, "ok\n", "")
+    finally:
+        cli._build_parser.cache_clear()  # rebuilt with the real handler
+
+
+def readme_examples():
+    """(argv, output lines shown) for each ``$ factoreq`` console example.
+
+    The output shown runs to the next blank line or code fence.
+    """
+    text = Path(ROOT, "README.md").read_text(encoding="utf-8")
+    examples, shown = [], None
+    for line in text.splitlines():
+        if line.startswith("$ factoreq "):
+            shown = []
+            examples.append((shlex.split(line)[2:], shown))
+        elif shown is not None and line and not line.startswith("```"):
+            shown.append(line)
+        else:
+            shown = None
+    return examples
+
+
+def test_readme_console_examples(capsys, monkeypatch):
+    examples = readme_examples()
+    assert len(examples) == 5
+    monkeypatch.chdir(ROOT)
+    for argv, shown in examples:
+        code, out, err = invoke(capsys, *argv)
+        assert code in (0, 1) and err == "", argv
+        got = out.splitlines()
+        marks = [line.strip() for line in shown]
+        if "..." in marks:  # a line "..." ends what is compared
+            stop = marks.index("...")
+            assert got[:stop] == shown[:stop] and len(got) > stop, argv
+        else:
+            assert got == shown, argv
 
 
 def test_check_units_exit_codes(capsys):
