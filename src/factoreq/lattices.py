@@ -22,9 +22,9 @@ The five named atoms take closed forms (Dokchitser & Dokchitser,
                                |K n gHg^-1|)^{-n_K}
 
 The last holds because the K-orbit sums of G/H are an orthogonal basis of
-the K-fixed part.  Each named atom passes its homomorphism check, on sparse
-rows, when it is built; the check covers unimodularity as well, so a named
-atom needs no determinant.
+the K-fixed part.  A closed form reads no matrix; before any other read,
+each distinct atom runs its homomorphism check once, on sparse rows.  The
+check covers unimodularity as well, so a named atom needs no determinant.
 
 The Gram route remains for lattices with no kind (inflations,
 restrictions and lattices built from matrices), for user-supplied
@@ -33,27 +33,31 @@ under the integer averaged pairing sum_g rho(g)^T rho(g), or under a user
 pairing cleared to an integer matrix by the lcm of its denominators; each
 Gram determinant is an integer Bareiss determinant, divided once by its
 scale.  Index comparisons need the fixed sublattices of the whole
-lattices, so they evaluate both constants there; each index is a ratio of
-Hermite pivots (:func:`~factoreq.intmat.sublattice_index`).
+lattices; a direct sum's is assembled block-diagonally from its atoms',
+since (M + N)^H = M^H + N^H.  Each index is a ratio of Hermite pivots
+(:func:`~factoreq.intmat.sublattice_index`).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .errors import FactoreqError, ValidationError
 from .groups import Group, _greedy_generators
 from .intmat import (
     bareiss_determinant,
-    fraction_valuations,
     identity_matrix,
     is_positive_definite,
     kernel_basis,
     mat_mul,
+    prime_factorization,
     reassembles,
+    row_span_basis,
     sublattice_index,
     transpose,
+    valuation,
 )
 from .relations import GRelation, _as_class
 
@@ -67,16 +71,16 @@ class GLattice:
     rho(s)rho(x) = rho(sx) for every generator s and element x, which
     extends inductively to the full homomorphism law.  Since rho(1) is the
     identity, the pass also verifies rho(s)rho(s^-1) = 1: each generator
-    has an integer inverse, so it is unimodular.  The named constructors
-    run the pass when they build an atom and compute no determinant; a
-    lattice built from matrices is checked for unimodularity when built and
-    runs the pass on first use.
+    has an integer inverse, so it is unimodular.  Each atom runs the pass
+    just before its matrices are first read, never for a closed form; a
+    named atom computes no determinant, and a lattice built from matrices
+    is checked for unimodularity when built.
 
     ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
-    pairs; a lattice not built by :func:`direct_sum` is its own atom.  An
-    atom built by one of the standard constructors records its kind, a
-    (name, class index or None) pair, and takes its regulator constant
-    from a closed form.
+    pairs, and ``_blocks`` the atom of each diagonal block in order; a
+    lattice not built by :func:`direct_sum` is its own atom.  An atom built
+    by one of the standard constructors records its kind, a (name, class
+    index or None) pair, and takes its regulator constant from a closed form.
     """
 
     def __init__(self, group: Group, actions, label: str = ""):
@@ -94,14 +98,15 @@ class GLattice:
             if rank and abs(bareiss_determinant(m)) != 1:
                 raise ValidationError("action matrices must be unimodular")
         self._setup(group, mats, rank, label or f"lattice(rank {rank})",
-                    ((self, 1),))
+                    (self,))
 
-    def _setup(self, group, mats, rank, label, summands):
+    def _setup(self, group, mats, rank, label, blocks):
         self.group = group
         self.rank = rank
         self.actions = mats
         self.label = label
-        self.summands = summands
+        self._blocks = blocks
+        self.summands = tuple(Counter(blocks).items())
         self._kind = None
         self._rows = None
         self._materialized = None
@@ -117,12 +122,18 @@ class GLattice:
         """rho(x) for every element x as sparse rows, verified once.
 
         A row is a tuple of (column, value) pairs in column order, so equal
-        rows are equal tuples.
+        rows are equal tuples.  A direct sum checks its atoms and shifts
+        their rows into place.
         """
+        if self._rows is None and self._blocks != (self,):
+            ends = tuple(accumulate(a.rank for a in self._checked()._blocks))
+            self._rows = tuple(tuple(
+                tuple((j + end - atom.rank, v) for j, v in row)
+                for atom, end in zip(self._blocks, ends)
+                for row in atom._rows[x]) for x in range(self.group.order))
         if self._rows is None:
             grp = self.group
-            gens = [tuple(tuple((j, x) for j, x in enumerate(row) if x)
-                          for row in m) for m in self.actions]
+            gens = [_sparse(m) for m in self.actions]
             rows: list = [None] * grp.order
             rows[0] = tuple(((i, 1),) for i in range(self.rank))
             # each (generator s, element x) pair either defines rho(sx) or
@@ -148,6 +159,17 @@ class GLattice:
             self._materialized = tuple(_dense(rows, self.rank)
                                        for rows in self._verified_rows())
         return self._materialized
+
+    def _checked(self) -> "GLattice":
+        """Run the homomorphism check on every distinct atom, once."""
+        for atom, _ in self.summands:
+            atom._verified_rows()
+        return self
+
+
+def _sparse(m) -> tuple:
+    """The sparse rows of a dense matrix."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
 
 
 def _sparse_product(gen, rows) -> tuple:
@@ -233,15 +255,14 @@ class RegulatorValue:
 
 
 def _named_atom(group: Group, actions: tuple, label: str, kind) -> GLattice:
-    """Build a named atom and run its homomorphism check at once.
+    """Build a named atom, whose matrices are checked on first read.
 
     The check compares rho(s)rho(s^-1) with rho(1) = 1, so every generator
     has an integer inverse and |det| = 1 without a determinant.
     """
     lat = GLattice.__new__(GLattice)
     lat._setup(group, actions, len(actions[0]) if actions else 0, label,
-               ((lat, 1),))
-    lat._verified_rows()
+               (lat,))
     lat._kind = kind
     return lat
 
@@ -327,11 +348,10 @@ def augmentation_lattice(group: Group) -> GLattice:
 def direct_sum(*parts: GLattice) -> GLattice:
     """Block-diagonal sum of lattices over the same group.
 
-    The label nests to the left, ``Sum(Sum(a,b),c)``.  The blocks were
-    checked for unimodularity when their lattices were built and a
-    block-diagonal determinant is the product of the block determinants, so
-    that check does not run again; the sum runs its homomorphism check on
-    first use.  The summands of the parts are merged by atom.
+    The label nests to the left, ``Sum(Sum(a,b),c)``.  A block-diagonal
+    determinant is the product of the block determinants, so no determinant
+    runs again, and the homomorphism check runs atom by atom on first read.
+    The summands of the parts are merged by atom.
     """
     if not parts:
         raise ValidationError("a direct sum needs at least one summand")
@@ -340,10 +360,6 @@ def direct_sum(*parts: GLattice) -> GLattice:
         raise ValidationError("direct summands must share their group")
     if len(parts) == 1:
         return parts[0]
-    counts: dict[int, list] = {}
-    for part in parts:
-        for atom, k in part.summands:
-            counts.setdefault(id(atom), [atom, 0])[1] += k
     total = sum(part.rank for part in parts)
     actions = []
     for gi in range(len(group.generators)):
@@ -359,7 +375,7 @@ def direct_sum(*parts: GLattice) -> GLattice:
         label = f"Sum({label},{part.label})"
     out = GLattice.__new__(GLattice)
     out._setup(group, tuple(actions), total, label,
-               tuple((atom, k) for atom, k in counts.values()))
+               tuple(atom for part in parts for atom in part._blocks))
     return out
 
 
@@ -433,10 +449,17 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
     """Basis (as columns) of the sublattice fixed by a subgroup class.
 
     The kernel of the stacked maps rho(h) - id over a generating set of the
-    class representative; integer kernels are saturated, and the column
-    form is the canonical one induced by the row normal form.
+    class representative, taken atom by atom: a sum's basis is block-diagonal.
+    Integer kernels are saturated, and the column form is the canonical one
+    induced by the row normal form, for a sum too.
     """
     cls = _as_class(lat.group, subgroup_class)
+    if cls.index not in lat._fixed and lat._blocks != (lat,):
+        parts = [fixed_sublattice(a, cls) for a in lat._checked()._blocks]
+        dims = [len(part[0]) if part else 0 for part in parts]
+        lat._fixed[cls.index] = tuple(
+            (0,) * sum(dims[:b]) + row + (0,) * sum(dims[b + 1:])
+            for b, part in enumerate(parts) for row in part)
     if cls.index not in lat._fixed:
         gens = _greedy_generators(lat.group, cls.representative)
         if not gens:
@@ -502,8 +525,8 @@ def _closed_constant(atom: GLattice, theta: GRelation) -> Fraction:
 
     The factor of a class K is 1/|K| for Z and I, |K| for A, 1 for Reg, and
     for Z[G/H] the product of (K-orbit size)/|K| = 1/|K n xHx^-1| over the
-    K-orbits on the cosets xH.  The atom passed its homomorphism check when
-    it was built (:func:`_named_atom`).
+    K-orbits on the cosets xH.  The value depends on the atom's kind and
+    group alone, so no matrix is read and no homomorphism check runs.
     """
     group = atom.group
     classes = group.subgroup_classes()
@@ -545,7 +568,8 @@ def regulator_constant(lat: GLattice, theta: GRelation,
     constants: a named atom takes its closed form, any other atom its
     averaged pairing (per-class determinants are cached on the atom).  A
     supplied pairing must be symmetric positive definite and invariant
-    under the action, and is used on the whole lattice.
+    under the action, and is used on the whole lattice.  C_Theta is a
+    p-adic unit for p not dividing |G|; any such prime factor raises.
     """
     if theta.group is not lat.group:
         raise ValidationError("relation and lattice live on different groups")
@@ -555,14 +579,18 @@ def regulator_constant(lat: GLattice, theta: GRelation,
             route = _whole_constant if atom._kind is None else _closed_constant
             value *= route(atom, theta) ** k
     else:
-        _check_invariance(lat, pairing)
+        _check_invariance(lat._checked(), pairing)
         den = lcm(*(x.denominator for row in pairing.matrix for x in row))
         form = tuple(tuple(int(x * den) for x in row)
                      for row in pairing.matrix)
         classes = lat.group.subgroup_classes()
         for idx, n_h in theta.coefficients:
             value *= _scaled_gram_det(lat, classes[idx], form, den) ** n_h
-    return RegulatorValue(value, fraction_valuations(value))
+    primes = prime_factorization(lat.group.order)
+    valuations = {p: v for p in primes if (v := valuation(value, p))}
+    if not reassembles(value, valuations.items()):
+        raise FactoreqError(f"{value} has a prime factor not dividing |G|")
+    return RegulatorValue(value, valuations)
 
 
 def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
@@ -587,10 +615,12 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
             f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
     known = m_lat._embeddings.get((n_lat, mat))
     if known is None:
-        if m_lat.rank and bareiss_determinant(mat) == 0:
+        if len(row_span_basis(mat)) < m_lat.rank:
             raise ValidationError("embedding must be injective")
-        for ma, mb in zip(m_lat.actions, n_lat.actions):
-            if mat_mul(mb, mat) != mat_mul(mat, ma):
+        sparse = _sparse(mat)
+        for ma, mb in zip(m_lat._checked().actions, n_lat._checked().actions):
+            if (_sparse_product(_sparse(mb), sparse)
+                    != _sparse_product(sparse, _sparse(ma))):
                 raise ValidationError("embedding is not equivariant")
         known = m_lat._embeddings[(n_lat, mat)] = {}
     classes = m_lat.group.subgroup_classes()

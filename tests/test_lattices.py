@@ -34,6 +34,7 @@ from factoreq.groups import (
 )
 from factoreq.intmat import (
     bareiss_determinant,
+    fraction_valuations,
     identity_matrix,
     mat_mul,
     row_span_basis,
@@ -328,11 +329,14 @@ def test_named_atoms_need_no_determinant_or_kernel(monkeypatch):
     monkeypatch.setattr(lattices, "kernel_basis", forbidden)
     for theta in relation_basis(g):
         assert regulator_constant(lat, theta).value > 0
-    # each atom ran its homomorphism check (when it was built)
-    assert all(atom._rows is not None for atom, _ in lat.summands)
+    # a closed form reads no matrix, so no atom (nor the sum) built its rows
+    assert all(atom._rows is None for atom, _ in lat.summands)
+    assert lat._rows is None
 
 
 def test_named_constructors_need_no_determinant_or_product(monkeypatch):
+    # every named constructor passes the homomorphism check, which runs on
+    # the first read of its matrices
     def forbidden(*args):
         raise AssertionError("a named constructor ran a dense check")
 
@@ -341,20 +345,73 @@ def test_named_constructors_need_no_determinant_or_product(monkeypatch):
     for name in sorted(CENSUS):
         g = CENSUS[name]()
         for atom in named_atoms(g):
-            assert atom._rows is not None, (name, atom.label)
+            assert atom._rows is None, (name, atom.label)
             assert len(atom.materialized()) == g.order
+            assert atom._rows is not None, (name, atom.label)
 
 
-def test_named_build_path_rejects_bad_actions_when_built():
-    # C2 acting by 2: rho(s) rho(s^-1) = 4 is not rho(1) = 1, which is how
-    # the sparse check covers unimodularity
-    with pytest.raises(ValidationError, match="multiplication table"):
-        lattices._named_atom(cyclic_group(2), (((2,),),), "Z", ("Z", None))
-    # two involutions of V4 that do not commute
-    v4 = elementary_abelian_group(2, 2)
-    with pytest.raises(ValidationError, match="multiplication table"):
-        lattices._named_atom(v4, (((0, 1), (1, 0)), ((-1, 0), (0, 1))), "A",
-                             ("A", None))
+def bad_atoms():
+    """Named atoms with actions that are no homomorphism, and a relation on
+    each group: C2 acting by 2 (rho(s) rho(s^-1) = 4 is not rho(1) = 1,
+    which is how the sparse check covers unimodularity), and two
+    involutions of V4 that do not commute."""
+    c2, v4 = cyclic_group(2), elementary_abelian_group(2, 2)
+    return [(lattices._named_atom(c2, (((2,),),), "Z", ("Z", None)),
+             GRelation(c2, ())),
+            (lattices._named_atom(v4, (((0, 1), (1, 0)), ((-1, 0), (0, 1))),
+                                  "A", ("A", None)), relation_basis(v4)[0])]
+
+
+def test_named_build_path_rejects_bad_actions_on_first_use():
+    for build, theta in bad_atoms():
+        g, rank = build.group, build.rank
+        top = g.subgroup_classes()[-1]
+        uses = (lambda lat: lat.materialized(),
+                lambda lat: fixed_sublattice(lat, top),
+                lambda lat: index_ratio_check(lat, lat, identity_matrix(rank),
+                                              theta))
+        for use in uses:
+            lat = lattices._named_atom(g, build.actions, build.label,
+                                       build._kind)
+            with pytest.raises(ValidationError, match="multiplication table"):
+                use(lat)
+
+
+def test_sum_with_a_bad_atom_is_rejected_before_any_index():
+    for bad, theta in bad_atoms():
+        g = bad.group
+        for lat in (direct_sum(trivial_lattice(g), bad),
+                    direct_sum(bad, regular_lattice(g))):
+            embed = identity_matrix(lat.rank)
+            with pytest.raises(ValidationError, match="multiplication table"):
+                index_ratio_check(lat, lat, embed, theta)
+            assert lat._embeddings == {}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_fixed_sublattices_of_sums_match_the_whole_kernel(name):
+    # the oracle: a copy of the sum as one atom, whose fixed sublattices
+    # are kernels on the sum's own verified rows
+    g = CENSUS[name]()
+    mid = next(c for c in g.subgroup_classes() if 1 < c.order < g.order)
+    reg = regular_lattice(g)
+    lat = direct_sum(cyclic_quotient_lattice(g), reg, trivial_lattice(g),
+                     augmentation_lattice(g), coset_lattice(g, mid), reg)
+    whole = GLattice(g, lat.actions)
+    kernel = lattices.kernel_basis
+    for cls in g.subgroup_classes():
+        computed = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lattices, "kernel_basis",
+                      lambda mat: computed.append(mat) or kernel(mat))
+            fast = fixed_sublattice(lat, cls)
+        # one kernel per distinct atom (none for the trivial class); the
+        # sum's own rows are never built
+        assert len(computed) == (5 if cls.order > 1 else 0)
+        assert lat._rows is None
+        # the same basis, so the same row span: the block-diagonal basis is
+        # in the canonical form as well
+        assert fast == fixed_sublattice(whole, cls), (name, cls.label)
 
 
 def oracle_cases(g):
@@ -696,13 +753,13 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
     m_lat, n_lat = augmentation_lattice(d8), cyclic_quotient_lattice(d8)
     embed = nat_embed(8)
     seen = []
-    determinant = lattices.bareiss_determinant
+    span = lattices.row_span_basis
 
     def counting(rows):
         seen.append(rows)
-        return determinant(rows)
+        return span(rows)
 
-    monkeypatch.setattr(lattices, "bareiss_determinant", counting)
+    monkeypatch.setattr(lattices, "row_span_basis", counting)
     basis = relation_basis(d8)
     assert len(basis) > 1
     for theta in basis:
@@ -715,6 +772,33 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValidationError, match="not equivariant"):
             index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_non_scalar_embeddings_on_the_census(name):
+    # I -> A, (g-1) -> gbar - ebar, has index (G : H) on every H-fixed part,
+    # as on V4 and D8 above; I + Z -> Reg, x + n -> x + n N with N the sum of
+    # all elements, maps a sum into an atom, so its indices must agree with
+    # those of the same map from a one-atom copy of the sum
+    g = CENSUS[name]()
+    classes = {c.label: c for c in g.subgroup_classes()}
+    n = g.order
+    i_lat, a_lat, reg = (augmentation_lattice(g), cyclic_quotient_lattice(g),
+                         regular_lattice(g))
+    i_z = direct_sum(i_lat, trivial_lattice(g))
+    # column x - 1 is e_x - e_1 for each element x != 1, the last column N
+    to_reg = tuple(tuple(1 if c == n - 1 or c + 1 == r else
+                         -1 if r == 0 and c < n - 1 else 0
+                         for c in range(n)) for r in range(n))
+    assert abs(bareiss_determinant(to_reg)) == n
+    whole = GLattice(g, i_z.actions)
+    for theta in relation_basis(g):
+        ok, indices = index_ratio_check(i_lat, a_lat, nat_embed(n), theta)
+        assert ok and all(index == n // classes[label].order
+                          for label, index in indices.items()), name
+        ok, indices = index_ratio_check(i_z, reg, to_reg, theta)
+        assert ok, (name, theta.describe())
+        assert (ok, indices) == index_ratio_check(whole, reg, to_reg, theta)
 
 
 def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):
@@ -843,6 +927,31 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
                   lambda lat, theta: RegulatorValue(Fraction(2), {2: 1}))
         with pytest.raises(FactoreqError, match="collapse") as exc:
             tower_target_constant(v4, 1, theta)
+    assert type(exc.value) is FactoreqError
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_valuations_at_the_primes_of_the_group_order(name):
+    # the oracle factors the whole value by trial division
+    g = CENSUS[name]()
+    atoms = named_atoms(g)
+    lats = atoms + [direct_sum(*atoms[:3]), direct_sum(atoms[2], atoms[4])]
+    for lat in lats:
+        for theta in relation_basis(g):
+            value = regulator_constant(lat, theta)
+            assert value.valuations == fraction_valuations(value.value), (
+                name, lat.label, theta.describe())
+
+
+def test_a_prime_outside_the_group_order_raises(monkeypatch):
+    # forced by monkeypatching: C_Theta is a p-adic unit for p not dividing
+    # |G|, so a factor 5 on V4 breaks an invariant
+    v4 = elementary_abelian_group(2, 2)
+    theta = relation_basis(v4)[0]
+    monkeypatch.setattr(lattices, "_closed_constant",
+                        lambda atom, theta: Fraction(5, 2))
+    with pytest.raises(FactoreqError, match="not dividing") as exc:
+        regulator_constant(trivial_lattice(v4), theta)
     assert type(exc.value) is FactoreqError
 
 
