@@ -11,7 +11,6 @@ exits with status 1.
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +61,7 @@ from .lattices import (
 )
 from .relations import bouc_generators, relation_basis, spans_match
 
-DEFAULT_RANK_BUDGET = 1000
+RANK_CAP = 1000
 
 _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
           "quaternion8, perm:[<cycles>], product:<a>;<b>, "
@@ -72,25 +71,10 @@ _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
 # -- small parsing helpers -----------------------------------------------------
 
 
-def _rank_budget() -> int:
-    raw = os.environ.get("FACTOREQ_RANK_BUDGET")
-    if raw is None:
-        return DEFAULT_RANK_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ParseError("FACTOREQ_RANK_BUDGET must be a positive integer, "
-                         f"got {raw!r}")
-    return budget
-
-
 def _check_rank(rank: int, text: str):
-    budget = _rank_budget()
-    if rank > budget:
+    if rank > RANK_CAP:
         raise ResourceError(f"lattice {text!r} has rank {rank}, over the rank "
-                            f"budget of {budget}")
+                            f"cap of {RANK_CAP}")
 
 
 def _strip_outer_parens(text: str) -> str:
@@ -242,101 +226,59 @@ def parse_group_spec(text: str) -> Group:
 # -- lattice expressions -------------------------------------------------------
 
 
-def _tokenize_expr(text: str) -> list:
-    tokens, pos = [], 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch in "(),^":
-            tokens.append((ch, ch, pos))
-            pos += 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(("INT", text[pos:end], pos))
-            pos = end
-        elif ch.isalpha():
-            end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "#"):
-                end += 1
-            tokens.append(("NAME", text[pos:end], pos))
-            pos = end
-        else:
-            raise ParseError(f"lattice expression: unexpected character "
-                             f"{ch!r} at position {pos}")
-    tokens.append(("END", "", len(text)))
-    return tokens
+_ATOMS = {"A": cyclic_quotient_lattice, "I": augmentation_lattice,
+          "Z": trivial_lattice, "Reg": regular_lattice}
 
 
 def parse_lattice_expr(group: Group, text: str) -> GLattice:
     """Build a lattice from ``A | I | Z | Reg | Coset(label) | Sum(...)``,
     each optionally raised to ``^m`` for an m-fold direct sum.
 
-    Each named atom is built once; the rank of every direct sum is checked
-    against the rank budget before its blocks are built.
+    A term splits at its top-level ``^`` into a head and its counts; the
+    head is ``Name`` or ``Name(args)``, whose args split at top-level commas
+    (both by :func:`_split_top`).  Each named atom is built once; the rank
+    of every direct sum is checked against :data:`RANK_CAP` before its
+    blocks are built.  An error names the piece that could not be read and
+    quotes the whole expression.
     """
-    tokens = _tokenize_expr(str(text))
-    state = {"at": 0}
+    text = str(text)
     built: dict = {}
 
-    def peek():
-        return tokens[state["at"]]
-
-    def take(kind):
-        tok = tokens[state["at"]]
-        if tok[0] != kind:
-            raise ParseError(f"lattice expression: expected {kind}, got "
-                             f"{tok[1] or 'end of input'!r} at position "
-                             f"{tok[2]}")
-        state["at"] += 1
-        return tok
-
-    atoms = {"A": cyclic_quotient_lattice, "I": augmentation_lattice,
-             "Z": trivial_lattice, "Reg": regular_lattice}
-
-    def expr() -> GLattice:
-        kind, name, pos = take("NAME")
-        if name == "Sum":
-            take("(")
-            parts = [expr()]
-            while peek()[0] == ",":
-                take(",")
-                parts.append(expr())
-            take(")")
+    def term(piece: str) -> GLattice:
+        head, *counts = _split_top(piece, "^")
+        name, paren, rest = head.strip().partition("(")
+        name = name.strip()
+        args = _split_top(rest[:-1], ",") if rest.endswith(")") else None
+        if not paren and name in _ATOMS:
+            if name not in built:
+                built[name] = _ATOMS[name](group)
+            out = built[name]
+        elif name == "Sum" and args is not None:
+            parts = [term(arg) for arg in args]
             _check_rank(sum(part.rank for part in parts), text)
             out = direct_sum(*parts)
-        elif name == "Coset":
-            take("(")
-            label = take("NAME")[1]
-            take(")")
-            if ("Coset", label) not in built:
-                built["Coset", label] = coset_lattice(group, label)
-            out = built["Coset", label]
-        elif name in atoms:
-            if name not in built:
-                built[name] = atoms[name](group)
-            out = built[name]
+        elif name == "Coset" and args is not None and len(args) == 1:
+            # keyed apart from the atom names, so Coset(A) is not A
+            key = ("Coset", args[0].strip())
+            if key not in built:
+                built[key] = coset_lattice(group, key[1])
+            out = built[key]
         else:
-            raise ParseError(f"lattice expression: unknown term {name!r} at "
-                             f"position {pos} (know A, I, Z, Reg, Coset, Sum)")
-        while peek()[0] == "^":
-            take("^")
-            count = int(take("INT")[1])
-            if count < 1:
-                raise ParseError("^m needs m >= 1")
-            _check_rank(out.rank * count, text)
-            out = direct_sum(*[out] * count)
+            raise ParseError(f"lattice expression {text!r}: cannot read "
+                             f"{head.strip()!r} (know A, I, Z, Reg, "
+                             f"Coset(label), Sum(e1,e2,...))")
+        for count in counts:
+            count = count.strip()
+            m = int(count) if count.isdecimal() else 0
+            if m < 1:
+                raise ParseError(f"lattice expression {text!r}: cannot read "
+                                 f"the count {count!r} of ^m; m must be a "
+                                 f"whole number >= 1")
+            _check_rank(out.rank * m, text)
+            out = direct_sum(*[out] * m)
         return out
 
-    result = expr()
-    tok = peek()
-    if tok[0] != "END":
-        raise ParseError(f"lattice expression: trailing input {tok[1]!r} at "
-                         f"position {tok[2]}")
-    _check_rank(result.rank, text)
-    return result
+    return term(text)
 
 
 # -- profiles and value files --------------------------------------------------
@@ -865,8 +807,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "factor-equivalence checks.",
         epilog=f"group specs: {_KINDS}. Lattice expressions: A, I, Z, Reg, "
                f"Coset(label), Sum(e1,e2,...), e^m. Every group closure stops "
-               f"at the order cap of {DESK_SCALE_CAP}; FACTOREQ_RANK_BUDGET "
-               f"(default {DEFAULT_RANK_BUDGET}) bounds lattice ranks.")
+               f"at the order cap of {DESK_SCALE_CAP}; lattice ranks are "
+               f"capped at {RANK_CAP}.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     def add(name, handler, help_text):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FactoreqError
+from .errors import FactoreqError, ResourceError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -350,9 +350,10 @@ def is_prime(n) -> bool:
     """Whether ``n`` is a prime; False for anything but an integer.
 
     Deterministic Miller-Rabin with the first 13 primes as bases, which is
-    proven exact below 3,317,044,064,679,887,385,961,981; above that bound
-    a number that passes is confirmed by trial division, so the answer is
-    exact everywhere.
+    proven exact below 3,317,044,064,679,887,385,961,981.  A number that
+    fails a base is composite at any size; one at or above the bound that
+    passes every base raises :class:`ResourceError`, since no exact test
+    of it runs in bounded time here.
     """
     if not isinstance(n, int) or n < 2:
         return False
@@ -373,7 +374,12 @@ def is_prime(n) -> bool:
                 break
         else:
             return False
-    return n < _MILLER_RABIN_EXACT_BELOW or prime_factorization(n) == {n: 1}
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ResourceError(
+            f"cannot prove {n} prime: it passes Miller-Rabin to the first "
+            f"{len(_MILLER_RABIN_BASES)} prime bases, which is proven exact "
+            f"only below {_MILLER_RABIN_EXACT_BELOW}")
+    return True
 
 
 def valuation(x, p: int) -> int:

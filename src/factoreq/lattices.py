@@ -391,6 +391,14 @@ def tower_lattice(group: Group, m: int) -> GLattice:
     return out
 
 
+def _pulled_back(lat: GLattice, group: Group, images, label: str) -> GLattice:
+    """``lat`` as a ``group``-lattice: element g acts as ``lat``'s
+    element ``images[g]``."""
+    rows = lat._verified_rows()
+    actions = tuple(_dense(rows[images[g]], lat.rank) for g in group.generators)
+    return GLattice(group, actions, label=label)
+
+
 def inflate_lattice(group: Group, projection, lat: GLattice) -> GLattice:
     """Pull a quotient-group lattice back along G -> G/B.
 
@@ -400,9 +408,7 @@ def inflate_lattice(group: Group, projection, lat: GLattice) -> GLattice:
     proj = tuple(projection)
     if len(proj) != group.order:
         raise ValidationError("projection must cover every group element")
-    rows = lat._verified_rows()
-    actions = tuple(_dense(rows[proj[g]], lat.rank) for g in group.generators)
-    return GLattice(group, actions, label=f"Inf({lat.label})")
+    return _pulled_back(lat, group, proj, f"Inf({lat.label})")
 
 
 def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
@@ -414,9 +420,7 @@ def restrict_lattice(lat: GLattice, sub: Group, embedding) -> GLattice:
     emb = tuple(embedding)
     if len(emb) != sub.order:
         raise ValidationError("embedding must cover every subgroup element")
-    rows = lat._verified_rows()
-    actions = tuple(_dense(rows[emb[g]], lat.rank) for g in sub.generators)
-    return GLattice(sub, actions, label=f"Res({lat.label})")
+    return _pulled_back(lat, sub, emb, f"Res({lat.label})")
 
 
 # -- pairings and fixed sublattices -------------------------------------------

@@ -8,6 +8,7 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -28,8 +29,22 @@ from factoreq.cli import (
     profile_from_data,
     run,
 )
-from factoreq.errors import DataError, ParseError, ResourceError, ValidationError
-from factoreq.lattices import direct_sum, tower_lattice
+from factoreq.errors import (
+    DataError,
+    FactoreqError,
+    ParseError,
+    ResourceError,
+    ValidationError,
+)
+from factoreq.lattices import (
+    augmentation_lattice,
+    coset_lattice,
+    cyclic_quotient_lattice,
+    direct_sum,
+    regular_lattice,
+    tower_lattice,
+    trivial_lattice,
+)
 from factoreq.relations import relation_basis
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -157,7 +172,7 @@ def test_lattice_expr_shapes():
 
 
 @pytest.mark.parametrize("bad", [
-    "", "B", "Sum()", "Sum(A", "A^0", "A I", "A^", "Coset()", "A$",
+    "", "B", "Sum()", "Sum(A", "A^0", "A I", "A^", "Coset()", "A$", "A^²",
 ])
 def test_lattice_expr_rejects(bad):
     group = parse_group_spec("elemab:2,2")
@@ -180,39 +195,29 @@ def test_lattice_power_keeps_the_nested_form():
                                                              ("A", 1)]
 
 
-def test_rank_budget(monkeypatch, capsys):
+def test_rank_cap(monkeypatch, capsys):
     group = parse_group_spec("elemab:2,2")
+    e9 = parse_group_spec("elemab:3,2")
 
     def no_blocks(*parts):
-        raise AssertionError("no block may be built over the budget")
+        raise AssertionError("no block may be built over the cap")
 
     with monkeypatch.context() as m:
         m.setattr(cli, "direct_sum", no_blocks)
         m.setattr(cli, "tower_lattice", no_blocks)
-        with pytest.raises(ResourceError, match="rank budget"):
+        with pytest.raises(ResourceError, match="rank cap of 1000"):
             parse_lattice_expr(group, "Z^1001")
         with pytest.raises(ResourceError, match="rank 1004"):
             parse_lattice_expr(group, "Sum(" + ",".join(["Reg"] * 251) + ")")
         with pytest.raises(ResourceError, match="rank 4000000000007"):
             _candidate_lattice(group, "tower:1000000000000")
-        monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "35")
-        e9 = parse_group_spec("elemab:3,2")
-        with pytest.raises(ResourceError, match="rank 44"):
-            _candidate_lattice(e9, "tower:3")
+        # 2|G| - 1 + m|G| = 17 + 110 * 9
+        with pytest.raises(ResourceError, match="rank 1007"):
+            _candidate_lattice(e9, "tower:110")
+    assert cli.RANK_CAP == 1000
+    assert parse_lattice_expr(group, "Sum(A,Reg)^142").rank == 994
     # the rank 2|G| - 1 + m|G| checked up front is the rank built
     assert _candidate_lattice(e9, "tower:2").rank == 35
-    monkeypatch.delenv("FACTOREQ_RANK_BUDGET")
-    assert parse_lattice_expr(group, "Sum(A,Reg)^142").rank == 994
-    monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "7")
-    assert parse_lattice_expr(group, "Sum(A,Reg)").rank == 7
-    with pytest.raises(ResourceError, match="rank 8"):
-        parse_lattice_expr(group, "Sum(A,Reg,Z)")
-    with pytest.raises(ResourceError):
-        _candidate_lattice(group, "tower:1")
-    monkeypatch.setenv("FACTOREQ_RANK_BUDGET", "0")
-    with pytest.raises(ParseError, match="FACTOREQ_RANK_BUDGET"):
-        parse_lattice_expr(group, "Z")
-    monkeypatch.delenv("FACTOREQ_RANK_BUDGET")
     start = time.monotonic()
     code, _, err = invoke(capsys, "regconst", "cyclic:2", "Z^1000000000")
     assert code == 2 and err.startswith("error:resource:")
@@ -234,6 +239,123 @@ def test_lattice_expr_unknown_label():
     group = parse_group_spec("elemab:2,2")
     with pytest.raises(ValidationError):
         parse_lattice_expr(group, "Coset(o8#0)")
+
+
+def test_malformed_expressions_exit_2_with_their_category(capsys):
+    # a superscript digit passes str.isdigit but not int()
+    code, out, err = invoke(capsys, "regconst", "elemab:2,2", "A^²")
+    assert (code, out) == (2, "") and err.startswith("error:parse:")
+    # Coset entries are memoized apart from the atom names
+    code, out, err = invoke(capsys, "regconst", "elemab:2,2",
+                            "Sum(A,Coset(A))")
+    assert (code, out) == (2, "") and err.startswith("error:validation:")
+
+
+_D8 = parse_group_spec("dihedral:8")
+_D8_LABELS = [cls.label for cls in _D8.subgroup_classes()]
+_NAMED = {"A": cyclic_quotient_lattice, "I": augmentation_lattice,
+          "Z": trivial_lattice, "Reg": regular_lattice}
+_expr_trees = st.recursive(
+    st.sampled_from(sorted(_NAMED)).map(lambda name: (name,))
+    | st.sampled_from(_D8_LABELS).map(lambda label: ("Coset", label)),
+    lambda inner: (st.lists(inner, min_size=1, max_size=3)
+                   .map(lambda parts: ("Sum", *parts))
+                   | st.tuples(st.just("^"), inner, st.integers(1, 4))),
+    max_leaves=8)
+
+
+def _render(tree, gap) -> str:
+    if tree[0] == "^":
+        return f"{_render(tree[1], gap)}^{gap()}{tree[2]}{gap()}"
+    if tree[0] == "Sum":
+        inner = ",".join(_render(part, gap) for part in tree[1:])
+        return f"{gap()}Sum{gap()}({inner}){gap()}"
+    if tree[0] == "Coset":
+        return f"{gap()}Coset{gap()}({gap()}{tree[1]}{gap()}){gap()}"
+    return f"{gap()}{tree[0]}{gap()}"
+
+
+def _construct(tree, atoms: dict):
+    """The lattice of ``tree`` from the constructors, each atom built once."""
+    if tree[0] == "^":
+        return direct_sum(*[_construct(tree[1], atoms)] * tree[2])
+    if tree[0] == "Sum":
+        return direct_sum(*[_construct(part, atoms) for part in tree[1:]])
+    if tree not in atoms:
+        atoms[tree] = (coset_lattice(_D8, tree[1]) if tree[0] == "Coset"
+                       else _NAMED[tree[0]](_D8))
+    return atoms[tree]
+
+
+def _tree_rank(tree, atoms: dict) -> int:
+    if tree[0] == "^":
+        return _tree_rank(tree[1], atoms) * tree[2]
+    if tree[0] == "Sum":
+        return sum(_tree_rank(part, atoms) for part in tree[1:])
+    return _construct(tree, atoms).rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expr_trees, st.data())
+def test_parsed_expression_is_the_constructed_lattice(tree, data):
+    text = _render(tree, lambda: data.draw(st.sampled_from(["", " ", "\t "])))
+    atoms = {}
+    if _tree_rank(tree, atoms) > cli.RANK_CAP:
+        # ranks only grow towards the root, so the root's is the largest
+        with pytest.raises(ResourceError):
+            parse_lattice_expr(_D8, text)
+        return
+    expected = _construct(tree, atoms)
+    lat = parse_lattice_expr(_D8, text)
+    assert (lat.label, lat.rank) == (expected.label, expected.rank)
+    assert ([(atom.label, k) for atom, k in lat.summands]
+            == [(atom.label, k) for atom, k in expected.summands])
+
+
+_V4_LABELS = ("o1#0", "o2#1", "o4#0")
+_TOKENS = ("A", "I", "Z", "Reg", "Sum", "Coset", "(", ")", ",", "^", "1",
+           "2", "3", "10", *_V4_LABELS, " ", "$", "_", "+", "²", "٣")
+
+
+def _random_expression(rng) -> str:
+    """A token string: random tokens, or a valid expression with up to two
+    tokens inserted, deleted or replaced."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(_TOKENS) for _ in range(rng.randint(1, 9)))
+
+    def valid(depth):
+        if depth == 2 or rng.random() < 0.5:
+            out = ([rng.choice(("A", "I", "Z", "Reg"))] if rng.random() < 0.8
+                   else ["Coset", "(", rng.choice(_V4_LABELS), ")"])
+        else:
+            out = ["Sum", "("]
+            for index in range(rng.randint(1, 3)):
+                out += [","] * bool(index) + valid(depth + 1)
+            out.append(")")
+        if rng.random() < 0.3:
+            out += ["^", rng.choice(("1", "2", "3", "٣"))]
+        return out
+
+    tokens = valid(0)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(tokens) + 1)
+        tokens[at:at + rng.randint(0, 1)] = [rng.choice(_TOKENS)][
+            :rng.randint(0, 1)]
+    return rng.choice(("", " ")).join(tokens)
+
+
+def test_random_token_strings_raise_only_factoreq_errors():
+    rng = random.Random(17)
+    group = parse_group_spec("elemab:2,2")
+    accepted = 0
+    for _ in range(20000):
+        text = _random_expression(rng)
+        try:
+            parse_lattice_expr(group, text)
+            accepted += 1
+        except FactoreqError:
+            pass
+    assert accepted > 2000
 
 
 # -- profiles ---------------------------------------------------------------------

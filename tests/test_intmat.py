@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from factoreq import intmat, lattices, relations
 from factoreq.cli import parse_group_spec, parse_lattice_expr
-from factoreq.errors import FactoreqError
+from factoreq.errors import FactoreqError, ResourceError
 from factoreq.intmat import (
     bareiss_determinant,
     fraction_valuations,
@@ -458,14 +458,18 @@ def test_is_prime_on_strong_pseudoprimes_and_large_numbers():
     assert not is_prime(True) and not is_prime(7.0)
 
 
-def test_is_prime_confirms_by_trial_division_above_the_proven_bound(
-        monkeypatch):
-    # with base 2 alone, proven exact only below 2047, the strong
-    # pseudoprime 2047 = 23 * 89 must fall to trial division
+def test_is_prime_refuses_above_the_proven_bound(monkeypatch):
+    # with base 2 alone, proven exact only below 2047, a number from 2047 on
+    # that passes base 2 cannot be decided: the strong pseudoprime
+    # 2047 = 23 * 89 and the prime 2053 are refused alike
     monkeypatch.setattr(intmat, "_MILLER_RABIN_BASES", (2,))
     monkeypatch.setattr(intmat, "_MILLER_RABIN_EXACT_BELOW", 2047)
-    assert not is_prime(2047)
-    assert is_prime(2053) and is_prime(2039)
+    for n in (2047, 2053):
+        with pytest.raises(ResourceError, match="proven exact only below"):
+            is_prime(n)
+    assert is_prime(2039)
+    # a composite that base 2 rejects is decided at any size
+    assert 2051 == 7 * 293 and is_prime(2051) is False
 
 
 def test_prime_factorization_and_valuations():
