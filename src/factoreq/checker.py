@@ -20,10 +20,11 @@ from fractions import Fraction
 from .errors import DataError, ValidationError
 from .groups import Group
 from .intmat import (
-    fraction_valuations,
     is_prime,
     power_product,
+    prime_factorization,
     reassembles,
+    split_valuations,
     valuation,
 )
 from .lattices import GLattice, RegulatorValue, regulator_constant
@@ -218,7 +219,12 @@ def minkowski_factor_check(profile: ArithmeticProfile, relations) -> Verdict:
 
 def unit_regulator_constant(profile: ArithmeticProfile,
                             theta: GRelation) -> RegulatorValue:
-    """Evaluate C_Theta(E) = C_Theta(Z) * prod_H (R/lambda)^{2 n_H} exactly."""
+    """Evaluate C_Theta(E) = C_Theta(Z) * prod_H (R/lambda)^{2 n_H} exactly.
+
+    C_Theta(E) is a p-adic unit for p not dividing |G|, so valuations are
+    taken at the primes of |G| only; data that leaves any other factor
+    raises :class:`DataError`.
+    """
     (theta,) = _own_relations(profile, (theta,))
     classes = profile.group.subgroup_classes()
     value = Fraction(1)
@@ -226,7 +232,12 @@ def unit_regulator_constant(profile: ArithmeticProfile,
         cls = classes[idx]
         value *= Fraction(cls.order) ** (-n_h)
         value *= (profile.regulator(cls) / profile.lam(cls)) ** (2 * n_h)
-    return RegulatorValue(value, fraction_valuations(value))
+    valuations, rest = split_valuations(
+        value, prime_factorization(profile.group.order))
+    if rest != 1:
+        raise DataError(f"C_Theta(E) = {value} has the factor {rest} prime "
+                        f"to |G|, which the units of a field cannot give")
+    return RegulatorValue(value, valuations)
 
 
 def brauer_kuroda_check(profile: ArithmeticProfile, relations) -> Verdict:

@@ -269,7 +269,14 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
                              f"Coset(label), Sum(e1,e2,...))")
         for count in counts:
             count = count.strip()
-            m = int(count) if count.isdecimal() else 0
+            # counted before int(), which refuses over 4,300 digits
+            digits = ("".join(str(int(c)) for c in count).lstrip("0")
+                      if count.isdecimal() else "")
+            if len(digits) > len(str(RANK_CAP)):
+                raise ResourceError(f"lattice expression {text!r}: a count "
+                                    f"of {len(digits)} digits is over the "
+                                    f"rank cap of {RANK_CAP}")
+            m = int(digits) if digits else 0
             if m < 1:
                 raise ParseError(f"lattice expression {text!r}: cannot read "
                                  f"the count {count!r} of ^m; m must be a "

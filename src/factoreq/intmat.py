@@ -398,14 +398,15 @@ def valuation(x, p: int) -> int:
     return out
 
 
-def fraction_valuations(x: Fraction) -> dict[int, int]:
-    """Map p -> v_p(x) for a positive rational, zeros omitted."""
-    if x <= 0:
-        raise ValueError("valuations need a positive rational")
-    vals = dict(prime_factorization(x.numerator))
-    for p, e in prime_factorization(x.denominator).items():
-        vals[p] = vals.get(p, 0) - e
-    return {p: e for p, e in sorted(vals.items()) if e}
+def split_valuations(x, primes) -> tuple[dict[int, int], Fraction]:
+    """({p: v_p(x)} over ``primes``, zeros omitted, and the rest of x, prime
+    to them all; by division alone, however large the rest's primes are."""
+    rest, vals = Fraction(x), {}
+    for p in primes:
+        if v := valuation(rest, p):
+            vals[p] = v
+            rest /= Fraction(p) ** v
+    return vals, rest
 
 
 def power_product(factors) -> tuple[int, int]:

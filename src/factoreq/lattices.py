@@ -10,10 +10,11 @@ for a relation Theta = sum n_K K, with any G-invariant positive-definite
 pairing <.,.>; the value does not depend on that choice.
 
 A lattice keeps its direct-sum decomposition as (atom, multiplicity)
-pairs, and the default regulator constant is evaluated summand by summand:
-C_Theta(M + N) = C_Theta(M) C_Theta(N), so C_Theta(M^m) = C_Theta(M)^m.
-The five named atoms take closed forms (Dokchitser & Dokchitser,
-*Regulator constants and the parity conjecture*, Invent. Math. 178, 2009):
+pairs, and C_Theta(M + N) = C_Theta(M) C_Theta(N).  So the default
+constant is one integer product of per-class factors f(K)^{m n_K} over
+the atoms, reduced once; each atom caches its factors.  The five named
+atoms take closed forms (Dokchitser & Dokchitser, *Regulator constants
+and the parity conjecture*, Invent. Math. 178, 2009):
 
     C_Theta(Z) = C_Theta(I) = prod_K |K|^{-n_K}
     C_Theta(A) = C_Theta(Z)^{-1}        (A = I*, and C(M*) = C(M)^{-1})
@@ -22,26 +23,25 @@ The five named atoms take closed forms (Dokchitser & Dokchitser,
                                |K n gHg^-1|)^{-n_K}
 
 The last holds because the K-orbit sums of G/H are an orthogonal basis of
-the K-fixed part.  A closed form reads no matrix; before any other read,
-each distinct atom runs its homomorphism check once, on sparse rows.  The
-check covers unimodularity as well, so a named atom needs no determinant.
+the K-fixed part.  Named atoms and direct sums know their rank when built
+and build no matrix until one is read, so a closed form builds none; before
+any other read, each distinct atom runs its homomorphism check once, on
+sparse rows.  The check covers unimodularity, so a named atom needs no
+determinant.
 
-The Gram route remains for lattices with no kind (inflations,
-restrictions and lattices built from matrices), for user-supplied
-pairings and for index comparisons.  It evaluates the determinants above
-under the integer averaged pairing sum_g rho(g)^T rho(g), or under a user
-pairing cleared to an integer matrix by the lcm of its denominators; each
-Gram determinant is an integer Bareiss determinant, divided once by its
-scale.  Index comparisons need the fixed sublattices of the whole
-lattices; a direct sum's is assembled block-diagonally from its atoms',
-since (M + N)^H = M^H + N^H.  Each index is a ratio of Hermite pivots
+Any other atom takes its factors from Gram determinants under its integer
+averaged pairing sum_g rho(g)^T rho(g); a user pairing is cleared to an
+integer matrix by the lcm of its denominators.  Each Gram determinant is an
+integer Bareiss determinant, divided once by its scale.  Index comparisons
+normalise and check each embedding once and map fixed sublattices through
+its sparse rows; a direct sum's fixed sublattice is assembled from its
+atoms', (M + N)^H = M^H + N^H, and each index is a ratio of Hermite pivots
 (:func:`~factoreq.intmat.sublattice_index`).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from .errors import FactoreqError, ValidationError
@@ -52,12 +52,13 @@ from .intmat import (
     is_positive_definite,
     kernel_basis,
     mat_mul,
+    power_product,
     prime_factorization,
     reassembles,
     row_span_basis,
+    split_valuations,
     sublattice_index,
     transpose,
-    valuation,
 )
 from .relations import GRelation, _as_class
 
@@ -65,16 +66,16 @@ from .relations import GRelation, _as_class
 class GLattice:
     """A free Z-module with a G-action (columns map to their images).
 
-    ``actions[i]`` is the matrix of the i-th group generator.  The matrices
-    of all elements are built once, as sparse rows, breadth first along the
-    generator words that enumerated the group; the same pass verifies
-    rho(s)rho(x) = rho(sx) for every generator s and element x, which
-    extends inductively to the full homomorphism law.  Since rho(1) is the
-    identity, the pass also verifies rho(s)rho(s^-1) = 1: each generator
-    has an integer inverse, so it is unimodular.  Each atom runs the pass
-    just before its matrices are first read, never for a closed form; a
-    named atom computes no determinant, and a lattice built from matrices
-    is checked for unimodularity when built.
+    ``actions[i]`` is the matrix of the i-th group generator; a named atom
+    or a direct sum builds it on first read.  The matrices of all elements
+    are built once, as sparse rows, breadth first along the generator words
+    that enumerated the group; the same pass verifies rho(s)rho(x) = rho(sx)
+    for every generator s and element x, which extends inductively to the
+    full homomorphism law.  Since rho(1) is the identity, the pass also
+    verifies rho(s)rho(s^-1) = 1: each generator has an integer inverse, so
+    it is unimodular.  Each atom runs the pass before its matrices are
+    used, never for a closed form; a lattice built from matrices is also
+    checked for unimodularity when built.
 
     ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
     pairs, and ``_blocks`` the atom of each diagonal block in order; a
@@ -88,8 +89,7 @@ class GLattice:
             raise ValidationError(
                 f"need one action matrix per generator "
                 f"({len(group.generators)}), got {len(actions)}")
-        mats = tuple(tuple(tuple(int(x) for x in row) for row in m)
-                     for m in actions)
+        mats = tuple(_integral(m, "action matrices") for m in actions)
         rank = len(mats[0]) if mats else 0
         for m in mats:
             if len(m) != rank or any(len(row) != rank for row in m):
@@ -97,23 +97,28 @@ class GLattice:
                                       "of equal size")
             if rank and abs(bareiss_determinant(m)) != 1:
                 raise ValidationError("action matrices must be unimodular")
-        self._setup(group, mats, rank, label or f"lattice(rank {rank})",
-                    (self,))
+        self._setup(group, rank, lambda: mats,
+                    label or f"lattice(rank {rank})", (self,))
 
-    def _setup(self, group, mats, rank, label, blocks):
+    def _setup(self, group, rank, build, label, blocks):
         self.group = group
         self.rank = rank
-        self.actions = mats
+        self._build = build
         self.label = label
         self._blocks = blocks
         self.summands = tuple(Counter(blocks).items())
-        self._kind = None
-        self._rows = None
-        self._materialized = None
-        self._gram = None
+        self._kind = self._actions = self._rows = None
+        self._materialized = self._gram = None
         self._fixed: dict[int, tuple] = {}
-        self._default_dets: dict[int, Fraction] = {}
-        self._embeddings: dict[tuple, dict[int, int]] = {}
+        self._factors: dict[int, Fraction] = {}
+        self._embeddings: dict = {}
+
+    @property
+    def actions(self) -> tuple:
+        """One dense matrix per generator, built on first read."""
+        if self._actions is None:
+            self._actions = self._build()
+        return self._actions
 
     def __repr__(self):
         return f"GLattice({self.label}, rank={self.rank}, {self.group.name})"
@@ -126,11 +131,8 @@ class GLattice:
         their rows into place.
         """
         if self._rows is None and self._blocks != (self,):
-            ends = tuple(accumulate(a.rank for a in self._checked()._blocks))
-            self._rows = tuple(tuple(
-                tuple((j + end - atom.rank, v) for j, v in row)
-                for atom, end in zip(self._blocks, ends)
-                for row in atom._rows[x]) for x in range(self.group.order))
+            self._rows = tuple(map(self._element_rows,
+                                   range(self.group.order)))
         if self._rows is None:
             grp = self.group
             gens = [_sparse(m) for m in self.actions]
@@ -152,6 +154,17 @@ class GLattice:
                             f"multiplication table of {grp.name}")
             self._rows = tuple(rows)
         return self._rows
+
+    def _element_rows(self, x: int) -> tuple:
+        """rho(x) as verified sparse rows, without a sum's other elements."""
+        if self._blocks == (self,):
+            return self._verified_rows()[x]
+        out, offset = [], 0
+        for atom in self._checked()._blocks:
+            out.extend(tuple((j + offset, v) for j, v in row)
+                       for row in atom._rows[x])
+            offset += atom.rank
+        return tuple(out)
 
     def materialized(self) -> tuple:
         """One dense matrix per group element, verified to be a homomorphism."""
@@ -254,47 +267,54 @@ class RegulatorValue:
 # -- standard lattices --------------------------------------------------------
 
 
-def _named_atom(group: Group, actions: tuple, label: str, kind) -> GLattice:
-    """Build a named atom, whose matrices are checked on first read.
+def _named_atom(group: Group, rank: int, image, label: str,
+                kind) -> GLattice:
+    """A named atom of known rank, whose dense matrices are built on their
+    first read: generator g sends basis vector i to the sum of v e_r over
+    the pairs (r, v) of ``image(g, i)``.
 
     The check compares rho(s)rho(s^-1) with rho(1) = 1, so every generator
     has an integer inverse and |det| = 1 without a determinant.
     """
+    def build():
+        actions = []
+        for g in group.generators:
+            m = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for r, v in image(g, i):
+                    m[r][i] += v
+            actions.append(tuple(map(tuple, m)))
+        return tuple(actions)
+
     lat = GLattice.__new__(GLattice)
-    lat._setup(group, actions, len(actions[0]) if actions else 0, label,
-               (lat,))
+    lat._setup(group, rank, build, label, (lat,))
     lat._kind = kind
     return lat
 
 
 def trivial_lattice(group: Group) -> GLattice:
     """Z with every group element acting as the identity."""
-    one = identity_matrix(1)
-    return _named_atom(group, tuple(one for _ in group.generators), "Z",
-                       ("Z", None))
+    return _named_atom(group, 1, lambda g, i: ((0, 1),), "Z", ("Z", None))
 
 
 def coset_lattice(group: Group, subgroup_class) -> GLattice:
-    """Z[G/H]: permutation lattice on the left cosets of a representative."""
+    """Z[G/H]: permutation lattice on the left cosets xH of a
+    representative, numbered in the order of their least elements."""
     cls = _as_class(group, subgroup_class)
-    rep = sorted(cls.representative)
-    cosets: list[frozenset] = []
-    index: dict[frozenset, int] = {}
-    for x in range(group.order):
-        c = frozenset(group.mul[x][h] for h in rep)
-        if c not in index:
-            index[c] = len(cosets)
-            cosets.append(c)
-    rank = len(cosets)
-    actions = []
-    for g in group.generators:
-        m = [[0] * rank for _ in range(rank)]
-        for i, c in enumerate(cosets):
-            image = frozenset(group.mul[g][x] for x in c)
-            m[index[image]][i] = 1
-        actions.append(tuple(tuple(row) for row in m))
-    return _named_atom(group, tuple(actions), f"Coset({cls.label})",
-                       ("Coset", cls.index))
+    number: dict = {}  # element -> its coset, filled on the first build
+    least: list = []
+
+    def image(g, i):
+        if not number:
+            for x in range(group.order):
+                if x not in number:
+                    number.update((group.mul[x][h], len(least))
+                                  for h in cls.representative)
+                    least.append(x)
+        return ((number[group.mul[g][least[i]]], 1),)
+
+    return _named_atom(group, group.order // cls.order, image,
+                       f"Coset({cls.label})", ("Coset", cls.index))
 
 
 def regular_lattice(group: Group) -> GLattice:
@@ -312,46 +332,34 @@ def cyclic_quotient_lattice(group: Group) -> GLattice:
     column picks up a full column of -1 whenever a product lands on 1.
     """
     n = group.order
-    rank = n - 1
-    actions = []
-    for g in group.generators:
-        m = [[0] * rank for _ in range(rank)]
-        for x in range(1, n):
-            y = group.mul[g][x]
-            if y == 0:
-                for r in range(rank):
-                    m[r][x - 1] = -1
-            else:
-                m[y - 1][x - 1] = 1
-        actions.append(tuple(tuple(row) for row in m))
-    return _named_atom(group, tuple(actions), "A", ("A", None))
+
+    def image(g, i):
+        y = group.mul[g][i + 1]
+        return ((y - 1, 1),) if y else ((r, -1) for r in range(n - 1))
+
+    return _named_atom(group, n - 1, image, "A", ("A", None))
 
 
 def augmentation_lattice(group: Group) -> GLattice:
-    """The kernel of Z[G] -> Z, g -> 1, with basis {g - 1 : g != 1}."""
-    n = group.order
-    rank = n - 1
-    actions = []
-    for g in group.generators:
-        m = [[0] * rank for _ in range(rank)]
-        for x in range(1, n):
-            y = group.mul[g][x]
-            # g*(x-1) = (gx-1) - (g-1); both terms vanish when they hit 1
-            if y != 0:
-                m[y - 1][x - 1] += 1
-            if g != 0:
-                m[g - 1][x - 1] -= 1
-        actions.append(tuple(tuple(row) for row in m))
-    return _named_atom(group, tuple(actions), "I", ("I", None))
+    """The kernel of Z[G] -> Z, g -> 1, with basis {g - 1 : g != 1}.
+
+    g(x-1) = (gx-1) - (g-1); each term vanishes when it is 1 - 1.
+    """
+    def image(g, i):
+        y = group.mul[g][i + 1]
+        return ((y - 1, 1),) * (y != 0) + ((g - 1, -1),) * (g != 0)
+
+    return _named_atom(group, group.order - 1, image, "I", ("I", None))
 
 
 def direct_sum(*parts: GLattice) -> GLattice:
     """Block-diagonal sum of lattices over the same group.
 
-    The label nests to the left, ``Sum(Sum(a,b),c)``.  A block-diagonal
-    determinant is the product of the block determinants, so no determinant
-    runs again, and the homomorphism check runs atom by atom on first read.
-    The summands of the parts are merged by atom.
+    The label nests to the left, ``Sum(Sum(a,b),c)``.  The sum keeps its
+    atoms in block order; its dense matrices are built on first read from
+    the atoms' rows, shifted into place once each atom has passed its
+    homomorphism check.  A block-diagonal determinant is the product of the
+    block determinants, so no determinant runs again.
     """
     if not parts:
         raise ValidationError("a direct sum needs at least one summand")
@@ -360,22 +368,13 @@ def direct_sum(*parts: GLattice) -> GLattice:
         raise ValidationError("direct summands must share their group")
     if len(parts) == 1:
         return parts[0]
-    total = sum(part.rank for part in parts)
-    actions = []
-    for gi in range(len(group.generators)):
-        rows, offset = [], 0
-        for part in parts:
-            left = (0,) * offset
-            right = (0,) * (total - offset - part.rank)
-            rows.extend(left + row + right for row in part.actions[gi])
-            offset += part.rank
-        actions.append(tuple(rows))
     label = parts[0].label
     for part in parts[1:]:
         label = f"Sum({label},{part.label})"
     out = GLattice.__new__(GLattice)
-    out._setup(group, tuple(actions), total, label,
-               tuple(atom for part in parts for atom in part._blocks))
+    out._setup(group, sum(part.rank for part in parts), lambda: tuple(
+        _dense(out._element_rows(g), out.rank) for g in group.generators),
+        label, tuple(atom for part in parts for atom in part._blocks))
     return out
 
 
@@ -394,9 +393,8 @@ def tower_lattice(group: Group, m: int) -> GLattice:
 def _pulled_back(lat: GLattice, group: Group, images, label: str) -> GLattice:
     """``lat`` as a ``group``-lattice: element g acts as ``lat``'s
     element ``images[g]``."""
-    rows = lat._verified_rows()
-    actions = tuple(_dense(rows[images[g]], lat.rank) for g in group.generators)
-    return GLattice(group, actions, label=label)
+    return GLattice(group, tuple(_dense(lat._element_rows(images[g]), lat.rank)
+                                 for g in group.generators), label=label)
 
 
 def inflate_lattice(group: Group, projection, lat: GLattice) -> GLattice:
@@ -469,14 +467,11 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
         if not gens:
             basis = identity_matrix(lat.rank)
         else:
-            rows = lat._verified_rows()
-            stacked = []
-            for h in gens:
-                for i, row in enumerate(_dense(rows[h], lat.rank)):
-                    row = list(row)
-                    row[i] -= 1
-                    stacked.append(tuple(row))
-            basis = kernel_basis(tuple(stacked))
+            stacked = [list(row) for h in gens
+                       for row in _dense(lat._verified_rows()[h], lat.rank)]
+            for i, row in enumerate(stacked):  # rho(h) - id
+                row[i % lat.rank] -= 1
+            basis = kernel_basis(stacked)
         cols = transpose(basis) if basis else tuple(() for _ in range(lat.rank))
         lat._fixed[cls.index] = cols
     return lat._fixed[cls.index]
@@ -508,54 +503,35 @@ def _scaled_gram_det(lat: GLattice, cls, form, den: int = 1) -> Fraction:
     return det
 
 
-def _whole_constant(lat: GLattice, theta: GRelation) -> Fraction:
-    """C_Theta of a lattice taken whole, under its averaged pairing.
+def _class_factor(atom: GLattice, idx: int) -> Fraction:
+    """The factor of class K = ``idx`` in C_Theta(atom) = prod_K f(K)^{n_K}.
 
-    The pairing is a sum containing the identity term, hence positive
-    definite by construction, so the Sylvester test is not repeated.
+    It depends on the atom and the class alone, so it is cached on the
+    atom.  A named atom's factor has a closed form: 1/|K| for Z and I, |K|
+    for A, 1 for Reg, and for Z[G/H] the product of (K-orbit size)/|K| =
+    1/|K n xHx^-1| over the K-orbits on the cosets xH; it reads no matrix
+    and runs no check.  Any other atom's is the Gram determinant on its
+    K-fixed part under its averaged pairing, a sum containing the identity
+    term, hence positive definite without a Sylvester test.
     """
-    classes = lat.group.subgroup_classes()
-    gram = _averaged_gram(lat)
-    value = Fraction(1)
-    for idx, n_h in theta.coefficients:
-        if idx not in lat._default_dets:
-            lat._default_dets[idx] = _scaled_gram_det(lat, classes[idx], gram)
-        value *= lat._default_dets[idx] ** n_h
-    return value
-
-
-def _closed_constant(atom: GLattice, theta: GRelation) -> Fraction:
-    """C_Theta of a named atom from its closed form.
-
-    The factor of a class K is 1/|K| for Z and I, |K| for A, 1 for Reg, and
-    for Z[G/H] the product of (K-orbit size)/|K| = 1/|K n xHx^-1| over the
-    K-orbits on the cosets xH.  The value depends on the atom's kind and
-    group alone, so no matrix is read and no homomorphism check runs.
-    """
-    group = atom.group
-    classes = group.subgroup_classes()
-    name, sub = atom._kind
-    value = Fraction(1)
-    for idx, n_k in theta.coefficients:
-        k = classes[idx]
-        if name == "Coset":
-            factor = _coset_factor(group, k.representative,
+    factor = atom._factors.get(idx)
+    if factor is None:
+        classes = atom.group.subgroup_classes()
+        k, (name, sub) = classes[idx], atom._kind or (None, None)
+        if name is None:
+            factor = _scaled_gram_det(atom, k, _averaged_gram(atom))
+        elif name == "Coset":
+            factor = _coset_factor(atom.group, k.representative,
                                    classes[sub].representative)
-        elif name == "A":
-            factor = Fraction(k.order)
-        elif name == "Reg":
-            factor = Fraction(1)
-        else:  # Z and I
-            factor = Fraction(1, k.order)
-        value *= factor ** n_k
-    return value
+        else:  # |K| for A, 1 for Reg, 1/|K| for Z and I
+            factor = Fraction(k.order) ** {"A": 1, "Reg": 0}.get(name, -1)
+        atom._factors[idx] = factor
+    return factor
 
 
 def _coset_factor(group: Group, k_members, h_members) -> Fraction:
     """prod over double cosets KxH of |KxH| / (|K| |H|)."""
-    mul = group.mul
-    seen: set = set()
-    factor = Fraction(1)
+    mul, seen, factor = group.mul, set(), Fraction(1)
     for x in range(group.order):
         if x not in seen:
             double = {mul[mul[k][x]][h] for k in k_members for h in h_members}
@@ -569,32 +545,42 @@ def regulator_constant(lat: GLattice, theta: GRelation,
     """Evaluate C_Theta on a lattice, exactly.
 
     With no pairing supplied the value is the product of the atoms'
-    constants: a named atom takes its closed form, any other atom its
-    averaged pairing (per-class determinants are cached on the atom).  A
-    supplied pairing must be symmetric positive definite and invariant
-    under the action, and is used on the whole lattice.  C_Theta is a
-    p-adic unit for p not dividing |G|; any such prime factor raises.
+    constants, one integer product of their cached class factors raised to
+    multiplicity times coefficient, reduced once.  A supplied pairing must
+    be symmetric positive definite and invariant under the action, and is
+    used on the whole lattice.  C_Theta is a p-adic unit for p not dividing
+    |G|; any such prime factor raises.
     """
     if theta.group is not lat.group:
         raise ValidationError("relation and lattice live on different groups")
-    value = Fraction(1)
     if pairing is None:
-        for atom, k in lat.summands:
-            route = _whole_constant if atom._kind is None else _closed_constant
-            value *= route(atom, theta) ** k
+        factors = ((_class_factor(atom, idx), k * n_k)
+                   for atom, k in lat.summands
+                   for idx, n_k in theta.coefficients)
     else:
         _check_invariance(lat._checked(), pairing)
         den = lcm(*(x.denominator for row in pairing.matrix for x in row))
         form = tuple(tuple(int(x * den) for x in row)
                      for row in pairing.matrix)
         classes = lat.group.subgroup_classes()
-        for idx, n_h in theta.coefficients:
-            value *= _scaled_gram_det(lat, classes[idx], form, den) ** n_h
-    primes = prime_factorization(lat.group.order)
-    valuations = {p: v for p in primes if (v := valuation(value, p))}
-    if not reassembles(value, valuations.items()):
-        raise FactoreqError(f"{value} has a prime factor not dividing |G|")
+        factors = ((_scaled_gram_det(lat, classes[idx], form, den), n_h)
+                   for idx, n_h in theta.coefficients)
+    value = Fraction(*power_product(factors))
+    valuations, rest = split_valuations(
+        value, prime_factorization(lat.group.order))
+    if rest != 1:
+        raise FactoreqError(f"{value} has the factor {rest} of primes not "
+                            f"dividing |G|")
     return RegulatorValue(value, valuations)
+
+
+def _integral(mat, what: str) -> tuple:
+    """``mat`` with int entries; an entry of any other value raises."""
+    rows = tuple(tuple(row) for row in mat)
+    out = tuple(tuple(int(x) for x in row) for row in rows)
+    if out != rows:
+        raise ValidationError(f"{what} must have integer entries")
+    return out
 
 
 def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
@@ -602,10 +588,10 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     """Compare C_Theta(M)/C_Theta(N) with prod [N^H : iota(M^H)]^(2 n_H).
 
     ``embed`` is an injective equivariant integer matrix from M's basis to
-    N's; M records each (N, embed) pair it has checked, with the index of
-    each class found under it, so a relation basis checks the embedding and
-    finds each class's index once.  Returns (equality holds, {class label:
-    index}).
+    N's.  M records each (N, embed) pair it has checked with the sparse rows
+    of embed and the index of each class found under it, so a relation
+    basis converts and checks the embedding once and finds each class's
+    index once.  Returns (equality holds, {class label: index}).
     """
     if m_lat.group is not n_lat.group:
         raise ValidationError("lattices live on different groups")
@@ -613,36 +599,44 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
         raise ValidationError("relation lives on a different group")
     if m_lat.rank != n_lat.rank:
         raise ValidationError("embedding with finite index needs equal ranks")
-    mat = tuple(tuple(int(x) for x in row) for row in embed)
-    if len(mat) != n_lat.rank or any(len(row) != m_lat.rank for row in mat):
-        raise ValidationError(
-            f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
-    known = m_lat._embeddings.get((n_lat, mat))
+    try:  # a tuple equal to a recorded one is taken as it is
+        known = m_lat._embeddings.get((n_lat, embed))
+    except TypeError:  # lists are not hashable
+        known = None
+    if known is None:
+        mat = _integral(embed, "an embedding")
+        if (len(mat) != n_lat.rank
+                or any(len(row) != m_lat.rank for row in mat)):
+            raise ValidationError(
+                f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
+        known = m_lat._embeddings.get((n_lat, mat))
     if known is None:
         if len(row_span_basis(mat)) < m_lat.rank:
             raise ValidationError("embedding must be injective")
         sparse = _sparse(mat)
-        for ma, mb in zip(m_lat._checked().actions, n_lat._checked().actions):
-            if (_sparse_product(_sparse(mb), sparse)
-                    != _sparse_product(sparse, _sparse(ma))):
+        for g in m_lat.group.generators:
+            if (_sparse_product(n_lat._element_rows(g), sparse)
+                    != _sparse_product(sparse, m_lat._element_rows(g))):
                 raise ValidationError("embedding is not equivariant")
-        known = m_lat._embeddings[(n_lat, mat)] = {}
+        known = m_lat._embeddings[(n_lat, mat)] = (sparse, {})
+    sparse, found = known
     classes = m_lat.group.subgroup_classes()
-    indices = {}
-    rhs = Fraction(1)
+    indices, rhs = {}, []
     for idx, n_h in theta.coefficients:
         cls = classes[idx]
-        index = known.get(idx)
+        index = found.get(idx)
         if index is None:
-            image = mat_mul(mat, fixed_sublattice(m_lat, cls))
-            index = known[idx] = sublattice_index(
+            basis = fixed_sublattice(m_lat, cls)
+            image = _dense(_sparse_product(sparse, _sparse(basis)),
+                           len(basis[0]) if basis else 0)
+            index = found[idx] = sublattice_index(
                 fixed_sublattice(n_lat, cls), image)
         indices[cls.label] = index
-        rhs *= Fraction(index) ** (2 * n_h)
+        rhs.append((index, 2 * n_h))
     # C_Theta does not depend on the pairing: named atoms take closed forms
     lhs = (regulator_constant(m_lat, theta).value
            / regulator_constant(n_lat, theta).value)
-    return lhs == rhs, indices
+    return reassembles(lhs, rhs), indices
 
 
 def tower_target_constant(group: Group, m: int,
@@ -655,9 +649,8 @@ def tower_target_constant(group: Group, m: int,
     """
     result = regulator_constant(tower_lattice(group, m), theta)
     classes = group.subgroup_classes()
-    expected = Fraction(1)
-    for idx, n_h in theta.coefficients:
-        expected *= Fraction(classes[idx].order) ** (-n_h)
+    expected = Fraction(*power_product(
+        (classes[idx].order, -n_h) for idx, n_h in theta.coefficients))
     if result.value != expected:
         raise FactoreqError(f"tower constant {result.value} must collapse to "
                             f"C(Z) = {expected}")

@@ -9,6 +9,7 @@ relation).
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,8 +53,10 @@ def uniform_profile(group, entry, **kwargs):
                              **kwargs)
 
 
-def consistent_profile(group, seed, t=Fraction(3, 5)):
-    """Random h, w per class with R chosen so every factor h*R/w equals t.
+def consistent_profile(group, seed, t=Fraction(3, 5), hs=(1, 2, 3, 5),
+                       ws=(2, 4, 6)):
+    """Random h in ``hs``, w in ``ws`` per class with R chosen so every
+    factor h*R/w equals t.
 
     Relations have coefficients summing to zero, so each class-number
     residual is t^0 = 1 by construction.
@@ -61,8 +64,8 @@ def consistent_profile(group, seed, t=Fraction(3, 5)):
     rng = random.Random(seed)
     data = {}
     for cls in group.subgroup_classes():
-        h = rng.choice([1, 2, 3, 5])
-        w = rng.choice([2, 4, 6])
+        h = rng.choice(hs)
+        w = rng.choice(ws)
         data[cls.label] = ClassData(h=h, w=w, lam=1,
                                     regulator=t * Fraction(w, h))
     return ArithmeticProfile(group, data)
@@ -335,6 +338,21 @@ def test_unit_constant_needs_regulators():
         unit_regulator_constant(prof, relation_basis(v4)[0])
 
 
+def test_unit_constant_refuses_a_factor_prime_to_the_group_order():
+    # R = a 17-digit prime on o4#0 puts it in C_Theta(E) to the 4th power;
+    # valuations are taken at 2 alone, so the prime is never factored, and
+    # no field gives a unit constant with such a factor
+    v4 = elementary_abelian_group(2, 2)
+    (theta,) = relation_basis(v4)
+    big = 10000000000000061
+    data = {lab: ClassData(regulator=1, lam=1) for lab in labels_of(v4)}
+    data["o4#0"] = ClassData(regulator=big, lam=1)
+    start = time.monotonic()
+    with pytest.raises(DataError, match=f"factor {big ** 4} prime to"):
+        unit_regulator_constant(ArithmeticProfile(v4, data), theta)
+    assert time.monotonic() - start < 1
+
+
 # -- the class-number identity -------------------------------------------------
 
 
@@ -366,12 +384,15 @@ def test_class_number_identity_detects_any_single_perturbation():
 
 def test_consistency_with_the_global_criterion():
     # when the class-number identity holds, the global criterion agrees
-    # with comparing the unit constant against the standard lattice's
-    for group in (elementary_abelian_group(2, 2),
-                  elementary_abelian_group(3, 2)):
+    # with comparing the unit constant against the standard lattice's; h
+    # and w/2 are powers of p, so C_Theta(E) is a p-adic unit away from p
+    # as for a field (t and the 2 in w cancel, since sum n_H = 0)
+    for p, group in ((2, elementary_abelian_group(2, 2)),
+                     (3, elementary_abelian_group(3, 2))):
         lat = cyclic_quotient_lattice(group)
         for seed in (11, 12):
-            prof = consistent_profile(group, seed)
+            prof = consistent_profile(group, seed, hs=(1, p, p * p),
+                                      ws=(2, 2 * p, 2 * p * p))
             for theta in relation_basis(group):
                 assert brauer_kuroda_residual(prof, theta) == 1
                 mink = minkowski_factor_check(prof, (theta,))

@@ -224,6 +224,23 @@ def test_rank_cap(monkeypatch, capsys):
     assert time.monotonic() - start < 1
 
 
+def test_counts_past_the_int_digit_limit_are_refused_as_resource(capsys):
+    # Python's int() refuses strings of over 4,300 digits; any count with
+    # more significant digits than the cap is over it, so it is refused
+    # before conversion, while leading zeros do not count
+    for count in ("1" * 5000, "9" * 4301, "10000"):
+        code, out, err = invoke(capsys, "regconst", "cyclic:2", f"Z^{count}")
+        assert (code, out) == (2, "") and err.startswith("error:resource:")
+        assert "over the rank cap of 1000" in err
+    group = parse_group_spec("cyclic:2")
+    assert parse_lattice_expr(group, "Z^" + "0" * 5000 + "7").rank == 7
+    # int() reads any decimal digits, so padding in Arabic-Indic zeros is
+    # not significant either
+    padded = "Z^" + "\u0660" * 5000 + "\u0663"
+    assert parse_lattice_expr(group, padded).rank == 3
+    assert parse_lattice_expr(group, "Z^0999").rank == 999
+
+
 def test_tower_candidate_is_the_lattices_tower():
     group = parse_group_spec("heisenberg:3")
     lat = _candidate_lattice(group, " tower:2 ")

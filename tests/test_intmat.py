@@ -6,7 +6,9 @@ defining properties (canonical shape).  The transform-carrying Hermite
 normal form and the two-HNF kernel it feeds live here as oracles: the
 package computes both without any transform.  So does an elimination loop
 that rebuilds each combined row whole, which the package's in-place sparse
-row operations must follow step for step.
+row operations must follow step for step.  Full factorization of a
+rational by trial division (``fraction_valuations``) is the oracle for
+valuations taken by division at chosen primes.
 """
 
 from fractions import Fraction
@@ -20,7 +22,6 @@ from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError, ResourceError
 from factoreq.intmat import (
     bareiss_determinant,
-    fraction_valuations,
     identity_matrix,
     is_positive_definite,
     is_prime,
@@ -28,6 +29,7 @@ from factoreq.intmat import (
     mat_mul,
     prime_factorization,
     row_span_basis,
+    split_valuations,
     sublattice_index,
     transpose,
     valuation,
@@ -472,6 +474,15 @@ def test_is_prime_refuses_above_the_proven_bound(monkeypatch):
     assert 2051 == 7 * 293 and is_prime(2051) is False
 
 
+def fraction_valuations(x: Fraction) -> dict[int, int]:
+    """Map p -> v_p(x) for a positive rational by trial division, zeros
+    omitted: the oracle for valuations."""
+    vals = dict(prime_factorization(x.numerator))
+    for p, e in prime_factorization(x.denominator).items():
+        vals[p] = vals.get(p, 0) - e
+    return {p: e for p, e in sorted(vals.items()) if e}
+
+
 def test_prime_factorization_and_valuations():
     assert prime_factorization(1) == {}
     assert prime_factorization(360) == {2: 3, 3: 2, 5: 1}
@@ -498,6 +509,18 @@ def test_valuation_matches_the_factorization(x, p):
     assert valuation(x, p) == fraction_valuations(x).get(p, 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 400), max_value=400,
+                    max_denominator=500).filter(lambda x: x > 0),
+       st.sets(st.sampled_from([2, 3, 5, 7, 401])))
+def test_split_valuations_match_the_factorization(x, primes):
+    vals, rest = split_valuations(x, sorted(primes))
+    full = fraction_valuations(x)
+    assert vals == {p: e for p, e in full.items() if p in primes}
+    assert fraction_valuations(rest) == {p: e for p, e in full.items()
+                                         if p not in primes}
+
+
 def test_valuation_by_division():
     big = 10000000000000061  # prime
     assert valuation(big, 2) == 0
@@ -509,6 +532,9 @@ def test_valuation_by_division():
             valuation(bad, 2)
     with pytest.raises(ValueError):
         valuation(4, 1)
+    # the rest keeps the large prime whole, found without factoring it
+    assert split_valuations(Fraction(2 ** 5 * big, 3 * big ** 2), (2, 3)) == (
+        {2: 5, 3: -1}, Fraction(1, big))
 
 
 def test_transpose_roundtrip():

@@ -11,7 +11,9 @@ coefficients (product of |H|^{n_H} for the cyclic-quotient lattice, its
 inverse for the augmentation lattice, 1 for every coset lattice of a
 cyclic class).  Fixed sublattices
 are cross-checked against explicit orbit sums, and the embedding fixture
-freezes hand-derived per-class indices (G : H).
+freezes hand-derived per-class indices (G : H).  The eager constructors
+that named atoms used before their matrices were built on first read are
+kept as the oracle of those matrices (``eager_actions``).
 """
 
 import random
@@ -34,7 +36,6 @@ from factoreq.groups import (
 )
 from factoreq.intmat import (
     bareiss_determinant,
-    fraction_valuations,
     identity_matrix,
     mat_mul,
     row_span_basis,
@@ -66,6 +67,7 @@ from factoreq.relations import (
     induce_relation,
     relation_basis,
 )
+from test_intmat import fraction_valuations
 
 GROUPS = {
     "V4": lambda: elementary_abelian_group(2, 2),
@@ -350,16 +352,138 @@ def test_named_constructors_need_no_determinant_or_product(monkeypatch):
             assert atom._rows is not None, (name, atom.label)
 
 
+def eager_actions(g, kind):
+    """The generator matrices of a named atom as the constructors built
+    them eagerly before the build moved to first read: the oracle."""
+    name, sub = kind
+    n = g.order
+    out = []
+    for s in g.generators:
+        if name == "Z":
+            m = [[1]]
+        elif name in ("Coset", "Reg"):
+            rep = sorted(g.subgroup_classes()[sub or 0].representative)
+            cosets = []
+            for x in range(n):
+                c = frozenset(g.mul[x][h] for h in rep)
+                if c not in cosets:
+                    cosets.append(c)
+            m = [[0] * len(cosets) for _ in cosets]
+            for i, c in enumerate(cosets):
+                m[cosets.index(frozenset(g.mul[s][x] for x in c))][i] = 1
+        else:
+            m = [[0] * (n - 1) for _ in range(n - 1)]
+            for x in range(1, n):
+                y = g.mul[s][x]
+                if name == "A" and y == 0:
+                    for r in range(n - 1):
+                        m[r][x - 1] = -1
+                elif name == "A":
+                    m[y - 1][x - 1] = 1
+                else:  # I: s(x-1) = (sx-1) - (s-1)
+                    if y != 0:
+                        m[y - 1][x - 1] += 1
+                    if s != 0:
+                        m[s - 1][x - 1] -= 1
+        out.append(tuple(map(tuple, m)))
+    return tuple(out)
+
+
+def block_diagonal(*parts):
+    """Per generator, the block-diagonal matrix of the parts' matrices."""
+    total = sum(len(mats[0]) for mats in parts)
+    out = []
+    for gi in range(len(parts[0])):
+        rows, offset = [], 0
+        for mats in parts:
+            size = len(mats[gi])
+            rows.extend((0,) * offset + row + (0,) * (total - offset - size)
+                        for row in mats[gi])
+            offset += size
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_actions_read_late_equal_the_eager_build(name):
+    g = CENSUS[name]()
+    atoms = named_atoms(g)
+    for atom in atoms:
+        assert atom._actions is None, atom.label
+        assert atom.actions == eager_actions(g, atom._kind), (name, atom.label)
+    z, i, a, reg = (trivial_lattice(g), augmentation_lattice(g),
+                    cyclic_quotient_lattice(g), regular_lattice(g))
+    lat = direct_sum(direct_sum(a, i), z, direct_sum(reg, reg))
+    assert lat.rank == 2 * (g.order - 1) + 1 + 2 * g.order
+    assert lat._actions is None and a._actions is None
+    assert lat.actions == block_diagonal(*(eager_actions(g, atom._kind)
+                                           for atom in (a, i, z, reg, reg)))
+
+
+def test_regconst_builds_no_matrix(monkeypatch, capsys):
+    # every sum the expression builds is recorded, with its atoms; a closed
+    # form reads no matrix, so none of them builds one
+    sums = []
+    build = cli.direct_sum
+    monkeypatch.setattr(cli, "direct_sum",
+                        lambda *parts: sums.append(build(*parts)) or sums[-1])
+    assert cli.run(["regconst", "dihedral:16",
+                    "Sum(A,I,Z,Reg^2,Coset(o4#1))^2"]) == 0
+    assert "regulator constants" in capsys.readouterr().out
+    atoms = {atom for lat in sums for atom in lat._blocks}
+    assert len(sums) == 3
+    assert {atom.label for atom in atoms} == {"A", "I", "Z", "Reg",
+                                              "Coset(o4#1)"}
+    for lat in sums + list(atoms):
+        assert lat._actions is None and lat._rows is None, lat.label
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_cached_factors_match_the_gram_route_class_by_class(name):
+    # A class factor depends on the pairing; only products over relations
+    # do not.  The averaged pairing of a permutation lattice is |G| times
+    # the one whose orbit-sum bases give the closed forms, so Z, Reg and
+    # every Coset match a kind-less copy's Gram determinants class by class
+    # once that scale is divided out.  I and A match over every relation.
+    g = CENSUS[name]()
+    for atom in named_atoms(g):
+        kindless = GLattice(g, atom.actions)
+        gram = lattices._averaged_gram(kindless)
+        factors = {}
+        for cls in g.subgroup_classes():
+            factor = factors[cls.index] = lattices._class_factor(
+                atom, cls.index)
+            assert atom._factors[cls.index] == factor
+            if atom.label not in ("I", "A"):
+                assert factor == lattices._scaled_gram_det(
+                    kindless, cls, gram, g.order), (name, atom.label, cls)
+        for theta in relation_basis(g):
+            closed = gram_route = Fraction(1)
+            for idx, n_k in theta.coefficients:
+                closed *= factors[idx] ** n_k
+                gram_route *= lattices._class_factor(kindless, idx) ** n_k
+            assert closed == gram_route, (name, atom.label, theta.describe())
+
+
+def named_atom(group, actions, label, kind):
+    """An atom on the named build path with the given generator matrices."""
+    def image(g, i):
+        m = actions[group.generators.index(g)]
+        return [(r, row[i]) for r, row in enumerate(m) if row[i]]
+
+    return lattices._named_atom(group, len(actions[0]), image, label, kind)
+
+
 def bad_atoms():
     """Named atoms with actions that are no homomorphism, and a relation on
     each group: C2 acting by 2 (rho(s) rho(s^-1) = 4 is not rho(1) = 1,
     which is how the sparse check covers unimodularity), and two
     involutions of V4 that do not commute."""
     c2, v4 = cyclic_group(2), elementary_abelian_group(2, 2)
-    return [(lattices._named_atom(c2, (((2,),),), "Z", ("Z", None)),
+    return [(named_atom(c2, (((2,),),), "Z", ("Z", None)),
              GRelation(c2, ())),
-            (lattices._named_atom(v4, (((0, 1), (1, 0)), ((-1, 0), (0, 1))),
-                                  "A", ("A", None)), relation_basis(v4)[0])]
+            (named_atom(v4, (((0, 1), (1, 0)), ((-1, 0), (0, 1))),
+                        "A", ("A", None)), relation_basis(v4)[0])]
 
 
 def test_named_build_path_rejects_bad_actions_on_first_use():
@@ -371,8 +495,7 @@ def test_named_build_path_rejects_bad_actions_on_first_use():
                 lambda lat: index_ratio_check(lat, lat, identity_matrix(rank),
                                               theta))
         for use in uses:
-            lat = lattices._named_atom(g, build.actions, build.label,
-                                       build._kind)
+            lat = named_atom(g, build.actions, build.label, build._kind)
             with pytest.raises(ValidationError, match="multiplication table"):
                 use(lat)
 
@@ -483,13 +606,13 @@ def test_lattices_without_a_kind_take_the_gram_route(monkeypatch):
     restricted = restrict_lattice(regular_lattice(g), sub, emb)
     user = GLattice(g, regular_lattice(g).actions)
     seen = []
-    whole = lattices._whole_constant
+    gram_det = lattices._scaled_gram_det
 
-    def recording(lat, theta):
+    def recording(lat, *args):
         seen.append(lat)
-        return whole(lat, theta)
+        return gram_det(lat, *args)
 
-    monkeypatch.setattr(lattices, "_whole_constant", recording)
+    monkeypatch.setattr(lattices, "_scaled_gram_det", recording)
     for lat in (inflated, restricted, user):
         assert lat._kind is None
         for theta in relation_basis(lat.group):
@@ -774,6 +897,14 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
             index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
 
 
+def i_z_to_reg(n):
+    """I + Z -> Reg, x + m -> x + m N with N the sum of all elements:
+    column x - 1 is e_x - e_1 for each element x != 1, the last column N."""
+    return tuple(tuple(1 if c == n - 1 or c + 1 == r else
+                       -1 if r == 0 and c < n - 1 else 0
+                       for c in range(n)) for r in range(n))
+
+
 @pytest.mark.parametrize("name", sorted(CENSUS))
 def test_non_scalar_embeddings_on_the_census(name):
     # I -> A, (g-1) -> gbar - ebar, has index (G : H) on every H-fixed part,
@@ -786,10 +917,7 @@ def test_non_scalar_embeddings_on_the_census(name):
     i_lat, a_lat, reg = (augmentation_lattice(g), cyclic_quotient_lattice(g),
                          regular_lattice(g))
     i_z = direct_sum(i_lat, trivial_lattice(g))
-    # column x - 1 is e_x - e_1 for each element x != 1, the last column N
-    to_reg = tuple(tuple(1 if c == n - 1 or c + 1 == r else
-                         -1 if r == 0 and c < n - 1 else 0
-                         for c in range(n)) for r in range(n))
+    to_reg = i_z_to_reg(n)
     assert abs(bareiss_determinant(to_reg)) == n
     whole = GLattice(g, i_z.actions)
     for theta in relation_basis(g):
@@ -799,6 +927,54 @@ def test_non_scalar_embeddings_on_the_census(name):
         ok, indices = index_ratio_check(i_z, reg, to_reg, theta)
         assert ok, (name, theta.describe())
         assert (ok, indices) == index_ratio_check(whole, reg, to_reg, theta)
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D8", "Heis3"])
+def test_index_ratio_takes_any_form_of_an_embedding_once(name, monkeypatch):
+    # lists, tuples and integral Fractions of one embedding give the answers
+    # of the tuple on fresh lattices, and one Hermite form (injectivity)
+    # per embedding on a scalar and on the I + Z -> Reg embedding
+    g = GROUPS[name]()
+    n = g.order
+    scalar = tuple(tuple(3 * x for x in row) for row in identity_matrix(n))
+    cases = [(lambda: (regular_lattice(g),) * 2, scalar),
+             (lambda: (direct_sum(augmentation_lattice(g),
+                                  trivial_lattice(g)), regular_lattice(g)),
+              i_z_to_reg(n))]
+    basis = relation_basis(g)
+    for make, embed in cases:
+        fresh = make()
+        want = [index_ratio_check(*fresh, embed, theta) for theta in basis]
+        assert all(ok for ok, _ in want)
+        forms = ([list(row) for row in embed], embed,
+                 tuple(tuple(Fraction(x) for x in row) for row in embed))
+        spans = []
+        span = lattices.row_span_basis
+        with monkeypatch.context() as m:
+            m.setattr(lattices, "row_span_basis",
+                      lambda rows: spans.append(rows) or span(rows))
+            m_lat, n_lat = make()
+            for k, theta in enumerate(basis * 2):
+                got = index_ratio_check(m_lat, n_lat, forms[k % 3], theta)
+                assert got == want[k % len(basis)], (name, k)
+        assert spans == [embed]
+
+
+def test_non_integral_embedding_entries_are_refused():
+    v4 = elementary_abelian_group(2, 2)
+    theta = relation_basis(v4)[0]
+    z = trivial_lattice(v4)
+    # an integral embedding recorded first does not let an unequal one in
+    assert index_ratio_check(z, z, ((2,),), theta) == (
+        True, {label: 2 for label in ("o1#0", "o2#0", "o2#1", "o2#2",
+                                      "o4#0")})
+    for bad in (((Fraction(5, 2),),), ((2.5,),), [[Fraction(5, 2)]]):
+        with pytest.raises(ValidationError, match="integer entries"):
+            index_ratio_check(z, z, bad, theta)
+    for good in (((Fraction(2),),), ((2.0,),)):
+        assert index_ratio_check(z, z, good, theta)[1]["o1#0"] == 2
+    with pytest.raises(ValidationError, match="integer entries"):
+        GLattice(v4, (((1.5,),), ((1,),)))
 
 
 def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):
@@ -943,15 +1119,15 @@ def test_valuations_at_the_primes_of_the_group_order(name):
                 name, lat.label, theta.describe())
 
 
-def test_a_prime_outside_the_group_order_raises(monkeypatch):
-    # forced by monkeypatching: C_Theta is a p-adic unit for p not dividing
-    # |G|, so a factor 5 on V4 breaks an invariant
+def test_a_prime_outside_the_group_order_raises():
+    # forced through the factor cache: C_Theta is a p-adic unit for p not
+    # dividing |G|, so a class factor 5 on V4 breaks an invariant
     v4 = elementary_abelian_group(2, 2)
     theta = relation_basis(v4)[0]
-    monkeypatch.setattr(lattices, "_closed_constant",
-                        lambda atom, theta: Fraction(5, 2))
-    with pytest.raises(FactoreqError, match="not dividing") as exc:
-        regulator_constant(trivial_lattice(v4), theta)
+    lat = trivial_lattice(v4)
+    lat._factors[theta.coefficients[0][0]] = Fraction(5)
+    with pytest.raises(FactoreqError, match="factor 5 .*not dividing") as exc:
+        regulator_constant(lat, theta)
     assert type(exc.value) is FactoreqError
 
 
