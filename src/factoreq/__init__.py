@@ -83,6 +83,7 @@ from .relations import (
     relation_basis,
     relation_span_basis,
     spans_match,
+    spans_relation_lattice,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ from .lattices import (
     tower_lattice,
     trivial_lattice,
 )
-from .relations import bouc_generators, relation_basis, spans_match
+from .relations import bouc_generators, relation_basis, spans_relation_lattice
 
 RANK_CAP = 1000
 
@@ -476,11 +477,14 @@ def _write_json(obj, out: list, newline: str) -> None:
 
 @dataclass
 class Report:
-    """Structured command output, rendered as text lines or as JSON."""
+    """Structured command output, rendered as text lines or as JSON.
+
+    Handlers pass ``lines`` as a generator: it runs only for text output.
+    """
 
     command: str
     payload: dict
-    lines: tuple
+    lines: Iterable[str]
 
     def render(self, as_json: bool) -> str:
         """The text lines, or ``{"command": ..., **payload}`` as JSON.
@@ -533,17 +537,16 @@ def _verdict_payload(verdict, relations) -> dict:
     return {"overall": verdict.overall, "results": results}
 
 
-def _verdict_lines(title, verdict, relations) -> list:
-    lines = [title]
+def _verdict_lines(title, verdict, relations):
+    yield title
     if not relations:
-        lines.append("  no relations: vacuously true")
+        yield "  no relations: vacuously true"
     for index, (theta, residual) in enumerate(zip(relations,
                                                   verdict.residuals)):
         mark = "ok " if residual == 1 else "FAIL"
-        lines.append(f"  [{index}] {mark} residual {_frs(residual)}  "
-                     f"({theta.describe()})")
-    lines.append(f"overall: {'true' if verdict.overall else 'false'}")
-    return lines
+        yield (f"  [{index}] {mark} residual {_frs(residual)}  "
+               f"({theta.describe()})")
+    yield f"overall: {'true' if verdict.overall else 'false'}"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -562,16 +565,18 @@ def _cmd_group(args):
                      "size": cls.class_size, "cyclic": cls.is_cyclic,
                      "normal": cls.is_normal} for cls in classes],
     }
-    lines = [f"{group.name}: order {group.order}, exponent "
-             f"{group.exponent()}, "
-             f"{'abelian' if group.is_abelian() else 'non-abelian'}",
-             f"subgroup classes ({len(classes)}):",
-             "  label   order  size  cyclic  normal"]
-    for cls in classes:
-        lines.append(f"  {cls.label:<7} {cls.order:<6} {cls.class_size:<5} "
-                     f"{'yes' if cls.is_cyclic else 'no':<7} "
-                     f"{'yes' if cls.is_normal else 'no'}")
-    return 0, Report("group", payload, tuple(lines))
+
+    def lines():
+        yield (f"{group.name}: order {group.order}, exponent "
+               f"{payload['exponent']}, "
+               f"{'abelian' if payload['abelian'] else 'non-abelian'}")
+        yield f"subgroup classes ({len(classes)}):"
+        yield "  label   order  size  cyclic  normal"
+        for cls in classes:
+            yield (f"  {cls.label:<7} {cls.order:<6} {cls.class_size:<5} "
+                   f"{'yes' if cls.is_cyclic else 'no':<7} "
+                   f"{'yes' if cls.is_normal else 'no'}")
+    return 0, Report("group", payload, lines())
 
 
 def _cmd_relations(args):
@@ -579,12 +584,14 @@ def _cmd_relations(args):
     basis = relation_basis(group)
     payload = {"spec": args.spec, "group": group.name, "rank": len(basis),
                "relations": [_relation_json(theta) for theta in basis]}
-    lines = [f"relation basis of {group.name}: rank {len(basis)}"]
-    for index, theta in enumerate(basis):
-        lines.append(f"  [{index}] {theta.describe()}")
-    if not basis:
-        lines.append("  (no relations: every subgroup class is cyclic)")
-    return 0, Report("relations", payload, tuple(lines))
+
+    def lines():
+        yield f"relation basis of {group.name}: rank {len(basis)}"
+        for index, theta in enumerate(basis):
+            yield f"  [{index}] {theta.describe()}"
+        if not basis:
+            yield "  (no relations: every subgroup class is cyclic)"
+    return 0, Report("relations", payload, lines())
 
 
 def _choose_relations(group, args):
@@ -601,25 +608,26 @@ def _choose_relations(group, args):
 def _cmd_regconst(args):
     group = parse_group_spec(args.spec)
     lattice = parse_lattice_expr(group, args.lattice)
-    chosen = _choose_relations(group, args)
-    results = []
-    lines = [f"regulator constants of {lattice.label} (rank {lattice.rank}) "
-             f"on {group.name}:"]
-    for index, theta in chosen:
-        value = regulator_constant(lattice, theta)
-        results.append({"relation_index": index,
-                        "relation": _relation_json(theta),
-                        "value": _frs(value.value),
-                        "valuations": _valuations_json(value.valuations)})
-        lines.append(f"  [{index}] {_frs(value.value)} = "
-                     f"{_valuations_text(value.valuations)}  "
-                     f"({theta.describe()})")
-    if not chosen:
-        lines.append("  (no relations)")
+    chosen = [(index, theta, regulator_constant(lattice, theta))
+              for index, theta in _choose_relations(group, args)]
+    results = [{"relation_index": index, "relation": _relation_json(theta),
+                "value": _frs(value.value),
+                "valuations": _valuations_json(value.valuations)}
+               for index, theta, value in chosen]
     payload = {"spec": args.spec, "group": group.name,
                "lattice": lattice.label, "rank": lattice.rank,
                "results": results}
-    return 0, Report("regconst", payload, tuple(lines))
+
+    def lines():
+        yield (f"regulator constants of {lattice.label} (rank "
+               f"{lattice.rank}) on {group.name}:")
+        for index, theta, value in chosen:
+            yield (f"  [{index}] {_frs(value.value)} = "
+                   f"{_valuations_text(value.valuations)}  "
+                   f"({theta.describe()})")
+        if not chosen:
+            yield "  (no relations)"
+    return 0, Report("regconst", payload, lines())
 
 
 def _infer_prime(group: Group) -> int:
@@ -652,8 +660,7 @@ def _cmd_bouc(args):
         lines = _verdict_lines(
             f"classical p-group condition for {group.name} at p={profile.p}:",
             verdict, generators)
-        return (0 if verdict.overall else 1), Report("bouc", payload,
-                                                     tuple(lines))
+        return (0 if verdict.overall else 1), Report("bouc", payload, lines)
     if args.spec is None:
         raise ParseError("bouc needs a group spec or --check <profile.json>")
     group = parse_group_spec(args.spec)
@@ -662,18 +669,21 @@ def _cmd_bouc(args):
     payload = {"spec": args.spec, "group": group.name, "p": p,
                "count": len(generators),
                "relations": [_relation_json(theta) for theta in generators]}
-    lines = [f"classical generators of {group.name} at p={p}: "
-             f"{len(generators)}"]
-    for index, theta in enumerate(generators):
-        lines.append(f"  [{index}] {theta.describe()}")
     code = 0
     if args.verify_span:
-        spanning = spans_match(generators, relation_basis(group))
+        spanning = spans_relation_lattice(group, generators)
         payload["spans_full_lattice"] = spanning
-        lines.append(f"spans the full relation lattice: "
-                     f"{'yes' if spanning else 'NO'}")
         code = 0 if spanning else 1
-    return code, Report("bouc", payload, tuple(lines))
+
+    def lines():
+        yield (f"classical generators of {group.name} at p={p}: "
+               f"{len(generators)}")
+        for index, theta in enumerate(generators):
+            yield f"  [{index}] {theta.describe()}"
+        if args.verify_span:
+            yield (f"spans the full relation lattice: "
+                   f"{'yes' if spanning else 'NO'}")
+    return code, Report("bouc", payload, lines())
 
 
 def _cmd_factorizable(args):
@@ -696,20 +706,20 @@ def _cmd_factorizable(args):
     function = SubgroupFunction(group, table)
     quotient = factorisable_quotient(function)
     verdict = is_factorisable_abelian(function)
-    per_class = []
-    lines = [f"factorisability of f on {group.name}:",
-             "  class   f        f-tilde"]
-    for cls in classes:
-        f_val = function.value(cls.representative)
-        q_val = quotient.value(cls.representative)
-        per_class.append({"class": cls.label, "f": _frs(f_val),
-                          "quotient": _frs(q_val)})
-        lines.append(f"  {cls.label:<7} {_frs(f_val):<8} {_frs(q_val)}")
-    lines.append(f"factorisable: {'yes' if verdict else 'no'}")
+    per_class = [{"class": cls.label,
+                  "f": _frs(function.value(cls.representative)),
+                  "quotient": _frs(quotient.value(cls.representative))}
+                 for cls in classes]
     payload = {"spec": args.spec, "group": group.name,
                "factorisable": verdict, "classes": per_class}
-    return (0 if verdict else 1), Report("factorizable", payload,
-                                         tuple(lines))
+
+    def lines():
+        yield f"factorisability of f on {group.name}:"
+        yield "  class   f        f-tilde"
+        for row in per_class:
+            yield f"  {row['class']:<7} {row['f']:<8} {row['quotient']}"
+        yield f"factorisable: {'yes' if verdict else 'no'}"
+    return (0 if verdict else 1), Report("factorizable", payload, lines())
 
 
 def _candidate_lattice(group: Group, text: str) -> GLattice:
@@ -739,8 +749,7 @@ def _cmd_check_units(args):
     payload = {"profile": args.profile, "group": group.name, "check": check,
                **_verdict_payload(verdict, basis)}
     lines = _verdict_lines(f"{check} for {group.name}:", verdict, basis)
-    return (0 if verdict.overall else 1), Report("check-units", payload,
-                                                 tuple(lines))
+    return (0 if verdict.overall else 1), Report("check-units", payload, lines)
 
 
 def _cmd_bk_check(args):
@@ -752,8 +761,7 @@ def _cmd_bk_check(args):
                **_verdict_payload(verdict, basis)}
     lines = _verdict_lines(f"class-number identity for {group.name}:",
                            verdict, basis)
-    return (0 if verdict.overall else 1), Report("bk-check", payload,
-                                                 tuple(lines))
+    return (0 if verdict.overall else 1), Report("bk-check", payload, lines)
 
 
 def _cmd_index_check(args):
@@ -766,8 +774,6 @@ def _cmd_index_check(args):
                   for row in range(lattice.rank))
     basis = relation_basis(group)
     results, overall = [], True
-    lines = [f"index identity for {args.scale}*id on {lattice.label} "
-             f"over {group.name}:"]
     for index, theta in enumerate(basis):
         passed, indices = index_ratio_check(lattice, lattice, embed, theta)
         overall = overall and passed
@@ -775,17 +781,22 @@ def _cmd_index_check(args):
                         "relation": _relation_json(theta), "passed": passed,
                         "indices": {label: indices[label]
                                     for label in sorted(indices)}})
-        pretty = ", ".join(f"{label}:{indices[label]}"
-                           for label in sorted(indices))
-        lines.append(f"  [{index}] {'ok ' if passed else 'FAIL'} "
-                     f"indices {{{pretty}}}")
-    if not basis:
-        lines.append("  no relations: vacuously true")
-    lines.append(f"overall: {'true' if overall else 'false'}")
     payload = {"spec": args.spec, "lattice": lattice.label,
                "scale": args.scale, "group": group.name, "overall": overall,
                "results": results}
-    return (0 if overall else 1), Report("index-check", payload, tuple(lines))
+
+    def lines():
+        yield (f"index identity for {args.scale}*id on {lattice.label} "
+               f"over {group.name}:")
+        for res in results:
+            pretty = ", ".join(f"{label}:{n}"
+                               for label, n in res["indices"].items())
+            yield (f"  [{res['relation_index']}] "
+                   f"{'ok ' if res['passed'] else 'FAIL'} indices {{{pretty}}}")
+        if not basis:
+            yield "  no relations: vacuously true"
+        yield f"overall: {'true' if overall else 'false'}"
+    return (0 if overall else 1), Report("index-check", payload, lines())
 
 
 # -- driver --------------------------------------------------------------------

@@ -92,7 +92,7 @@ class Group:
         self._subgroup_classes = None
         self._class_of_subgroup = None
         self._class_by_label = None
-        self._permutation_characters = {}
+        self._permutation_characters = None
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
@@ -656,24 +656,29 @@ def _normalized_by(group: Group, gens, sub) -> bool:
     return all(group.conjugate_subgroup(g, sub) == sub for g in gens)
 
 
-def _normal_sections(group: Group, index: int):
-    """Yield (H, generators of H, B) with B normal in H and [H:B] = index.
+def _normal_sections(group: Group, *indices):
+    """Every (H, generators of H, B) with B normal in H and [H:B] in indices.
 
-    H runs over subgroup-class representatives in canonical order; for each,
-    B runs over the subgroups of H in ``all_subgroups`` order.  H and B are
-    subsets of G; no quotient group is built.
+    The list runs index by index, in the order given; for each index, H
+    runs over subgroup-class representatives in canonical order and, for
+    each, B over the subgroups of H in ``all_subgroups`` order.  Each H's
+    generators are found once, in one pass over the classes for all indices.
+    H and B are subsets of G; no quotient group is built.
     """
     by_order: dict[int, list] = {}
     for sub in group.all_subgroups():
         by_order.setdefault(len(sub), []).append(sub)
+    found = {index: [] for index in indices}
     for cls in group.subgroup_classes():
-        if cls.order % index:
-            continue
-        top = cls.representative
-        gens = _greedy_generators(group, top)
-        for bottom in by_order.get(cls.order // index, ()):
-            if bottom <= top and _normalized_by(group, gens, bottom):
-                yield top, gens, bottom
+        top, gens = cls.representative, ()
+        for index in indices:
+            if cls.order % index == 0:
+                gens = gens or _greedy_generators(group, top)
+                found[index] += [
+                    (top, gens, bottom)
+                    for bottom in by_order.get(cls.order // index, ())
+                    if bottom <= top and _normalized_by(group, gens, bottom)]
+    return [section for index in indices for section in found[index]]
 
 
 def _commutators_in(group: Group, gens, sub) -> bool:

@@ -147,6 +147,20 @@ def kernel_basis(mat):
 
     Kernels of integer matrices are saturated by construction: any integer
     vector killed by ``mat`` is an integer combination of the returned rows.
+    They are the rows of :func:`_kernel_rows`, written out densely.
+    """
+    n = len(mat[0]) if mat else 0
+    out = []
+    for row in _kernel_rows(mat):
+        vec = [0] * n
+        for q, v in row:
+            vec[q] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _kernel_rows(mat) -> tuple:
+    """:func:`kernel_basis`, each row a sorted tuple of (column, nonzero entry).
 
     Column c is an HNF pivot of the kernel exactly when column c of ``mat``
     lies in the Q-span of the columns to its right.  So one echelon pass over
@@ -186,30 +200,24 @@ def kernel_basis(mat):
             y[p] = -s // g
         solutions.append((y, d))
     den = lcm(*(d for _, d in solutions))
-    scaled = []                # den * v_f, as integer rows
-    for y, d in solutions:
-        vec = [0] * n
-        for q, v in y.items():
-            vec[q] = v * (den // d)
-        scaled.append(tuple(vec))
     if den == 1:
-        return tuple(scaled)
-    return _saturate(scaled, den)
+        return tuple(tuple(sorted(y.items())) for y, _ in solutions)
+    return _saturate([{q: v * (den // d) for q, v in y.items()}
+                      for y, d in solutions], den)
 
 
 def _saturate(scaled, den):
-    """HNF rows of {sum t_i w_i / den : t in Z^k, integral} for rows w_i.
+    """HNF rows of {sum t_i w_i / den : t in Z^k, integral} for sparse w_i.
 
     With W the entries of the w_i on the columns where some w_i / den is not
     integral, the rows of [[W | I], [den*I | 0]] whose W part vanishes after
     one HNF are the HNF of the admissible t.  Each w_i / den is 1 on its own
     free column and 0 on the others, so mapping those t back gives the HNF
-    of the kernel.
+    of the kernel, as sorted (column, entry) tuples.
     """
-    n = len(scaled[0])
-    cols = [q for q in range(n) if any(w[q] % den for w in scaled)]
+    cols = sorted({q for w in scaled for q, v in w.items() if v % den})
     k = len(scaled)
-    rows = [[w[q] % den for q in cols] + [int(j == i) for j in range(k)]
+    rows = [[w.get(q, 0) % den for q in cols] + [int(j == i) for j in range(k)]
             for i, w in enumerate(scaled)]
     rows += [[den if j == i else 0 for j in range(len(cols) + k)]
              for i in range(len(cols))]
@@ -217,9 +225,12 @@ def _saturate(scaled, den):
     for row in row_span_basis(rows):
         if any(row[:len(cols)]):
             continue
-        t = row[len(cols):]
-        out.append(tuple(sum(ti * w[q] for ti, w in zip(t, scaled) if ti)
-                         // den for q in range(n)))
+        acc: dict[int, int] = {}
+        for ti, w in zip(row[len(cols):], scaled):
+            if ti:
+                for q, v in w.items():
+                    acc[q] = acc.get(q, 0) + ti * v
+        out.append(tuple((q, v // den) for q, v in sorted(acc.items()) if v))
     return tuple(out)
 
 

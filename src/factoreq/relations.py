@@ -7,7 +7,8 @@ lattice; :func:`relation_basis` returns its canonical (Hermite normal form)
 basis.  For p-groups, :func:`bouc_generators` produces the classical
 generating family: the relations of three kinds of small sections H/B,
 induced and inflated to G.  Each is read off G's own subgroup lattice,
-without H/B being built, and the two spans must agree.
+without H/B being built, and the two spans must agree:
+:func:`spans_relation_lattice` checks it in the basis's own coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .groups import (
     _commutators_in,
     _normal_sections,
 )
-from .intmat import is_prime, kernel_basis, row_span_basis, valuation
+from .intmat import (_kernel_rows, identity_matrix, is_prime, row_span_basis,
+                     valuation)
 
 
 @dataclass(frozen=True)
@@ -48,30 +50,43 @@ def permutation_character(group: Group, subgroup_class) -> CharacterVector:
 
     where H & g^G is the set of members of H conjugate to g, so one pass
     over H counts its members in each element class.  The numerator equals
-    ``#{x : x^-1 g x in H}`` and is always divisible by |H| (checked);
-    values are cached on the group.
+    ``#{x : x^-1 g x in H}`` and is always divisible by |H| (checked).
+    The value is a row of the group's character table.
     """
     cls = _as_class(group, subgroup_class)
-    values = group._permutation_characters.get(cls.index)
-    if values is None:
+    return CharacterVector(group, _character_table(group)[0][cls.index])
+
+
+def _character_table(group: Group) -> tuple:
+    """(rows, packed): every subgroup class's permutation character, one row
+    per class, and each row packed into one integer with value i in bits
+    ``i * w`` on, w = |G|.bit_length() + 64; built on first use and cached.
+    """
+    if group._permutation_characters is None:
         classes = group.element_classes()
         class_of = group._class_of_element
-        counts = [0] * len(classes)
-        for h in cls.representative:
-            counts[class_of[h]] += 1
-        values = []
-        for ec, count in zip(classes, counts):
-            fixed, rem = divmod(group.order // len(ec) * count, cls.order)
-            if rem:
-                raise FactoreqError("conjugation count not divisible by |H|")
-            values.append(fixed)
-        values = group._permutation_characters[cls.index] = tuple(values)
-    return CharacterVector(group, values)
+        centralizers = [group.order // len(ec) for ec in classes]
+        width = group.order.bit_length() + 64
+        table, packed = [], []
+        for cls in group.subgroup_classes():
+            row = [0] * len(classes)
+            for h in cls.representative:
+                row[class_of[h]] += 1
+            for i, count in enumerate(row):
+                if count:
+                    row[i], rem = divmod(centralizers[i] * count, cls.order)
+                    if rem:
+                        raise FactoreqError("conjugation count not divisible "
+                                            "by |H|")
+            table.append(tuple(row))
+            packed.append(sum(x << i * width for i, x in enumerate(row) if x))
+        group._permutation_characters = tuple(table), tuple(packed)
+    return group._permutation_characters
 
 
 def _as_class(group, spec):
     classes = group.subgroup_classes()
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         if not 0 <= spec < len(classes):
             raise ValidationError(f"no subgroup class with index {spec}")
         return classes[spec]
@@ -102,7 +117,7 @@ class GRelation:
         coeffs = {}
         for key, val in dict(mapping).items():
             idx = _as_class(group, key).index
-            if not isinstance(val, int):
+            if not isinstance(val, int) or isinstance(val, bool):
                 raise ValidationError("relation coefficients must be integers")
             coeffs[idx] = coeffs.get(idx, 0) + val
         return GRelation(group, tuple(sorted((k, v) for k, v in coeffs.items() if v)))
@@ -142,17 +157,26 @@ class GRelation:
 
 
 def is_relation(group: Group, candidate) -> bool:
-    """Do the permutation characters weighted by the candidate cancel?"""
+    """Do the permutation characters weighted by the candidate cancel?
+
+    Character values lie in [0, |G|], so while the |coefficients| sum below
+    2^64 each value of the weighted sum is below 2^w in absolute value (w
+    the packing width), and the weighted sum of the packed characters is 0
+    iff all of them are; past that the values are summed one by one.
+    """
     rel = candidate if isinstance(candidate, GRelation) \
         else GRelation.from_mapping(group, candidate)
     if rel.group is not group:
         raise ValidationError("relation belongs to a different group")
-    total = [0] * len(group.element_classes())
+    rows, packed = _character_table(group)
+    total = size = 0
     for idx, val in rel.coefficients:
-        char = permutation_character(group, idx).values
-        for i, x in enumerate(char):
-            total[i] += val * x
-    return not any(total)
+        total += val * packed[idx]
+        size += abs(val)
+    if size >> 64:
+        return not any(sum(val * rows[idx][i] for idx, val in rel.coefficients)
+                       for i in range(len(rows[0])))
+    return not total
 
 
 def relation_basis(group: Group) -> tuple:
@@ -163,15 +187,8 @@ def relation_basis(group: Group) -> tuple:
     each basis vector's first nonzero coefficient is positive and repeated
     runs are bit-identical.
     """
-    classes = group.subgroup_classes()
-    chars = [permutation_character(group, c).values for c in classes]
-    rows = tuple(tuple(chars[j][i] for j in range(len(classes)))
-                 for i in range(len(group.element_classes())))
-    basis = []
-    for vec in kernel_basis(rows):
-        rel = GRelation(group, tuple((i, v) for i, v in enumerate(vec) if v))
-        basis.append(rel)
-    return tuple(basis)
+    rows = tuple(zip(*_character_table(group)[0]))
+    return tuple(GRelation(group, row) for row in _kernel_rows(rows))
 
 
 def relation_span_basis(relations) -> tuple:
@@ -188,6 +205,83 @@ def relation_span_basis(relations) -> tuple:
 
 def spans_match(relations_a, relations_b) -> bool:
     return relation_span_basis(relations_a) == relation_span_basis(relations_b)
+
+
+def spans_relation_lattice(group: Group, relations) -> bool:
+    """``spans_match(relations, relation_basis(group))``, without an HNF.
+
+    ``relations`` are GRelations of ``group``.  Each is checked to be a
+    relation and written in the basis: its coordinate on b_j is its
+    coefficient at b_j's pivot class if that pivot is 1 (the HNF has zeros
+    above it), else found by back-substitution, and must be an integer
+    (else :class:`FactoreqError`).
+    """
+    basis = relation_basis(group)
+    pivot_of = {rel.coefficients[0][0]: j for j, rel in enumerate(basis)}
+    # j -> (pivot, [(i, entry of b_i on b_j's pivot class)]) for pivots != 1
+    solve = {j: (rel.coefficients[0][1], []) for j, rel in enumerate(basis)
+             if rel.coefficients[0][1] != 1}
+    for i, rel in enumerate(basis):
+        for col, val in rel.coefficients[1:]:
+            if pivot_of.get(col) in solve:
+                solve[pivot_of[col]][1].append((i, val))
+    rows = []
+    for rel in relations:
+        if not is_relation(group, rel):
+            raise ValidationError(f"{rel.describe()} is not a relation of "
+                                  f"{group.name}")
+        coords = {pivot_of[col]: val for col, val in rel.coefficients
+                  if col in pivot_of}
+        for j, (lead, above) in solve.items():
+            t, rem = divmod(coords.pop(j, 0) - sum(
+                coords.get(i, 0) * val for i, val in above), lead)
+            if rem:
+                raise FactoreqError("a relation has a non-integral coordinate "
+                                    "in the relation basis")
+            if t:
+                coords[j] = t
+        rows.append(coords)
+    return _spans_all_coordinates(rows, len(basis))
+
+
+def _spans_all_coordinates(rows, rank: int) -> bool:
+    """Do the sparse rows {column: entry} span Z^rank?  They are consumed.
+
+    Columns go from last to first.  In each, the shortest row with a +-1
+    entry there (a column -> rows index finds them) is set aside and
+    cleared from the other rows, so the span is Z^rank iff the rest spans
+    the other columns.  A column with no +-1 entry is left over; the rows
+    left must have the identity as the row span of those columns.
+    """
+    rows = {n: row for n, row in enumerate(rows) if row}
+    holders: dict[int, set] = {}    # column -> rows that may be nonzero there
+    for n, row in rows.items():
+        for j in row:
+            holders.setdefault(j, set()).add(n)
+    leftover = []
+    for j in reversed(range(rank)):
+        live = [n for n in holders.pop(j, ()) if j in rows.get(n, ())]
+        units = [n for n in live if rows[n][j] in (1, -1)]
+        if not units:
+            leftover.insert(0, j)
+            continue
+        prow = rows.pop(min(units, key=lambda n: (len(rows[n]), n)))
+        for n in live:
+            row = rows.get(n)
+            if row is None:     # the pivot row
+                continue
+            q = row[j] * prow[j]
+            for col, val in prow.items():
+                row[col] = row.get(col, 0) - q * val
+                if row[col]:
+                    holders.setdefault(col, set()).add(n)
+                else:
+                    del row[col]
+            if not row:
+                del rows[n]
+    return not leftover or row_span_basis(
+        [[row.get(j, 0) for j in leftover] for row in rows.values()]
+    ) == identity_matrix(len(leftover))
 
 
 def induce_inflate(group: Group, sq: Subquotient, rel: GRelation) -> GRelation:
@@ -277,17 +371,16 @@ def bouc_generators(group: Group, p: int) -> tuple:
     indices = [p * p] + ([p ** 3] if p % 2 else
                          [2 ** k for k in range(3, group.order.bit_length())])
     out = []
-    for index in indices:
-        for top, gens, bottom in _normal_sections(group, index):
-            if index == p * p:
-                if all(power[x] in bottom for x in top):
-                    out.append(_elementary_abelian_relation(group, top,
-                                                            bottom, p))
-            elif not _commutators_in(group, gens, bottom) and (
-                    _is_dihedral(group, top, bottom, power) if p == 2
-                    else all(power[x] in bottom for x in top)):
-                out.extend(_center_pair_relations_on(group, top, gens,
-                                                     bottom, power))
+    for top, gens, bottom in _normal_sections(group, *indices):
+        if len(top) == p * p * len(bottom):
+            if all(power[x] in bottom for x in top):
+                out.append(_elementary_abelian_relation(group, top, bottom,
+                                                        p))
+        elif not _commutators_in(group, gens, bottom) and (
+                _is_dihedral(group, top, bottom, power) if p == 2
+                else all(power[x] in bottom for x in top)):
+            out.extend(_center_pair_relations_on(group, top, gens, bottom,
+                                                 power))
     return tuple(out)
 
 

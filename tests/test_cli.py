@@ -45,7 +45,7 @@ from factoreq.lattices import (
     tower_lattice,
     trivial_lattice,
 )
-from factoreq.relations import relation_basis
+from factoreq.relations import GRelation, relation_basis
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -533,7 +533,7 @@ def test_writer_refuses_floats_fractions_and_non_str_keys(obj):
         written(obj)
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_SUBCOMMAND = [
     ["group", "dihedral:8"],
     ["relations", "elemab:3,2"],
     ["regconst", "dihedral:8", "Sum(A,Reg)"],
@@ -545,13 +545,31 @@ def test_writer_refuses_floats_fractions_and_non_str_keys(obj):
      "--candidate", "tower:2"],
     ["bk-check", fixture("v4_perturbed.json")],
     ["index-check", "heisenberg:3", "Sum(A,I)", "--scale", "3"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
 def test_every_subcommand_prints_json_dumps_indent_2(capsys, argv):
     args = cli._build_parser().parse_args([*argv, "--json"])
     code, report = args.handler(args)
     expected = json.dumps({"command": report.command, **report.payload},
                           indent=2) + "\n"
     assert invoke(capsys, *argv, "--json") == (code, expected, "")
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_json_output_formats_no_text_lines(capsys, monkeypatch, argv):
+    # the text lines are a generator that --json never runs, so no
+    # relation is described; the text output still describes them
+    described = []
+    describe = GRelation.describe
+    monkeypatch.setattr(GRelation, "describe",
+                        lambda rel: described.append(rel) or describe(rel))
+    code, _, err = invoke(capsys, *argv, "--json")
+    assert err == "" and described == []
+    assert invoke(capsys, *argv)[0] == code
+    assert bool(described) == (argv[0] not in ("group", "factorizable",
+                                               "index-check"))
 
 
 def test_a_render_failure_is_an_internal_error(capsys, monkeypatch):

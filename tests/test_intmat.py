@@ -334,12 +334,76 @@ def test_echelon_of_bouc_generators_matches_the_oracle(spec):
     assert_echelon_matches_the_oracle(tuple(sorted(set(rows))))
 
 
+def character_matrix(group):
+    """(element classes) x (subgroup classes) permutation character values."""
+    return tuple(zip(*(relations.permutation_character(group, cls).values
+                       for cls in group.subgroup_classes())))
+
+
 @pytest.mark.parametrize("spec", CENSUS_GROUPS)
-def test_relation_basis_matches_the_oracle(spec, monkeypatch):
+def test_relation_basis_matches_the_oracle(spec):
     group = parse_group_spec(spec)
     basis = relations.relation_basis(group)
-    monkeypatch.setattr(relations, "kernel_basis", oracle_kernel_basis)
-    assert relations.relation_basis(group) == basis
+    assert tuple(rel.as_vector() for rel in basis) == oracle_kernel_basis(
+        character_matrix(group))
+
+
+def sparse(rows):
+    return tuple(tuple((q, v) for q, v in enumerate(row) if v)
+                 for row in rows)
+
+
+@pytest.mark.parametrize("spec", CENSUS_GROUPS)
+def test_sparse_kernel_rows_match_the_dense_kernel_on_the_census(spec):
+    mat = character_matrix(parse_group_spec(spec))
+    assert intmat._kernel_rows(mat) == sparse(kernel_basis(mat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=5, max_cols=7, entries=st.integers(-6, 6)))
+def test_sparse_kernel_rows_match_the_dense_kernel(mat):
+    assert intmat._kernel_rows(mat) == sparse(kernel_basis(mat))
+
+
+@st.composite
+def non_saturated_kernels(draw):
+    """Rank-one matrices (a_0, ..., a_{n-2}, k) and multiples of that row,
+    k >= 2 and a_0 = 1: back-substitution gives e_0 - e_{n-1}/k, which is
+    not integral, so the kernel goes through saturation."""
+    k = draw(st.integers(2, 9))
+    row = (1, *draw(st.lists(st.integers(-9, 9), max_size=5)), k)
+    scales = draw(st.lists(st.integers(-3, 3), max_size=2))
+    return (row, *(tuple(c * x for x in row) for c in scales))
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_saturated_kernels())
+def test_sparse_kernel_rows_match_the_dense_kernel_after_saturation(mat):
+    calls = []
+    saturate = intmat._saturate
+    intmat._saturate = lambda *args: calls.append(1) or saturate(*args)
+    try:
+        rows = intmat._kernel_rows(mat)
+    finally:
+        intmat._saturate = saturate
+    assert calls
+    assert rows == sparse(kernel_basis(mat)) == sparse(oracle_kernel_basis(mat))
+
+
+@pytest.mark.parametrize("mat", [
+    ((1, 2),), ((3, 2),), ((2, 4, 6),), ((1, 1, 1, 1), (0, 2, 4, 7)),
+    ((0, 6, 4, 9, 0), (5, 0, 0, 3, 10)),
+])
+def test_sparse_kernel_rows_through_saturation(mat, monkeypatch):
+    # each of these kernels has a non-integral back-substitution vector
+    calls = []
+    saturate = intmat._saturate
+    monkeypatch.setattr(intmat, "_saturate",
+                        lambda *args: calls.append(1) or saturate(*args))
+    rows = intmat._kernel_rows(mat)
+    assert calls
+    assert rows == sparse(oracle_kernel_basis(mat))
+    assert rows == sparse(kernel_basis(mat))
 
 
 @pytest.mark.parametrize("spec, expr", CENSUS_LATTICES)

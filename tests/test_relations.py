@@ -38,6 +38,7 @@ from factoreq.relations import (
     relation_basis,
     relation_span_basis,
     spans_match,
+    spans_relation_lattice,
 )
 from factoreq.cli import parse_group_spec
 from factoreq.intmat import is_prime, row_span_basis
@@ -139,12 +140,12 @@ def test_broken_invariants_raise_internal_errors(monkeypatch):
     # Forced by monkeypatching: each check must raise, not assert, so that
     # it also holds under ``python -O``.
     d8 = dihedral_group(8)
-    cls = d8.subgroup_classes()[1]
+    broken = list(d8.subgroup_classes())
+    broken[1] = replace(broken[1], order=3)
     with monkeypatch.context() as m:
-        m.setattr(relations, "_as_class",
-                  lambda group, spec: replace(cls, order=3))
+        m.setattr(d8, "subgroup_classes", lambda: tuple(broken))
         with pytest.raises(FactoreqError, match="not divisible by") as exc:
-            permutation_character(d8, cls)
+            permutation_character(d8, 1)
     assert type(exc.value) is FactoreqError
 
     q8 = quaternion_group()
@@ -574,3 +575,116 @@ def test_characters_match_the_conjugation_count(name):
     for cls in g.subgroup_classes():
         assert permutation_character(g, cls).values == \
             oracle_character_by_conjugation(g, cls)
+
+
+# -- the span check in basis coordinates against the HNF oracle ----------------
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_span_check_agrees_with_spans_match(name):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    gens, basis = bouc_generators(g, p), relation_basis(g)
+    assert spans_relation_lattice(g, gens) is spans_match(gens, basis) is True
+    assert spans_relation_lattice(g, basis) is True
+    assert spans_relation_lattice(g, gens[::-1]) is True
+
+
+def without_pivot(family, pivot):
+    """The members of ``family`` whose coefficient at class ``pivot`` is 0."""
+    return [rel for rel in family if rel.coefficient(pivot) == 0]
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_span_check_answers_no_where_the_span_is_smaller(name):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    gens, basis = bouc_generators(g, p), relation_basis(g)
+    k = len(basis) // 2
+    pivot = basis[k].coefficients[0][0]
+    smaller = [
+        basis[:k] + basis[k + 1:],                          # one vector less
+        basis[:k] + (basis[k].plus(basis[k]),) + basis[k + 1:],   # doubled
+        without_pivot(gens, pivot),     # no generator touches one pivot
+    ]
+    for family in smaller:
+        assert spans_match(family, basis) is False
+        assert spans_relation_lattice(g, family) is False
+
+
+def test_a_leftover_column_goes_to_the_hnf(monkeypatch):
+    # 2b and 3b have no +-1 entry in b's column, but span it; 2b and 4b
+    # do not
+    d8 = dihedral_group(8)
+    basis = relation_basis(d8)
+    rest, b = basis[1:], basis[0]
+    calls = []
+    span = relations.row_span_basis
+    monkeypatch.setattr(relations, "row_span_basis",
+                        lambda rows: calls.append(rows) or span(rows))
+    two, three, four = b.plus(b), b.plus(b).plus(b), b.plus(b).plus(b).plus(b)
+    assert spans_relation_lattice(d8, (*rest, two, three)) is True
+    assert calls == [[[2], [3]]]
+    assert spans_relation_lattice(d8, (*rest, two, four)) is False
+    assert calls[-1] == [[2], [4]]
+    assert spans_relation_lattice(d8, rest) is False     # nothing left there
+    assert calls[-1] == []
+    assert spans_relation_lattice(d8, basis) is True
+    assert len(calls) == 3
+
+
+def test_the_span_check_back_substitutes_at_non_unit_pivots(monkeypatch):
+    # Every census basis has unit pivot columns, so the lattice is replaced
+    # by one whose Hermite normal form has a pivot 2 with an entry above it:
+    # rows b0 + b1 and 2 b1 span {t0 b0 + t1 b1 : t0 = t1 mod 2} (+ the rest)
+    d8 = dihedral_group(8)
+    b0, b1, b2 = relation_basis(d8)
+    monkeypatch.setattr(relations, "relation_basis",
+                        lambda group: (b0.plus(b1), b1.plus(b1), b2))
+    three = b1.plus(b1).plus(b1)
+    assert spans_relation_lattice(d8, (b0.plus(b1), b1.plus(b1), b2))
+    assert spans_relation_lattice(d8, (b0.plus(three), b1.plus(b1), b2))
+    assert not spans_relation_lattice(d8, (b0.plus(three), b2))
+    with pytest.raises(FactoreqError, match="non-integral") as exc:
+        spans_relation_lattice(d8, (b1,))
+    assert type(exc.value) is FactoreqError
+
+
+def test_the_span_check_refuses_foreign_and_false_relations():
+    d8, other = dihedral_group(8), dihedral_group(8)
+    with pytest.raises(ValidationError, match="different group"):
+        spans_relation_lattice(d8, relation_basis(other))
+    with pytest.raises(ValidationError, match="not a relation"):
+        spans_relation_lattice(d8, (GRelation(d8, ((0, 1),)),))
+    assert spans_relation_lattice(cyclic_group(8), ()) is True
+
+
+def test_bools_are_not_integers():
+    v4 = elementary_abelian_group(2, 2)
+    for spec in (True, False):
+        with pytest.raises(ValidationError):
+            permutation_character(v4, spec)
+        with pytest.raises(ValidationError):
+            GRelation.from_mapping(v4, {spec: 1})
+        with pytest.raises(ValidationError):
+            GRelation.from_mapping(v4, {"o1#0": spec})
+        with pytest.raises(ValidationError):
+            is_relation(v4, {0: spec})
+
+
+def test_huge_coefficients_are_checked_value_by_value():
+    # past 2^64 the packed characters could overflow a slot; the check
+    # falls back to the rows and stays exact
+    v4 = elementary_abelian_group(2, 2)
+    (theta,) = relation_basis(v4)
+    for scale in (1, 2 ** 70, -(3 ** 90)):
+        big = {idx: scale * val for idx, val in theta.coefficients}
+        assert is_relation(v4, big)
+        big[0] += 1
+        assert not is_relation(v4, big)
+    # a combination whose packed sum is 0 although its values are not:
+    # chi_{o1#0} = (4, 0, 0, 0) and chi_{o2#0} = (2, 2, 0, 0)
+    width = v4.order.bit_length() + 64
+    rows, packed = relations._character_table(v4)
+    assert rows[:2] == ((4, 0, 0, 0), (2, 2, 0, 0))
+    overflow = {0: -1 - 2 ** width, 1: 2}
+    assert sum(val * packed[idx] for idx, val in overflow.items()) == 0
+    assert not is_relation(v4, overflow)
