@@ -49,7 +49,6 @@ from .groups import (
     quaternion_group,
     quotient_group,
     semidirect_product,
-    standard_group,
     subgroup_as_group,
     subgroup_generators,
 )

@@ -73,7 +73,11 @@ class ArithmeticProfile:
 
     def _validated(self, cls, entry) -> ClassData:
         if not isinstance(entry, ClassData):
-            entry = ClassData(**dict(entry))
+            entry = dict(entry)
+            if unknown := entry.keys() - ClassData.__dataclass_fields__:
+                raise ValidationError(f"unknown field {min(map(repr, unknown))}"
+                                      f" on class {cls.label}")
+            entry = ClassData(**entry)
         for name in ("h", "h_p", "w", "lam"):
             val = getattr(entry, name)
             if val is None:

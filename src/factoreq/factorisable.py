@@ -1,31 +1,28 @@
 """Divisions, the factorisable quotient, and the abelian factorisability test.
 
 Two elements of a finite abelian group lie in the same division when they
-generate the same cyclic subgroup.  For a function f on subgroups,
+generate the same cyclic subgroup.  For a function f on subgroups and a
+cyclic subgroup C, the subgroups of C form a divisor lattice, so Moebius
+inversion over it uses the number-theoretic mu:
 
-    f'(D)  = prod_{C <= Dbar} f(C)^{mu((Dbar : C))}
-    ftilde(H) = (prod_{D subset H} f'(D)) / f(H)
+    f'(C)  = prod_{B <= C} f(B)^{mu([C : B])}
+    ftilde(H) = (prod_{cyclic C <= H} f'(C)) / f(H)
 
 and ftilde is identically 1 exactly when f is a product of an element
-function over the subgroup members.  The product in f' runs over all
-subgroups of Dbar including Dbar itself (the standard Moebius-inversion
-convention); that choice is what makes ftilde vanish on every cyclic
-subgroup.
+function over the subgroup members.  f'(D) of a division D is f' of the
+cyclic subgroup Dbar it generates; the product runs over all subgroups of
+Dbar including Dbar itself, which is what makes ftilde vanish on every
+cyclic subgroup.
 
 f is *factorisable* when f(H) = prod_{chi trivial on H} g(chi) for some
 positive g on the characters.  Under perp, X -> X^perp = common kernel of
 X, the subgroups of the character group correspond to those of G,
 reversing inclusion, and the characters trivial on H are the elements of
 H^perp.  So f is factorisable iff F(X) = f(X^perp) has ftilde = 1 on the
-character group.  Perp sends each cyclic X to a K with G/K cyclic (X is
-the dual of G/K), and |X|/|C| to [C^perp : K] for C <= X.  Read on G:
-
-    phi(K) = prod_{K' >= K} f(K')^{mu([K' : K])}     for G/K cyclic,
-    f is factorisable iff prod_{K >= H, G/K cyclic} phi(K) = f(H) for all H.
-
-:func:`is_factorisable_abelian` tests exactly this on G's own subgroup
-lattice; the characters are needed only to build factorisable functions
-from character data.
+character group.  Perp sends each cyclic X to a K with G/K cyclic and
+|X| to [G : K], so the same inversion, read on G's own subgroup lattice
+upside down, decides it; the characters are needed only to build
+factorisable functions from character data.
 """
 
 from dataclasses import dataclass
@@ -34,7 +31,7 @@ from math import lcm, prod
 
 from .errors import FactoreqError, ValidationError
 from .groups import Group
-from .intmat import prime_factorization
+from .intmat import _rational, prime_factorization
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class SubgroupFunction:
         _require_abelian(group)
         table = {}
         for key, val in dict(values).items():
-            val = Fraction(val)
+            val = _rational(val)
             if val <= 0:
                 raise ValidationError("subgroup function values must be "
                                       "positive rationals")
@@ -114,38 +111,39 @@ def _mobius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
+def _moebius_quotient(f: SubgroupFunction, perp: bool) -> tuple:
+    """f' as a dict on the cyclic subgroups, and (H, ftilde(H)) for every H
+    as a generator, so that a decision can stop at the first value not 1.
+
+    With ``perp`` the lattice is read as the character group's through
+    X -> X^perp: inclusion is reversed, X^perp has order [G : X], and
+    "C cyclic" means that G/C is.
+    """
+    group, subs = f.group, f.group.all_subgroups()
+    if perp:
+        below, size = (lambda a, b: a >= b), (lambda s: group.order // len(s))
+        cyclic = [c for c in subs if _cyclic_quotient(group, c)]
+    else:
+        below, size = (lambda a, b: a <= b), len
+        cyclic = [c for c in subs
+                  if any(group.element_orders[x] == len(c) for x in c)]
+    fprime = {c: prod(f.values[b] ** _mobius(size(c) // size(b))
+                      for b in subs if below(b, c)) for c in cyclic}
+    return fprime, ((h, prod(v for c, v in fprime.items() if below(c, h))
+                     / f.values[h]) for h in subs)
+
+
 def division_transform(f: SubgroupFunction, division: Division) -> Fraction:
     """f'(D): Moebius-weighted product of f over the subgroups of Dbar."""
-    group = f.group
-    dbar = division.generated_subgroup
-    n = len(dbar)
-    generator = min(division.members)
-    result = Fraction(1)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        # the unique subgroup of order d inside the cyclic group Dbar
-        step = n // d
-        power = 0
-        for _ in range(step):
-            power = group.mul[power][generator]
-        sub = group.subgroup_generated_by([power])
-        result *= f.value(sub) ** _mobius(n // d)
-    return result
+    fprime = _moebius_quotient(f, False)[0]
+    if division.generated_subgroup not in fprime:
+        raise ValidationError("not a division of this group")
+    return fprime[division.generated_subgroup]
 
 
 def factorisable_quotient(f: SubgroupFunction) -> SubgroupFunction:
     """ftilde: the product of f' over contained divisions, divided by f."""
-    group = f.group
-    transformed = {d: division_transform(f, d) for d in divisions(group)}
-    table = {}
-    for sub in group.all_subgroups():
-        value = Fraction(1)
-        for d, fprime in transformed.items():
-            if d.members <= sub:
-                value *= fprime
-        table[sub] = value / f.value(sub)
-    return SubgroupFunction(group, table)
+    return SubgroupFunction(f.group, _moebius_quotient(f, False)[1])
 
 
 def is_factorisable_abelian(f: SubgroupFunction) -> bool:
@@ -161,12 +159,7 @@ def is_factorisable_abelian(f: SubgroupFunction) -> bool:
     the division test on G itself instead would reject genuinely
     factorisable functions (already on the Klein four-group).
     """
-    subs = f.group.all_subgroups()
-    phi = {k: prod(f.values[above] ** _mobius(len(above) // len(k))
-                   for above in subs if k <= above)
-           for k in subs if _cyclic_quotient(f.group, k)}
-    return all(prod(v for k, v in phi.items() if h <= k) == f.values[h]
-               for h in subs)
+    return all(v == 1 for _, v in _moebius_quotient(f, True)[1])
 
 
 def _cyclic_quotient(group: Group, sub) -> bool:
@@ -245,7 +238,7 @@ def function_from_character_data(group: Group, g_values) -> SubgroupFunction:
     factorisable ones.
     """
     chars = abelian_characters(group)
-    vals = [Fraction(v) for v in g_values]
+    vals = [_rational(v) for v in g_values]
     if len(vals) != len(chars):
         raise ValidationError(
             f"need one value per character ({len(chars)}), got {len(vals)}")

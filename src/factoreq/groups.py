@@ -514,24 +514,6 @@ def semidirect_product(a: Group, b: Group, action) -> Group:
     return group
 
 
-def standard_group(kind: str, *params) -> Group:
-    """Dispatch by family name, for callers in Python; the CLI's group
-    mini-language does not come here, as its parser calls the constructors."""
-    table = {
-        "cyclic": cyclic_group,
-        "elementary_abelian": elementary_abelian_group,
-        "dihedral": dihedral_group,
-        "quaternion8": quaternion_group,
-        "heisenberg": heisenberg_group,
-        "direct_product": direct_product,
-        "semidirect": semidirect_product,
-    }
-    if kind not in table:
-        raise ValidationError(
-            f"unknown group family {kind!r} (known: {', '.join(sorted(table))})")
-    return table[kind](*params)
-
-
 # -- quotients, subgroups as groups, subquotients, sections of G -------------
 
 
@@ -620,14 +602,6 @@ class Subquotient:
         """Subgroup of G sitting between B and H over a subgroup of H/B."""
         marks = frozenset(quotient_subgroup)
         return frozenset(g for g in self.top if self.projection[g] in marks)
-
-    def intermediate_classes(self) -> dict:
-        """Map each subgroup of H/B to the G-class of its preimage."""
-        out = {}
-        for cls in self.quotient.subgroup_classes():
-            for member in cls.members:
-                out[member] = self.group.class_of_subgroup(self.preimage(member))
-        return out
 
     def __repr__(self):
         return (f"Subquotient(top order {len(self.top)}, "

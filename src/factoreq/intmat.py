@@ -18,7 +18,9 @@ form, and back-substitution gives one rational kernel vector for each.  When
 one of those vectors is not integral, a single saturation step (one more
 Hermite normal form, modulo the common denominator) picks the integral
 combinations.  :func:`sublattice_index` compares two Hermite normal forms,
-which are canonical, pivot by pivot.
+which are canonical, pivot by pivot.  Sparse rows, tuples of (column,
+nonzero entry) pairs in column order, are made by ``_sparse`` and read by
+``_dense``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FactoreqError, ResourceError
+from .errors import FactoreqError, ResourceError, ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _rational(x) -> Fraction:
+    """``x`` as a Fraction if it is an int or a Fraction; a float (0.1 is
+    not 1/10 in binary), a bool or anything else raises."""
+    if type(x) not in (int, Fraction):
+        raise ValidationError(f"{x!r} is not an exact rational")
+    return Fraction(x)
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -49,22 +59,47 @@ def mat_mul(a, b):
     for row in a:
         acc = [0] * width
         for k, x in enumerate(row):
-            if not x:
-                continue
-            brow = b[k]
-            if x == 1:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += y
-            elif x == -1:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] -= y
-            else:
-                for j, y in enumerate(brow):
+            if x:
+                for j, y in enumerate(b[k]):
                     if y:
                         acc[j] += x * y
         out.append(tuple(acc))
+    return tuple(out)
+
+
+def _sparse(m) -> tuple:
+    """The sparse rows of a dense matrix."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+def _sparse_product(gen, rows) -> tuple:
+    """The sparse rows of gen @ m, for gen and m given as sparse rows.
+
+    A row of gen that is a single +1 picks a row of m unchanged.
+    """
+    out = []
+    for grow in gen:
+        if len(grow) == 1 and grow[0][1] == 1:
+            out.append(rows[grow[0][0]])
+            continue
+        acc: dict = {}
+        for k, a in grow:
+            for j, b in rows[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        row = [item for item in acc.items() if item[1]]
+        row.sort()
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense(rows, width: int) -> tuple:
+    """The dense matrix of a sequence of sparse rows."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
     return tuple(out)
 
 
@@ -149,14 +184,7 @@ def kernel_basis(mat):
     vector killed by ``mat`` is an integer combination of the returned rows.
     They are the rows of :func:`_kernel_rows`, written out densely.
     """
-    n = len(mat[0]) if mat else 0
-    out = []
-    for row in _kernel_rows(mat):
-        vec = [0] * n
-        for q, v in row:
-            vec[q] = v
-        out.append(tuple(vec))
-    return tuple(out)
+    return _dense(_kernel_rows(mat), len(mat[0]) if mat else 0)
 
 
 def _kernel_rows(mat) -> tuple:

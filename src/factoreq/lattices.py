@@ -42,11 +42,16 @@ atoms', (M + N)^H = M^H + N^H, and each index is a ratio of Hermite pivots
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import FactoreqError, ValidationError
 from .groups import Group, _greedy_generators
 from .intmat import (
+    _dense,
+    _rational,
+    _sparse,
+    _sparse_product,
     bareiss_determinant,
     identity_matrix,
     is_positive_definite,
@@ -180,42 +185,6 @@ class GLattice:
         return self
 
 
-def _sparse(m) -> tuple:
-    """The sparse rows of a dense matrix."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
-
-
-def _sparse_product(gen, rows) -> tuple:
-    """The sparse rows of gen @ m, for gen and m given as sparse rows.
-
-    A row of gen that is a single +1 picks a row of m unchanged.
-    """
-    out = []
-    for grow in gen:
-        if len(grow) == 1 and grow[0][1] == 1:
-            out.append(rows[grow[0][0]])
-            continue
-        acc: dict = {}
-        for k, a in grow:
-            for j, b in rows[k]:
-                acc[j] = acc.get(j, 0) + a * b
-        row = [item for item in acc.items() if item[1]]
-        row.sort()
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _dense(rows, rank: int) -> tuple:
-    """The dense matrix of a sequence of sparse rows."""
-    out = []
-    for row in rows:
-        dense = [0] * rank
-        for j, x in row:
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Pairing:
     """A symmetric positive-definite rational form on a lattice's basis.
@@ -229,7 +198,7 @@ class Pairing:
     matrix: tuple
 
     def __init__(self, matrix):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = tuple(tuple(map(_rational, row)) for row in matrix)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValidationError("pairing matrix must be square")
@@ -477,13 +446,12 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
     return lat._fixed[cls.index]
 
 
-def _check_invariance(lat: GLattice, pairing: Pairing):
-    if pairing.rank != lat.rank:
+def _check_invariance(lat: GLattice, form):
+    if len(form) != lat.rank:
         raise ValidationError(
-            f"pairing has rank {pairing.rank}, lattice has rank {lat.rank}")
-    p = pairing.matrix
+            f"pairing has rank {len(form)}, lattice has rank {lat.rank}")
     for m in lat.actions:
-        if mat_mul(mat_mul(transpose(m), p), m) != p:
+        if mat_mul(mat_mul(transpose(m), form), m) != form:
             raise ValidationError("pairing is not invariant under the action")
 
 
@@ -558,10 +526,11 @@ def regulator_constant(lat: GLattice, theta: GRelation,
                    for atom, k in lat.summands
                    for idx, n_k in theta.coefficients)
     else:
-        _check_invariance(lat._checked(), pairing)
         den = lcm(*(x.denominator for row in pairing.matrix for x in row))
         form = tuple(tuple(int(x * den) for x in row)
                      for row in pairing.matrix)
+        # checked on the integer form: clearing denominators keeps invariance
+        _check_invariance(lat._checked(), form)
         classes = lat.group.subgroup_classes()
         factors = ((_scaled_gram_det(lat, classes[idx], form, den), n_h)
                    for idx, n_h in theta.coefficients)
@@ -575,10 +544,11 @@ def regulator_constant(lat: GLattice, theta: GRelation,
 
 
 def _integral(mat, what: str) -> tuple:
-    """``mat`` with int entries; an entry of any other value raises."""
+    """``mat`` with int entries; an int or an integral Fraction is taken,
+    any other entry (a float or a bool too) raises."""
     rows = tuple(tuple(row) for row in mat)
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out != rows:
+    if not ({int, Fraction}.issuperset(map(type, chain(*rows)))
+            and (out := tuple(tuple(map(int, row)) for row in rows)) == rows):
         raise ValidationError(f"{what} must have integer entries")
     return out
 

@@ -23,8 +23,8 @@ from .groups import (
     _commutators_in,
     _normal_sections,
 )
-from .intmat import (_kernel_rows, identity_matrix, is_prime, row_span_basis,
-                     valuation)
+from .intmat import (_dense, _kernel_rows, identity_matrix, is_prime,
+                     row_span_basis, valuation)
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,8 @@ class GRelation:
         return dict(self.coefficients).get(class_index, 0)
 
     def as_vector(self) -> tuple:
-        n = len(self.group.subgroup_classes())
-        vec = [0] * n
-        for idx, val in self.coefficients:
-            vec[idx] = val
-        return tuple(vec)
+        return _dense((self.coefficients,),
+                      len(self.group.subgroup_classes()))[0]
 
     def plus(self, other: "GRelation") -> "GRelation":
         if other.group is not self.group:
@@ -171,6 +168,8 @@ def is_relation(group: Group, candidate) -> bool:
     rows, packed = _character_table(group)
     total = size = 0
     for idx, val in rel.coefficients:
+        if not 0 <= idx < len(packed):
+            raise ValidationError(f"no subgroup class with index {idx}")
         total += val * packed[idx]
         size += abs(val)
     if size >> 64:

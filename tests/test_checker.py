@@ -101,6 +101,13 @@ def test_profile_refuses_float_regulators(regulator):
                              ).regulator("o2#0") == Fraction(1, 10)
 
 
+def test_profile_names_an_unknown_field():
+    v4 = elementary_abelian_group(2, 2)
+    with pytest.raises(ValidationError,
+                       match="unknown field 'hh' on class o1#0"):
+        ArithmeticProfile(v4, {"o1#0": {"hh": 1}})
+
+
 @pytest.mark.parametrize("field", ["h", "h_p", "w", "lam", "regulator"])
 def test_profile_rejects_bools(field):
     # isinstance(True, int) holds, so True must not pass for the integer 1

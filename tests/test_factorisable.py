@@ -6,11 +6,14 @@ eye).  The factorisability decision is exercised both ways: every function
 built from character data must pass, and the order function on the Klein
 four-group must fail with quotient value exactly 2.  The decision runs on
 G's own subgroup lattice; the division test run on the character group,
-built as a Group of its own, is kept here as its oracle.
+built as a Group of its own, is kept here as its oracle.  The inversion
+itself is checked against products of element functions, whose f' and
+ftilde are known without it.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -80,6 +83,16 @@ def test_subgroup_function_totality_and_positivity():
         f.value([1, 2])  # not a subgroup
 
 
+def test_floats_and_bools_are_not_exact_numbers():
+    # 0.1 would be taken as 3602879701896397/36028797018963968
+    v4 = elementary_abelian_group(2, 2)
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            SubgroupFunction.from_callable(v4, lambda s: bad)
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            function_from_character_data(v4, [1, 1, bad, 1])
+
+
 def test_division_transform_constant_one():
     g = cyclic_group(12)
     f = SubgroupFunction.from_callable(g, lambda s: 1)
@@ -96,6 +109,8 @@ def test_division_transform_order_function():
     top = next(d for d in divisions(c4) if d.order == 4)
     # divisors 1, 2, 4: 4^mu(1) * 2^mu(2) * 1^mu(4) = 4/2
     assert division_transform(f4, top) == 2
+    with pytest.raises(ValidationError, match="not a division"):
+        division_transform(f4, divisions(cyclic_group(8))[-1])
 
 
 def test_quotient_of_constant_function():
@@ -246,6 +261,19 @@ def _census():
             e(3, 2), e(3, 3), e(5, 2), direct_product(c(4), c(4)),
             direct_product(c(2), direct_product(c(4), c(4))),
             direct_product(c(4), c(6))]
+
+
+def test_element_products_are_inverted_exactly():
+    # f(H) = prod_{x in H} e(x) for an element function e: f' of a division
+    # is the product of e over its members, and ftilde is 1 everywhere
+    rng = random.Random(20261019)
+    for g in _census():
+        e = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+             for _ in range(g.order)]
+        f = SubgroupFunction.from_callable(g, lambda s: prod(e[x] for x in s))
+        for d in divisions(g):
+            assert division_transform(f, d) == prod(e[x] for x in d.members)
+        assert set(factorisable_quotient(f).values.values()) == {1}, g.name
 
 
 def test_decision_matches_the_character_group_route():

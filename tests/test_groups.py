@@ -28,7 +28,6 @@ from factoreq.groups import (
     quaternion_group,
     quotient_group,
     semidirect_product,
-    standard_group,
     subgroup_as_group,
 )
 from test_relations import (
@@ -203,13 +202,6 @@ def test_products():
                            [(0, 1, 2), (1, 0, 2)])  # not an automorphism
     with pytest.raises(ValidationError):
         semidirect_product(cyclic_group(3), cyclic_group(2), [(0, 1, 2)])
-
-
-def test_standard_group_dispatch():
-    assert standard_group("cyclic", 5).order == 5
-    assert standard_group("quaternion8").order == 8
-    with pytest.raises(ValidationError):
-        standard_group("sporadic")
 
 
 def test_construction_is_deterministic():
@@ -499,10 +491,11 @@ def test_subquotients_dihedral8():
 def test_subquotient_intermediates():
     q8 = quaternion_group()
     sq = make_subquotient(q8, range(8), q8.center())
-    inter = sq.intermediate_classes()
-    labels = {q8.subgroup_classes()[v].label for v in inter.values()}
+    preimages = {sq.preimage(sub) for sub in sq.quotient.all_subgroups()}
     # preimages of V4's subgroups: the center, the three C4s, and Q8 itself
-    assert labels == {"o2#0", "o4#0", "o4#1", "o4#2", "o8#0"}
+    assert sorted(map(len, preimages)) == [2, 4, 4, 4, 8]
+    assert {q8.subgroup_classes()[q8.class_of_subgroup(sub)].label
+            for sub in preimages} == {"o2#0", "o4#0", "o4#1", "o4#2", "o8#0"}
     prei = sq.preimage(frozenset([0]))
     assert prei == sq.bottom
 

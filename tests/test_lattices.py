@@ -632,8 +632,15 @@ def test_pairing_validation():
     lat = regular_lattice(g)
     diag = tuple(tuple(i + 1 if i == j else 0 for j in range(4))
                  for i in range(4))
+    theta = relation_basis(g)[0]
     with pytest.raises(ValidationError):
-        regulator_constant(lat, relation_basis(g)[0], Pairing(diag))
+        regulator_constant(lat, theta, Pairing(diag))
+    # invariance is checked on the form with its denominators cleared
+    thirds = tuple(tuple(Fraction(x, 3) for x in row) for row in diag)
+    with pytest.raises(ValidationError, match="not invariant"):
+        regulator_constant(lat, theta, Pairing(thirds))
+    with pytest.raises(ValidationError, match="pairing has rank 1"):
+        regulator_constant(lat, theta, Pairing([[1]]))
 
 
 # -- fixed sublattices ---------------------------------------------------------
@@ -975,6 +982,23 @@ def test_non_integral_embedding_entries_are_refused():
         assert index_ratio_check(z, z, good, theta)[1]["o1#0"] == 2
     with pytest.raises(ValidationError, match="integer entries"):
         GLattice(v4, (((1.5,),), ((1,),)))
+
+
+def test_floats_and_bools_are_not_exact_numbers():
+    # 1.0 == True == 1, so an equality test alone lets both through
+    c2 = cyclic_group(2)
+    for bad in ([[[1.0]]], [[[True]]]):
+        with pytest.raises(ValidationError, match="integer entries"):
+            GLattice(c2, bad)
+    assert GLattice(c2, [[[Fraction(-1)]]]).actions == (((-1,),),)
+    for bad in ([[0.1]], [["x"]], [[True]]):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            Pairing(bad)
+    assert Pairing([[Fraction(1, 10)]]).matrix == ((Fraction(1, 10),),)
+    v4 = elementary_abelian_group(2, 2)
+    z = trivial_lattice(v4)
+    with pytest.raises(ValidationError, match="integer entries"):
+        index_ratio_check(z, z, [[True]], relation_basis(v4)[0])
 
 
 def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):

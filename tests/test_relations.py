@@ -670,6 +670,15 @@ def test_bools_are_not_integers():
             is_relation(v4, {0: spec})
 
 
+def test_raw_relations_name_classes_of_their_group():
+    # a raw GRelation is not checked when built; -1 would read as o4#0
+    v4 = elementary_abelian_group(2, 2)
+    for coefficients in (((-1, 1), (4, -1)), ((0, 1), (99, -1))):
+        with pytest.raises(ValidationError, match="no subgroup class with "
+                                                  "index"):
+            is_relation(v4, GRelation(v4, coefficients))
+
+
 def test_huge_coefficients_are_checked_value_by_value():
     # past 2^64 the packed characters could overflow a slot; the check
     # falls back to the rows and stays exact
