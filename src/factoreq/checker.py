@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import DataError, ValidationError
 from .groups import Group
 from .intmat import (
+    _rational,
     is_prime,
     power_product,
     prime_factorization,
@@ -86,9 +87,11 @@ class ArithmeticProfile:
                 raise ValidationError(
                     f"{name} on class {cls.label} must be a positive integer")
         if entry.regulator is not None:
-            # a float is refused, not expanded: 0.1 is not 1/10 in binary
-            if isinstance(entry.regulator, (bool, float)) or (
-                    reg := Fraction(entry.regulator)) <= 0:
+            try:  # only an int or a Fraction: 0.1 is not 1/10 in binary
+                reg = _rational(entry.regulator)
+            except ValidationError:
+                reg = None
+            if reg is None or reg <= 0:
                 raise ValidationError(f"regulator on class {cls.label} must "
                                       f"be a positive rational")
             entry = ClassData(entry.h, entry.h_p, entry.w, entry.lam, reg)

@@ -18,7 +18,8 @@ form, and back-substitution gives one rational kernel vector for each.  When
 one of those vectors is not integral, a single saturation step (one more
 Hermite normal form, modulo the common denominator) picks the integral
 combinations.  :func:`sublattice_index` compares two Hermite normal forms,
-which are canonical, pivot by pivot.  Sparse rows, tuples of (column,
+which are canonical, pivot by pivot; ``_hermite_index`` does the same when
+the lattice's form is known already.  Sparse rows, tuples of (column,
 nonzero entry) pairs in column order, are made by ``_sparse`` and read by
 ``_dense``.
 """
@@ -324,19 +325,31 @@ def is_positive_definite(rows) -> bool:
 def sublattice_index(basis, sub_basis) -> int:
     """Index of the lattice spanned by sub_basis's columns inside basis's.
 
-    Both column sets are brought to Hermite normal form, read as rows.  Each
-    Hermite row of the sublattice must reduce to zero against the lattice's
-    rows, with exact division at every pivot (containment), and the two
-    ranks must agree; the forms then share their pivot columns, so the index
-    is the product of the pivot ratios.  Raises :class:`ValueError`
-    otherwise.  At rank 0 the index is 1.
+    The lattice's columns are brought to Hermite normal form, read as rows,
+    and compared with the sublattice's by :func:`_hermite_index`.  Raises
+    :class:`ValueError` unless the sublattice lies in the lattice with the
+    same rank.  At rank 0 the index is 1.
     """
     if len(basis) != len(sub_basis):
         raise ValueError("lattice and sublattice have different ambient "
                          "dimensions")
+    return _hermite_index(row_span_basis(transpose(basis)),
+                          transpose(sub_basis))
+
+
+def _hermite_index(hermite, sub_rows) -> int:
+    """Index of the row span of ``sub_rows`` inside the lattice whose
+    Hermite rows (as :func:`row_span_basis` gives them) are ``hermite``.
+
+    Only ``sub_rows`` is brought to Hermite normal form.  Each of its rows
+    must reduce to zero against the lattice's rows, with exact division at
+    every pivot (containment), and the two ranks must agree; the forms then
+    share their pivot columns, so the index is the product of the pivot
+    ratios.  Raises :class:`ValueError` otherwise.
+    """
     lattice = [(next(c for c, x in enumerate(row) if x), row)
-               for row in row_span_basis(transpose(basis))]
-    sub = row_span_basis(transpose(sub_basis))
+               for row in hermite]
+    sub = row_span_basis(sub_rows)
     if len(sub) != len(lattice):
         raise ValueError("sublattice and lattice have different ranks")
     index = 1

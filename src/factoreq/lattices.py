@@ -32,23 +32,27 @@ determinant.
 Any other atom takes its factors from Gram determinants under its integer
 averaged pairing sum_g rho(g)^T rho(g); a user pairing is cleared to an
 integer matrix by the lcm of its denominators.  Each Gram determinant is an
-integer Bareiss determinant, divided once by its scale.  Index comparisons
-normalise and check each embedding once and map fixed sublattices through
-its sparse rows; a direct sum's fixed sublattice is assembled from its
-atoms', (M + N)^H = M^H + N^H, and each index is a ratio of Hermite pivots
-(:func:`~factoreq.intmat.sublattice_index`).
+integer Bareiss determinant, divided once by its scale.
+
+Fixed sublattices are kept in their canonical Hermite form.  A named atom
+reads its own off the H-orbits, once its homomorphism check has passed; any
+other atom takes an integer kernel, and a direct sum assembles its atoms',
+(M + N)^H = M^H + N^H.  Index comparisons normalise and check each
+embedding once, map M^H through its sparse rows, and bring only that image
+to Hermite form: each index is a ratio of its pivots to N^H's.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 
 from .errors import FactoreqError, ValidationError
 from .groups import Group, _greedy_generators
 from .intmat import (
     _dense,
+    _hermite_index,
     _rational,
     _sparse,
     _sparse_product,
@@ -62,7 +66,6 @@ from .intmat import (
     reassembles,
     row_span_basis,
     split_valuations,
-    sublattice_index,
     transpose,
 )
 from .relations import GRelation, _as_class
@@ -270,20 +273,30 @@ def coset_lattice(group: Group, subgroup_class) -> GLattice:
     """Z[G/H]: permutation lattice on the left cosets xH of a
     representative, numbered in the order of their least elements."""
     cls = _as_class(group, subgroup_class)
-    number: dict = {}  # element -> its coset, filled on the first build
-    least: list = []
+    cosets = None  # numbered on the first build
 
     def image(g, i):
-        if not number:
-            for x in range(group.order):
-                if x not in number:
-                    number.update((group.mul[x][h], len(least))
-                                  for h in cls.representative)
-                    least.append(x)
+        nonlocal cosets
+        if cosets is None:
+            cosets = _left_cosets(group, cls.representative)
+        number, least = cosets
         return ((number[group.mul[g][least[i]]], 1),)
 
     return _named_atom(group, group.order // cls.order, image,
                        f"Coset({cls.label})", ("Coset", cls.index))
+
+
+def _left_cosets(group: Group, members) -> tuple:
+    """(the coset of each element, the least element of each coset) for the
+    left cosets xK of ``members``, numbered in the order of their least
+    elements."""
+    number, least = [None] * group.order, []
+    for x in range(group.order):
+        if number[x] is None:
+            for k in members:
+                number[group.mul[x][k]] = len(least)
+            least.append(x)
+    return number, least
 
 
 def regular_lattice(group: Group) -> GLattice:
@@ -419,10 +432,12 @@ def averaged_pairing(lat: GLattice) -> Pairing:
 def fixed_sublattice(lat: GLattice, subgroup_class):
     """Basis (as columns) of the sublattice fixed by a subgroup class.
 
-    The kernel of the stacked maps rho(h) - id over a generating set of the
-    class representative, taken atom by atom: a sum's basis is block-diagonal.
-    Integer kernels are saturated, and the column form is the canonical one
-    induced by the row normal form, for a sum too.
+    The columns are the sublattice's Hermite rows, which are canonical.  A
+    named atom reads them off the orbits of the class representative
+    (:func:`_orbit_rows`) once its homomorphism check has passed, and a
+    sum's basis is block-diagonal in its atoms'.  Any other lattice takes
+    the kernel of the stacked maps rho(h) - id over a generating set of the
+    representative; integer kernels are saturated.
     """
     cls = _as_class(lat.group, subgroup_class)
     if cls.index not in lat._fixed and lat._blocks != (lat,):
@@ -432,8 +447,9 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
             (0,) * sum(dims[:b]) + row + (0,) * sum(dims[b + 1:])
             for b, part in enumerate(parts) for row in part)
     if cls.index not in lat._fixed:
-        gens = _greedy_generators(lat.group, cls.representative)
-        if not gens:
+        if lat._kind is not None:
+            basis = _orbit_rows(lat._checked(), cls.representative)
+        elif not (gens := _greedy_generators(lat.group, cls.representative)):
             basis = identity_matrix(lat.rank)
         else:
             stacked = [list(row) for h in gens
@@ -444,6 +460,56 @@ def fixed_sublattice(lat: GLattice, subgroup_class):
         cols = transpose(basis) if basis else tuple(() for _ in range(lat.rank))
         lat._fixed[cls.index] = cols
     return lat._fixed[cls.index]
+
+
+def _orbits(group: Group, h_members, k_members) -> list:
+    """The orbits of H = ``h_members`` on the left cosets xK of
+    ``k_members``, each a sorted list of coset numbers (as
+    :func:`_left_cosets` numbers them), in the order of their least
+    numbers."""
+    number, least = _left_cosets(group, k_members)
+    orbits, seen = [], set()
+    for i, x in enumerate(least):
+        if i not in seen:
+            orbits.append(sorted({number[group.mul[h][x]] for h in h_members}))
+            seen.update(orbits[-1])
+    return orbits
+
+
+def _orbit_rows(atom: GLattice, members) -> tuple:
+    """The Hermite rows of a named atom's H-fixed sublattice, H the subgroup
+    of the elements ``members``, read off the H-orbits without a kernel.
+
+    Z[G/K]^H (Reg: K = 1) has the H-orbit sums on the cosets as basis,
+    disjoint 0/1 rows.  A and I have the basis {g != 1}, g at index g - 1;
+    Z[G]^H has the sums s_c over the right cosets c = Hx.  A^H =
+    Z[G]^H / ZN, since Hom(H, Z) = 0: the s_c with c != H.  I^H is
+    {sum a_c s_c : sum a_c = 0}, s_H reading u = ind(H - {1}): the rows
+    ind(c) - u for c != H.  Those are Hermite unless u starts left of c*,
+    the coset with the largest least element; then the rows are
+    ind(c) - ind(c*) for c != c*, H, and u - ind(c*).
+    """
+    name, sub = atom._kind
+    if name == "Z":
+        return ((1,),)
+    group = atom.group
+    k_members = (group.subgroup_classes()[sub].representative
+                 if name == "Coset" else (0,))
+    orbits = _orbits(group, members, k_members)
+
+    def rows(pluses, minus=()):  # 1 on each plus's columns, -1 on minus's
+        return _dense([[(j, 1) for j in plus] + [(j, -1) for j in minus]
+                       for plus in pluses], atom.rank)
+
+    if name in ("Coset", "Reg"):
+        return rows(orbits)
+    u, *cosets = ([x - 1 for x in orbit if x] for orbit in orbits)
+    if name == "A":
+        return rows(cosets)
+    if not cosets or not u or u[0] > cosets[-1][0]:
+        return rows(cosets, u)
+    # lists with distinct first entries sort by their least elements
+    return rows(sorted(cosets[:-1] + [u]), cosets[-1])
 
 
 def _check_invariance(lat: GLattice, form):
@@ -489,22 +555,12 @@ def _class_factor(atom: GLattice, idx: int) -> Fraction:
         if name is None:
             factor = _scaled_gram_det(atom, k, _averaged_gram(atom))
         elif name == "Coset":
-            factor = _coset_factor(atom.group, k.representative,
-                                   classes[sub].representative)
+            orbits = _orbits(atom.group, k.representative,
+                             classes[sub].representative)
+            factor = Fraction(prod(map(len, orbits)), k.order ** len(orbits))
         else:  # |K| for A, 1 for Reg, 1/|K| for Z and I
             factor = Fraction(k.order) ** {"A": 1, "Reg": 0}.get(name, -1)
         atom._factors[idx] = factor
-    return factor
-
-
-def _coset_factor(group: Group, k_members, h_members) -> Fraction:
-    """prod over double cosets KxH of |KxH| / (|K| |H|)."""
-    mul, seen, factor = group.mul, set(), Fraction(1)
-    for x in range(group.order):
-        if x not in seen:
-            double = {mul[mul[k][x]][h] for k in k_members for h in h_members}
-            seen |= double
-            factor *= Fraction(len(double), len(k_members) * len(h_members))
     return factor
 
 
@@ -595,12 +651,12 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
     for idx, n_h in theta.coefficients:
         cls = classes[idx]
         index = found.get(idx)
-        if index is None:
+        if index is None:  # N^H's columns are its Hermite rows already
             basis = fixed_sublattice(m_lat, cls)
             image = _dense(_sparse_product(sparse, _sparse(basis)),
                            len(basis[0]) if basis else 0)
-            index = found[idx] = sublattice_index(
-                fixed_sublattice(n_lat, cls), image)
+            index = found[idx] = _hermite_index(
+                transpose(fixed_sublattice(n_lat, cls)), transpose(image))
         indices[cls.label] = index
         rhs.append((index, 2 * n_h))
     # C_Theta does not depend on the pairing: named atoms take closed forms

@@ -106,11 +106,20 @@ class GRelation:
     """An integer combination of subgroup classes with cancelling characters.
 
     ``coefficients`` is a sorted tuple of (class_index, coefficient) pairs
-    with zero coefficients dropped; the empty relation is allowed.
+    with zero coefficients dropped; the empty relation is allowed.  Each
+    class index is checked against the group's classes when built.
     """
 
     group: Group
     coefficients: tuple
+
+    def __post_init__(self):
+        if self.coefficients:
+            count = len(self.group.subgroup_classes())
+            for idx, _ in self.coefficients:
+                if type(idx) is not int or not 0 <= idx < count:
+                    raise ValidationError(
+                        f"no subgroup class with index {idx!r}")
 
     @staticmethod
     def from_mapping(group: Group, mapping) -> "GRelation":
@@ -168,8 +177,6 @@ def is_relation(group: Group, candidate) -> bool:
     rows, packed = _character_table(group)
     total = size = 0
     for idx, val in rel.coefficients:
-        if not 0 <= idx < len(packed):
-            raise ValidationError(f"no subgroup class with index {idx}")
         total += val * packed[idx]
         size += abs(val)
     if size >> 64:

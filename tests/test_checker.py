@@ -90,9 +90,11 @@ def test_profile_rejects_bad_values():
         ArithmeticProfile(v4, {"o2#0": ClassData()}, p=6)
 
 
-@pytest.mark.parametrize("regulator", [0.1, 2.0, float("nan")])
+@pytest.mark.parametrize("regulator", [0.1, 2.0, float("nan"),
+                                       "x", "3/2", "3"])
 def test_profile_refuses_float_regulators(regulator):
-    # 0.1 would be taken as 3602879701896397/36028797018963968
+    # 0.1 would be taken as 3602879701896397/36028797018963968; strings are
+    # read by the CLI (``"R": "3/2"``), not by the library
     v4 = elementary_abelian_group(2, 2)
     with pytest.raises(ValidationError, match="regulator on class o2#0 "
                                               "must be a positive rational"):

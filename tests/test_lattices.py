@@ -39,6 +39,7 @@ from factoreq.intmat import (
     identity_matrix,
     mat_mul,
     row_span_basis,
+    sublattice_index,
     transpose,
 )
 from factoreq.lattices import (
@@ -528,9 +529,9 @@ def test_fixed_sublattices_of_sums_match_the_whole_kernel(name):
             m.setattr(lattices, "kernel_basis",
                       lambda mat: computed.append(mat) or kernel(mat))
             fast = fixed_sublattice(lat, cls)
-        # one kernel per distinct atom (none for the trivial class); the
-        # sum's own rows are never built
-        assert len(computed) == (5 if cls.order > 1 else 0)
+        # named atoms read their fixed parts off orbits: no kernel at all;
+        # the sum's own rows are never built
+        assert computed == []
         assert lat._rows is None
         # the same basis, so the same row span: the block-diagonal basis is
         # in the canonical form as well
@@ -644,6 +645,48 @@ def test_pairing_validation():
 
 
 # -- fixed sublattices ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_orbit_closed_forms_match_the_kernel_route(name, monkeypatch):
+    # the oracle: a plain copy of each named atom, whose fixed sublattices
+    # are kernels on its verified rows
+    g = CENSUS[name]()
+    classes = g.subgroup_classes()
+    atoms = named_atoms(g)
+    kernel = lattices.kernel_basis
+
+    def forbidden(*args):
+        raise AssertionError("a named atom took a kernel")
+
+    monkeypatch.setattr(lattices, "kernel_basis", forbidden)
+    fast = [[fixed_sublattice(atom, cls) for cls in classes]
+            for atom in atoms]
+    monkeypatch.setattr(lattices, "kernel_basis", kernel)
+    for atom, got in zip(atoms, fast):
+        plain = GLattice(g, atom.actions)
+        assert got == [fixed_sublattice(plain, cls) for cls in classes], (
+            name, atom.label)
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_augmentation_closed_form_on_every_member(name):
+    # I^H is spanned by ind(c) - u over the right cosets c = Hx != H, u the
+    # indicator of H - {1}, in the basis g - 1 at index g - 1
+    g = CENSUS[name]()
+    aug = augmentation_lattice(g)
+
+    def row(plus, minus):
+        return tuple(1 if x in plus else -1 if x in minus else 0
+                     for x in range(1, g.order))
+
+    for cls in g.subgroup_classes():
+        for h in cls.members:
+            cosets = {frozenset(g.mul[y][x] for y in h)
+                      for x in range(g.order)} - {frozenset(h)}
+            u = set(h) - {0}
+            assert lattices._orbit_rows(aug, h) == row_span_basis(
+                [row(c, u) for c in cosets]), (name, cls.label, sorted(h))
 
 
 def test_fixed_sublattice_of_trivial_subgroup():
@@ -778,6 +821,20 @@ def test_fractional_pairing_matches_the_default_route(name):
         for theta in relation_basis(g):
             assert (regulator_constant(lat, theta, pairing).value
                     == regulator_constant(lat, theta).value)
+
+
+def test_relations_naming_no_class_are_refused_when_built():
+    # -1 would read as o4#0 (C(Z) = 1/4, and a false index check); 99 would
+    # raise a bare IndexError
+    v4 = elementary_abelian_group(2, 2)
+    z = trivial_lattice(v4)
+    for coefficients in (((-1, 1),), ((99, 1),), ((0, 1), (4, -1), (5, 1))):
+        with pytest.raises(ValidationError, match="no subgroup class with "
+                                                  "index"):
+            regulator_constant(z, GRelation(v4, coefficients))
+        with pytest.raises(ValidationError, match="no subgroup class with "
+                                                  "index"):
+            index_ratio_check(z, z, ((3,),), GRelation(v4, coefficients))
 
 
 def test_mismatched_relation_group_rejected():
@@ -1020,8 +1077,8 @@ def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     # five relations touch 11 distinct classes of Heis(3); the index of each
     # class depends only on the class and the embedding
     calls = []
-    index = lattices.sublattice_index
-    monkeypatch.setattr(lattices, "sublattice_index",
+    index = lattices._hermite_index
+    monkeypatch.setattr(lattices, "_hermite_index",
                         lambda *a: calls.append(a) or index(*a))
     assert cli.run(["index-check", "heisenberg:3", "Sum(A,I)",
                     "--scale", "3"]) == 0
@@ -1030,6 +1087,12 @@ def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     assert len(basis) == 5
     assert len({idx for theta in basis for idx, _ in theta.coefficients}) == 11
     assert len(calls) == 11
+    # N^H's rows are Hermite already; the oracle brings both sides to
+    # Hermite form
+    for hermite, image in calls:
+        assert row_span_basis(hermite) == hermite
+        assert index(hermite, image) == sublattice_index(
+            transpose(hermite), transpose(image))
 
 
 def test_index_ratio_rejects_bad_embeddings():

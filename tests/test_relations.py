@@ -671,12 +671,13 @@ def test_bools_are_not_integers():
 
 
 def test_raw_relations_name_classes_of_their_group():
-    # a raw GRelation is not checked when built; -1 would read as o4#0
+    # a raw GRelation is checked when built; -1 would read as o4#0
     v4 = elementary_abelian_group(2, 2)
-    for coefficients in (((-1, 1), (4, -1)), ((0, 1), (99, -1))):
+    for coefficients in (((-1, 1), (4, -1)), ((0, 1), (99, -1)),
+                         (("o1#0", 1),), ((True, 1),)):
         with pytest.raises(ValidationError, match="no subgroup class with "
                                                   "index"):
-            is_relation(v4, GRelation(v4, coefficients))
+            GRelation(v4, coefficients)
 
 
 def test_huge_coefficients_are_checked_value_by_value():
