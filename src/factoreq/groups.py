@@ -13,15 +13,24 @@ known order against it before anything is built.
 The subgroup lattice is enumerated one conjugacy class at a time (cyclic
 extension, after Neubueser 1960): cyclic subgroups are joined onto one
 member of each class, and each new subgroup's class is its orbit under
-conjugation by the generators, kept for :meth:`Group.subgroup_classes`.
+conjugation by the non-central generators, kept for
+:meth:`Group.subgroup_classes`.
+
+Hot loops map a set through a table row or column in one cached
+``operator.itemgetter`` call: H's getter reads the coset yH off row y and
+Hx off column x, and conjugation by g is row g read through column g^-1,
+cached per g.  A join past |G|/p elements (p the least prime dividing |G|)
+is G by Lagrange.  Orbits and normality tests skip central generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, itemgetter
 
 from .errors import ValidationError
-from .intmat import is_prime
+from .intmat import is_prime, prime_factorization
 
 DESK_SCALE_CAP = 200
 
@@ -47,8 +56,9 @@ class Group:
         for row in mul:
             if len(row) != n or set(row) != full:
                 raise ValidationError("multiplication table rows must permute the elements")
-        for j in range(n):
-            if {row[j] for row in mul} != full:
+        columns = tuple(zip(*mul))
+        for column in columns:
+            if set(column) != full:
                 raise ValidationError("multiplication table columns must permute the elements")
         for x in range(n):
             if mul[0][x] != x or mul[x][0] != x:
@@ -59,16 +69,19 @@ class Group:
         if any(not (0 <= g < n) for g in generators):
             raise ValidationError("generator index out of range")
         # Associativity for (g, b, c) with g a generator extends to all
-        # products by induction on word length, so this check is complete.
-        for g in generators:
-            for b in range(n):
-                gb = mul[g][b]
-                row_b = mul[b]
-                for c in range(n):
-                    if mul[gb][c] != mul[g][row_b[c]]:
+        # products by induction on word length, so this check is complete:
+        # row g*b must be row g read through row b.  The order-1 table
+        # passed the identity check, and one index makes no tuple.
+        if n > 1:
+            rows = [itemgetter(*row) for row in mul]
+            for g in generators:
+                row_g = mul[g]
+                for b, row in enumerate(rows):
+                    if mul[row_g[b]] != row(row_g):
                         raise ValidationError("multiplication table is not associative")
         self.order = n
         self.mul = mul
+        self._columns = columns
         self.generators = generators
         self.name = name or f"group{n}"
         self.inverse = tuple(row.index(0) for row in mul)
@@ -85,10 +98,12 @@ class Group:
         self.element_orders = tuple(orders)
         if len(self._closure(generators)) != n:
             raise ValidationError("generators do not generate the group")
+        self._conjugations = {}
         self._element_classes = None
         self._class_of_element = None
         self._all_subgroups = None
         self._subgroup_orbits = None
+        self._subgroup_rank = None
         self._subgroup_classes = None
         self._class_of_subgroup = None
         self._class_by_label = None
@@ -99,13 +114,20 @@ class Group:
 
     # -- elementwise helpers -------------------------------------------------
 
-    def conjugate_element(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.mul[self.mul[g][x]][self.inverse[g]]
-
     def conjugate_subgroup(self, g: int, sub) -> frozenset:
-        mul, row, g_inv = self.mul, self.mul[g], self.inverse[g]
-        return frozenset(mul[row[x]][g_inv] for x in sub)
+        return frozenset(map(self._conjugation(g).__getitem__, sub))
+
+    def _conjugation(self, g: int) -> tuple:
+        """x -> g * x * g^-1 for all x: row g read through column g^-1."""
+        conj = self._conjugations.get(g)
+        if conj is None:
+            # in the order-1 group row 0 is the conjugation, and one index
+            # would make itemgetter return an int
+            conj = row = self.mul[g]
+            if len(row) > 1:
+                conj = itemgetter(*row)(self._columns[self.inverse[g]])
+            self._conjugations[g] = conj
+        return conj
 
     def _closure(self, seed) -> frozenset:
         gens = sorted(set(seed))
@@ -124,12 +146,16 @@ class Group:
         members already in ``seen`` are skipped, new ones added to it."""
         seen.add(sub)
         orbit = [sub]
+        if not gens:
+            return orbit
+        conjugations = [self._conjugation(g) for g in gens]
         for member in orbit:
-            for g in gens:
-                conj = self.conjugate_subgroup(g, member)
-                if conj not in seen:
-                    seen.add(conj)
-                    orbit.append(conj)
+            image = itemgetter(0, *member)
+            for conj in conjugations:
+                new = frozenset(image(conj))
+                if new not in seen:
+                    seen.add(new)
+                    orbit.append(new)
         return orbit
 
     def subgroup_generated_by(self, seed) -> frozenset:
@@ -143,8 +169,10 @@ class Group:
         return 0 in s and all(self.mul[a][b] in s for a in s for b in s)
 
     def is_abelian(self) -> bool:
-        return all(self.mul[a][b] == self.mul[b][a]
-                   for a in range(self.order) for b in range(a))
+        """Do the generators commute pairwise?"""
+        mul, gens = self.mul, self.generators
+        return all(mul[a][b] == mul[b][a]
+                   for i, a in enumerate(gens) for b in gens[:i])
 
     def exponent(self) -> int:
         from math import lcm
@@ -154,26 +182,37 @@ class Group:
         return e
 
     def center(self) -> frozenset:
-        return frozenset(x for x in range(self.order)
-                         if all(self.mul[x][y] == self.mul[y][x]
-                                for y in range(self.order)))
+        """Elements that commute with every generator, hence with all of G:
+        those x where row g and column g agree, for each generator g."""
+        elements = range(self.order)
+        return frozenset(elements).intersection(*(
+            compress(elements, map(eq, self.mul[g], self._columns[g]))
+            for g in self.generators))
 
     # -- conjugacy classes of elements ---------------------------------------
 
     def element_classes(self):
         """Conjugacy classes of elements, sorted by least member; {0} first.
 
-        Also caches ``_class_of_element[x]``, the index of x's class.
+        Each class is an orbit under conjugation by the generators, found
+        breadth first.  Also caches ``_class_of_element[x]``, the index of
+        x's class.
         """
         if self._element_classes is None:
+            conjugations = [self._conjugation(g) for g in self.generators]
             class_of = [None] * self.order
             classes = []
             for x in range(self.order):
                 if class_of[x] is not None:
                     continue
-                orbit = {self.conjugate_element(g, x) for g in range(self.order)}
+                class_of[x] = len(classes)
+                orbit = [x]
                 for y in orbit:
-                    class_of[y] = len(classes)
+                    for conj in conjugations:
+                        z = conj[y]
+                        if class_of[z] is None:
+                            class_of[z] = len(classes)
+                            orbit.append(z)
                 classes.append(tuple(sorted(orbit)))
             self._element_classes = tuple(classes)
             self._class_of_element = tuple(class_of)
@@ -197,43 +236,50 @@ class Group:
         generators that built H: the union holds 1 and is closed under
         them, so it is <H, x>, found in about |<H, x>| steps rather than
         |<H, x>| * |H|.  Since <H, hx> = <H, x>, one x per coset Hx is
-        joined.
+        joined.  H's getter reads kH off row k and Hx off column x.  A
+        union past |G|/p elements (p the least prime dividing |G|) is G.
         """
         if self._all_subgroups is None:
-            mul = self.mul
+            mul, columns, n = self.mul, self._columns, self.order
             cyclic = {}
-            for x in range(self.order):
+            for x in range(n):
                 cyclic.setdefault(self._closure([x]), x)
             joins = list(cyclic.values())
-            # a generator that commutes with every generator is central, and
-            # conjugation by it fixes every subgroup
-            movers = [g for g in self.generators
-                      if any(mul[g][h] != mul[h][g] for h in self.generators)]
+            center = self.center()
+            movers = [g for g in self.generators if g not in center]
+            # by Lagrange, a join past n/p elements is G
+            cap = n // min(prime_factorization(n), default=1)
+            whole = frozenset(range(n))
             queue, orbits, known = [], [], set()
             for sub, x in cyclic.items():
                 if sub not in known:
                     queue.append((sub, (x,)))
                     orbits.append(self._subgroup_orbit(sub, movers, known))
             for sub, gens in queue:
+                coset = itemgetter(0, *sub)
                 seen = set(sub)
                 for x in joins:
                     if x in seen:
                         continue
-                    seen.update(mul[h][x] for h in sub)
+                    seen.update(coset(columns[x]))
                     step = gens + (x,)
                     elems, reps = set(sub), [0]
                     for k in reps:
                         for s in step:
                             y = mul[s][k]
                             if y not in elems:
-                                elems.update(mul[y][h] for h in sub)
+                                elems.update(coset(mul[y]))
                                 reps.append(y)
-                    new = frozenset(elems)
+                        if len(elems) > cap:
+                            break
+                    new = whole if len(elems) > cap else frozenset(elems)
                     if new not in known:
                         queue.append((new, step))
                         orbits.append(self._subgroup_orbit(new, movers, known))
             self._subgroup_orbits = orbits
             self._all_subgroups = tuple(sorted(known, key=_subgroup_key))
+            self._subgroup_rank = {sub: i for i, sub in
+                                   enumerate(self._all_subgroups)}
         return self._all_subgroups
 
     def subgroup_classes(self):
@@ -247,9 +293,10 @@ class Group:
         """
         if self._subgroup_classes is None:
             self.all_subgroups()
-            classes = sorted((tuple(sorted(orbit, key=_subgroup_key))
+            rank = self._subgroup_rank.__getitem__
+            classes = sorted((tuple(sorted(orbit, key=rank))
                               for orbit in self._subgroup_orbits),
-                             key=lambda members: _subgroup_key(members[0]))
+                             key=lambda members: rank(members[0]))
             per_order: dict[int, int] = {}
             assigned = {}
             out = []
@@ -344,7 +391,7 @@ def _closure_group(identity_item, gen_items, mul_fn, name):
     element b is recorded as ``items[i] * gen_k`` for its parent (i, k).
     Then a * b = (a * parent) * gen_k, so the table column of b is the
     column of its parent mapped through ``right[k]``, filled in breadth-first
-    order: n^2 list lookups instead of n^2 calls of ``mul_fn``.
+    order: one lookup call per column instead of n^2 calls of ``mul_fn``.
     """
     index = {identity_item: 0}
     items = [identity_item]
@@ -366,8 +413,7 @@ def _closure_group(identity_item, gen_items, mul_fn, name):
     n = len(items)
     columns = [range(n)]
     for i, k in parent[1:]:
-        step = right[k]
-        columns.append([step[a] for a in columns[i]])
+        columns.append(itemgetter(*columns[i])(right[k]))
     mul = tuple(zip(*columns))
     gens = tuple(index[g] for g in gen_items)
     return Group(mul, gens, name), items
@@ -626,8 +672,14 @@ def make_subquotient(group: Group, top, bottom) -> Subquotient:
 
 
 def _normalized_by(group: Group, gens, sub) -> bool:
-    """Is ``sub`` normalized by every element of ``gens`` (so by <gens>)?"""
-    return all(group.conjugate_subgroup(g, sub) == sub for g in gens)
+    """Is ``sub`` normalized by every element of ``gens`` (so by <gens>)?
+
+    A conjugate of a finite set that lies inside it equals it.
+    """
+    if not gens:
+        return True
+    image = itemgetter(0, *sub)
+    return all(sub.issuperset(image(group._conjugation(g))) for g in gens)
 
 
 def _normal_sections(group: Group, *indices):
@@ -637,21 +689,25 @@ def _normal_sections(group: Group, *indices):
     runs over subgroup-class representatives in canonical order and, for
     each, B over the subgroups of H in ``all_subgroups`` order.  Each H's
     generators are found once, in one pass over the classes for all indices.
-    H and B are subsets of G; no quotient group is built.
+    Normality is tested only under H's generators outside G's center, as
+    central ones fix every subgroup.  H and B are subsets of G; no
+    quotient group is built.
     """
     by_order: dict[int, list] = {}
     for sub in group.all_subgroups():
         by_order.setdefault(len(sub), []).append(sub)
+    center = group.center()
     found = {index: [] for index in indices}
     for cls in group.subgroup_classes():
         top, gens = cls.representative, ()
         for index in indices:
             if cls.order % index == 0:
                 gens = gens or _greedy_generators(group, top)
+                movers = [g for g in gens if g not in center]
                 found[index] += [
                     (top, gens, bottom)
                     for bottom in by_order.get(cls.order // index, ())
-                    if bottom <= top and _normalized_by(group, gens, bottom)]
+                    if bottom <= top and _normalized_by(group, movers, bottom)]
     return [section for index in indices for section in found[index]]
 
 

@@ -345,25 +345,29 @@ def _hermite_index(hermite, sub_rows) -> int:
     must reduce to zero against the lattice's rows, with exact division at
     every pivot (containment), and the two ranks must agree; the forms then
     share their pivot columns, so the index is the product of the pivot
-    ratios.  Raises :class:`ValueError` otherwise.
+    ratios.  Raises :class:`ValueError` otherwise.  A lattice row is used
+    only where the rest is nonzero at its pivot, and only over its sparse
+    entries, which start at the pivot.
     """
-    lattice = [(next(c for c, x in enumerate(row) if x), row)
-               for row in hermite]
+    lattice = _sparse(hermite)
     sub = row_span_basis(sub_rows)
     if len(sub) != len(lattice):
         raise ValueError("sublattice and lattice have different ranks")
     index = 1
-    for row, (pivot, top) in zip(sub, lattice):
-        rest = row
-        for c, hrow in lattice:
-            q, r = divmod(rest[c], hrow[c])
-            if r:
-                break
-            if q:
-                rest = [x - q * y for x, y in zip(rest, hrow)]
+    for row, top in zip(sub, lattice):
+        rest = list(row)
+        for entries in lattice:
+            c, x = entries[0]
+            if rest[c]:
+                q, r = divmod(rest[c], x)
+                if r:
+                    break
+                for j, y in entries:
+                    rest[j] -= q * y
         if any(rest):
             raise ValueError("sublattice is not contained in the lattice")
-        index *= row[pivot] // top[pivot]
+        c, x = top[0]
+        index *= row[c] // x
     return index
 
 

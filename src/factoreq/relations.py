@@ -14,6 +14,7 @@ without H/B being built, and the two spans must agree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import FactoreqError, ValidationError
 from .groups import (
@@ -392,10 +393,10 @@ def bouc_generators(group: Group, p: int) -> tuple:
 
 def _cyclic_over(group: Group, sub, x) -> frozenset:
     """<sub, x> = sub u x sub u x^2 sub u ..., for x normalizing ``sub``."""
-    mul = group.mul
+    mul, coset = group.mul, itemgetter(0, *sub)
     out, y = set(sub), x
     while y not in sub:
-        out.update(mul[y][b] for b in sub)
+        out.update(coset(mul[y]))
         y = mul[y][x]
     return frozenset(out)
 

@@ -223,6 +223,42 @@ def test_table_sanity():
         Group(bad, (1,))
 
 
+V4_TABLE = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+# a Latin square with identity 0 that is no group: (1*1)*2 = 2, 1*(1*2) = 4
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+@pytest.mark.parametrize("table, gens, message", [
+    ((), (0,), "a group needs at least the identity element"),
+    (((0, 1), (1, 1)), (1,),
+     "multiplication table rows must permute the elements"),
+    (((0, 1), (0, 1)), (1,),
+     "multiplication table columns must permute the elements"),
+    (((1, 0), (0, 1)), (1,), "element 0 must act as the identity"),
+    (V4_TABLE, (), "generator list must be nonempty"),
+    (V4_TABLE, (1, 4), "generator index out of range"),
+    (V4_TABLE, (-1,), "generator index out of range"),
+    (V4_TABLE, (1,), "generators do not generate the group"),
+    (LOOP5, (1,), "multiplication table is not associative"),
+])
+def test_each_table_check_gives_its_own_message(table, gens, message):
+    with pytest.raises(ValidationError) as exc:
+        Group(table, gens)
+    assert str(exc.value) == message
+
+
+def test_tables_of_order_one_and_two_build():
+    trivial = Group(((0,),), (0,))
+    assert trivial.order == 1 and trivial.inverse == (0,)
+    assert trivial.center() == frozenset([0]) and trivial.is_abelian()
+    assert trivial.all_subgroups() == (frozenset([0]),)
+    assert trivial.conjugate_subgroup(0, [0]) == frozenset([0])
+    assert trivial.element_classes() == ((0,),)
+    c2 = Group(((0, 1), (1, 0)), (1,))
+    assert c2.element_orders == (1, 2) and len(c2.all_subgroups()) == 2
+
+
 # -- subgroup lattice --------------------------------------------------------
 
 SUBGROUP_COUNTS = {
@@ -239,6 +275,10 @@ SUBGROUP_COUNTS = {
     "A5": (59, 9),
     "S5": (156, 19),
     "E32": (374, 374),
+    # the Lagrange stop fires in these: joins past |G|/5, resp. |G|/2
+    "Heis5": (39, 15),
+    "D64": (69, 17),
+    "C64": (7, 7),
 }
 
 
@@ -256,7 +296,12 @@ def build(name):
         # generated by the cycles (0,1,2,3,4) and (0,1,2), resp. (0,1)
         "A5": lambda: group_from_generators([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
         "S5": lambda: group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+        # generated by the cycles (0,1,2,3) and (0,1)
+        "S4": lambda: group_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)]),
         "E32": lambda: elementary_abelian_group(2, 5),
+        "Heis5": lambda: heisenberg_group(5),
+        "D64": lambda: dihedral_group(64),
+        "C64": lambda: cyclic_group(64),
     }[name]()
 
 
@@ -287,18 +332,50 @@ def test_subgroup_enumeration_against_oracles(name):
 
 def test_subgroup_classes_reuse_the_enumeration_orbits(monkeypatch):
     # one conjugation orbit pass in all: all_subgroups conjugates each of
-    # the 156 subgroups of S5 at most once per generator, and
-    # subgroup_classes reads the orbits it kept
+    # the 156 subgroups of S5 at most once per generator, each generator's
+    # conjugation a table built once, and subgroup_classes reads the orbits
+    # it kept, conjugating nothing
     g = build("S5")
-    calls = []
-    conjugate = Group.conjugate_subgroup
-    monkeypatch.setattr(Group, "conjugate_subgroup",
-                        lambda self, x, sub: calls.append(x)
-                        or conjugate(self, x, sub))
+    calls, misses = [], []
+    conjugation = Group._conjugation
+
+    def counting(self, x):
+        calls.append(x)
+        if x not in self._conjugations:
+            misses.append(x)
+        return conjugation(self, x)
+
+    monkeypatch.setattr(Group, "_conjugation", counting)
     g.all_subgroups()
-    enumerated = len(calls)
+    enumerated = len(calls), len(misses)
     g.subgroup_classes()
-    assert len(calls) == enumerated <= 156 * len(g.generators)
+    assert (len(calls), len(misses)) == enumerated
+    assert len(misses) <= len(g.generators)
+    assert len(calls) <= 156 * len(g.generators)
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUP_COUNTS))
+def test_center_and_abelian_match_the_all_pairs_definitions(name):
+    g = build(name)
+    mul = g.mul
+    assert g.center() == frozenset(
+        x for x in range(g.order)
+        if all(mul[x][y] == mul[y][x] for y in range(g.order)))
+    assert g.is_abelian() == all(mul[x][y] == mul[y][x]
+                                 for x in range(g.order)
+                                 for y in range(g.order))
+
+
+@pytest.mark.parametrize("name", ["S4", "Heis3"])
+def test_conjugate_subgroup_matches_its_definition(name):
+    group = build(name)
+    mul, inv = group.mul, group.inverse
+    for g in range(group.order):
+        assert group._conjugation(g) == tuple(
+            mul[mul[g][x]][inv[g]] for x in range(group.order))
+        for sub in group.all_subgroups():
+            assert group.conjugate_subgroup(g, sub) == frozenset(
+                mul[mul[g][x]][inv[g]] for x in sub)
 
 
 def test_class_metadata():

@@ -8,7 +8,8 @@ package computes both without any transform.  So does an elimination loop
 that rebuilds each combined row whole, which the package's in-place sparse
 row operations must follow step for step.  Full factorization of a
 rational by trial division (``fraction_valuations``) is the oracle for
-valuations taken by division at chosen primes.
+valuations taken by division at chosen primes, and the containment scan
+against every lattice row the oracle for ``_hermite_index``'s sparse one.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from factoreq import intmat, lattices, relations
+from factoreq import cli, intmat, lattices, relations
 from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError, ResourceError
 from factoreq.intmat import (
@@ -475,6 +476,94 @@ def test_sublattice_index_rejects_bad_sublattices():
         sublattice_index(((1,), (0,)), identity_matrix(2))
     with pytest.raises(ValueError, match="dimensions"):
         sublattice_index(identity_matrix(2), identity_matrix(3))
+
+
+def hermite_index_full_scan(hermite, sub_rows):
+    """Oracle: ``_hermite_index`` with each sub row divided against every
+    lattice row, all of it dense."""
+    lattice = [(next(c for c, x in enumerate(row) if x), row)
+               for row in hermite]
+    sub = row_span_basis(sub_rows)
+    if len(sub) != len(lattice):
+        raise ValueError("sublattice and lattice have different ranks")
+    index = 1
+    for row, (pivot, top) in zip(sub, lattice):
+        rest = row
+        for c, hrow in lattice:
+            q, r = divmod(rest[c], hrow[c])
+            if r:
+                break
+            if q:
+                rest = [x - q * y for x, y in zip(rest, hrow)]
+        if any(rest):
+            raise ValueError("sublattice is not contained in the lattice")
+        index *= row[pivot] // top[pivot]
+    return index
+
+
+def _outcome(index_fn, hermite, sub_rows):
+    try:
+        return index_fn(hermite, sub_rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def hermite_index_inputs(draw):
+    """(Hermite rows of a lattice, sub rows): the sub rows are integer
+    combinations of the lattice's rows, of full or lower rank, or, half
+    the time, with one row replaced by an arbitrary one."""
+    rows = draw(matrices(max_rows=5, max_cols=6))
+    hermite = row_span_basis(rows)
+    assume(hermite)
+    combine = st.lists(st.integers(-3, 3), min_size=len(hermite),
+                       max_size=len(hermite))
+    sub = [tuple(sum(a * x for a, x in zip(coeffs, col))
+                 for col in zip(*hermite))
+           for coeffs in draw(st.lists(combine, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        sub[0] = draw(st.lists(small_entries, min_size=len(rows[0]),
+                               max_size=len(rows[0])).map(tuple))
+    return hermite, tuple(sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_index_inputs())
+def test_hermite_index_matches_the_full_scan(pair):
+    assert _outcome(intmat._hermite_index, *pair) == \
+        _outcome(hermite_index_full_scan, *pair)
+
+
+def test_hermite_index_errors_match_the_full_scan():
+    hermite = ((1, 0, 1), (0, 2, 0))
+    for sub, message in [
+            (((2, 0, 2), (0, 2, 1)), "not contained"),   # third column
+            (((1, 1, 1), (0, 2, 0)), "not contained"),   # odd at pivot 2
+            (((2, 0, 2),), "ranks"),
+            (((2, 0, 2), (0, 4, 0), (0, 0, 1)), "ranks")]:
+        outcome = _outcome(intmat._hermite_index, hermite, sub)
+        assert message in outcome
+        assert outcome == _outcome(hermite_index_full_scan, hermite, sub)
+    assert intmat._hermite_index(hermite, ((3, 2, 3), (0, 6, 0))) == \
+        hermite_index_full_scan(hermite, ((3, 2, 3), (0, 6, 0))) == 9
+
+
+def test_hermite_index_matches_the_full_scan_on_index_checks(monkeypatch,
+                                                             capsys):
+    # every index the two benchmark-style index-checks take: 28 calls
+    index, seen = intmat._hermite_index, []
+
+    def compared(hermite, sub_rows):
+        seen.append(index(hermite, sub_rows))
+        assert seen[-1] == hermite_index_full_scan(hermite, sub_rows)
+        return seen[-1]
+
+    monkeypatch.setattr(lattices, "_hermite_index", compared)
+    for spec, expr in (("heisenberg:3", "Sum(A,I)"),
+                       ("dihedral:64", "Sum(A,I,Reg)")):
+        assert cli.run(["index-check", spec, expr, "--scale", "3"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 28
 
 
 def gram_det(columns):
