@@ -12,6 +12,12 @@ Only residuals and valuations of the products are meaningful when R is a
 surrogate; genuine-field workflows should supply h, w and lambda (which
 are exact integers) and eliminate R through the class-number identity
 tested by :func:`brauer_kuroda_check`.
+
+The unit constant C_Theta(E) has one per-class factor, :func:`_unit_base`.
+:func:`unit_regulator_constant` multiplies it out by R and refuses a
+prime outside |G|; :func:`p_part_factor_check` takes its valuation at p
+only, by R on a relation whose every class carries R, else by w, h_p and
+lambda, so it accepts an R with primes outside |G|.
 """
 
 from dataclasses import dataclass
@@ -224,6 +230,21 @@ def minkowski_factor_check(profile: ArithmeticProfile, relations) -> Verdict:
         cls.order * profile.h(cls) * profile.lam(cls), profile.w(cls)))
 
 
+def _unit_base(profile: ArithmeticProfile, cls,
+               by_regulator: bool = True) -> Fraction:
+    """b(H) = R^2/(|H| lambda^2), the factor of C_Theta(E) = prod b(H)^{n_H}.
+
+    Without ``by_regulator``, the class-number identity eliminates R and
+    h_p stands in for the p-part of h: w^2/(|H| lambda^2 h_p^2), good at p
+    only.  R (or w, then h_p) is read before lambda.
+    """
+    if by_regulator:
+        top = profile.regulator(cls)
+    else:
+        top = Fraction(profile.w(cls), profile.h_p(cls))
+    return top ** 2 / (cls.order * profile.lam(cls) ** 2)
+
+
 def unit_regulator_constant(profile: ArithmeticProfile,
                             theta: GRelation) -> RegulatorValue:
     """Evaluate C_Theta(E) = C_Theta(Z) * prod_H (R/lambda)^{2 n_H} exactly.
@@ -232,13 +253,8 @@ def unit_regulator_constant(profile: ArithmeticProfile,
     taken at the primes of |G| only; data that leaves any other factor
     raises :class:`DataError`.
     """
-    (theta,) = _own_relations(profile, (theta,))
-    classes = profile.group.subgroup_classes()
-    value = Fraction(1)
-    for idx, n_h in theta.coefficients:
-        cls = classes[idx]
-        value *= Fraction(cls.order) ** (-n_h)
-        value *= (profile.regulator(cls) / profile.lam(cls)) ** (2 * n_h)
+    (value,) = _product_verdict(profile, (theta,), lambda cls: _unit_base(
+        profile, cls)).residuals
     valuations, rest = split_valuations(
         value, prime_factorization(profile.group.order))
     if rest != 1:
@@ -265,42 +281,16 @@ def brauer_kuroda_residual(profile: ArithmeticProfile,
     return residual
 
 
-def _unit_valuation(profile: ArithmeticProfile, theta: GRelation,
-                    classes) -> list:
-    """Per-class contributions to v_p(C_Theta(E)), as (label, exponent).
-
-    Uses the regulator route when every needed class carries R; otherwise
-    falls back to eliminating R through the class-number identity, which
-    replaces v_p(R) by v_p(w) - v_p(h) and lets h_p stand in for the
-    p-part of h.
-    """
-    p = profile.p
-    support = [classes[idx] for idx, _ in theta.coefficients]
-    use_regulators = all(profile._entry(cls).regulator is not None
-                         for cls in support)
-    contributions = []
-    for cls, (_, n_h) in zip(support, theta.coefficients):
-        exponent = -n_h * (valuation(cls.order, p)
-                           + 2 * valuation(profile.lam(cls), p))
-        if use_regulators:
-            exponent += 2 * n_h * valuation(profile.regulator(cls), p)
-        else:
-            exponent += 2 * n_h * (valuation(profile.w(cls), p)
-                                   - valuation(profile.h_p(cls), p))
-        contributions.append((cls.label, exponent))
-    return contributions
-
-
 def p_part_factor_check(profile: ArithmeticProfile, relations,
                         candidate: GLattice) -> Verdict:
     """Compare v_p(C_Theta(E)) with v_p(C_Theta(candidate)) per relation.
 
     Overall truth decides factor equivalence of the unit lattice with the
-    candidate after tensoring with the p-adic integers.  The unit side is
-    computed from regulators when present on all needed classes, else from
-    h_p, w and lambda; the candidate side comes from
-    :func:`~factoreq.lattices.regulator_constant`.  Residuals are recorded
-    as powers of p, so 1 means the valuations match.
+    candidate after tensoring with the p-adic integers.  The unit side sums
+    n_H v_p(b(H)) over :func:`_unit_base`, by R when every class of the
+    relation carries R, else by h_p, w and lambda; the candidate side comes
+    from :func:`~factoreq.lattices.regulator_constant`.  Residuals are
+    recorded as powers of p, so 1 means the valuations match.
     """
     if profile.p is None:
         raise DataError("p-part checks need a declared prime p")
@@ -310,14 +300,17 @@ def p_part_factor_check(profile: ArithmeticProfile, relations,
     classes = profile.group.subgroup_classes()
     entries = []
     for theta in _own_relations(profile, relations):
-        contributions = _unit_valuation(profile, theta, classes)
-        v_units = sum(exponent for _, exponent in contributions)
-        v_cand = regulator_constant(candidate, theta).valuation(p)
-        residual = Fraction(p) ** (v_units - v_cand)
-        breakdown = [(label, Fraction(p) ** exponent, 1)
-                     for label, exponent in contributions]
-        breakdown.append((candidate.label, Fraction(p) ** (-v_cand), 1))
-        entries.append((residual, tuple(breakdown)))
+        by_regulator = all(profile._entry(classes[idx]).regulator is not None
+                           for idx, _ in theta.coefficients)
+        (units,) = _product_verdict(profile, (theta,), lambda cls: _unit_base(
+            profile, cls, by_regulator)).explanations
+        exponents = [(label, n_h * valuation(base, p))
+                     for label, base, n_h in units]
+        exponents.append((candidate.label,
+                          -regulator_constant(candidate, theta).valuation(p)))
+        residual = Fraction(p) ** sum(e for _, e in exponents)
+        entries.append((residual, tuple((label, Fraction(p) ** e, 1)
+                                        for label, e in exponents)))
     return _make_verdict(entries)
 
 

@@ -263,15 +263,17 @@ def _saturate(scaled, den):
     return tuple(out)
 
 
-def bareiss_determinant(rows) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def _bareiss(m):
+    """Fraction-free elimination of the square list of rows ``m``, in place.
+
+    Yields (pivot, sign) for each column in turn: pivot k is the (k+1)-th
+    leading principal minor of ``m`` after its row swaps, and sign is the
+    parity of those swaps.  A pivot of 0 means that ``m`` is singular, and
+    is the last one yielded.
+    """
+    n = len(m)
+    sign = prev = 1
+    for k in range(n):
         if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
@@ -279,8 +281,10 @@ def bareiss_determinant(rows) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                yield 0, sign
+                return
         pivot = m[k][k]
+        yield pivot, sign
         for i in range(k + 1, n):
             mik = m[i][k]
             row_i, row_k = m[i], m[k]
@@ -288,38 +292,26 @@ def bareiss_determinant(rows) -> int:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+
+
+def bareiss_determinant(rows) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    pivot = sign = 1
+    for pivot, sign in _bareiss([list(r) for r in rows]):
+        pass
+    return sign * pivot
 
 
 def is_positive_definite(rows) -> bool:
     """Sylvester test on a symmetric rational matrix, done in integers.
 
     Scales by the common denominator (positive, so minor signs survive) and
-    reads the leading principal minors off the Bareiss pivots.
+    reads the leading principal minors off the Bareiss pivots; a row swap
+    means a zero leading minor.
     """
-    n = len(rows)
-    if n == 0:
-        return True
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
     m = [[int(Fraction(x) * den) for x in row] for row in rows]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        if k == n - 1:
-            break
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return True
+    return all(pivot > 0 and sign == 1 for pivot, sign in _bareiss(m))
 
 
 def sublattice_index(basis, sub_basis) -> int:

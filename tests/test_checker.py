@@ -29,9 +29,11 @@ from factoreq.errors import DataError, ValidationError
 from factoreq.groups import (
     cyclic_group,
     dihedral_group,
+    direct_product,
     elementary_abelian_group,
     heisenberg_group,
 )
+from factoreq.intmat import valuation
 from factoreq.lattices import (
     RegulatorValue,
     augmentation_lattice,
@@ -447,6 +449,62 @@ def test_p_part_regulator_route_agrees_with_class_number_route():
     stripped = uniform_profile(e9, ClassData(h_p=9, w=2, lam=1), p=3)
     via_h = p_part_factor_check(stripped, rels, candidate)
     assert via_r.residuals == via_h.residuals
+
+
+def p_power_profile(group, p, seed):
+    """Random h, w/2 and lambda among small powers of p, with R = t w/h.
+
+    Every factor h R / w equals t = 7/11, so the class-number identity
+    holds; the powers of p leave C_Theta(E) free of primes outside |G|, and
+    t, a unit at 2 and 3, leaves each class's valuation that of w/h.
+    """
+    rng = random.Random(seed)
+    data = {}
+    for cls in group.subgroup_classes():
+        h, w = rng.choice((1, p, p * p)), 2 * rng.choice((1, p))
+        data[cls.label] = ClassData(
+            h=h, h_p=h, w=w, lam=1 if cls.order == 1 else rng.choice((1, p)),
+            regulator=Fraction(7, 11) * Fraction(w, h))
+    return ArithmeticProfile(group, data, p=p)
+
+
+@pytest.mark.parametrize("p, make", [
+    (2, lambda: elementary_abelian_group(2, 2)),
+    (3, lambda: elementary_abelian_group(3, 2)),
+    (2, lambda: dihedral_group(8)),
+    (2, lambda: direct_product(cyclic_group(2), cyclic_group(4))),
+], ids=["V4", "3^2", "D8", "C2xC4"])
+def test_p_part_unit_side_is_the_unit_constant_at_p(p, make):
+    group = make()
+    rels = relation_basis(group)
+    candidate = trivial_lattice(group)
+    for seed in (1, 2):
+        prof = p_power_profile(group, p, seed)
+        verdict = p_part_factor_check(prof, rels, candidate)
+        for theta, breakdown in zip(rels, verdict.explanations):
+            v_units = sum(valuation(base, p) for _, base, _ in breakdown[:-1])
+            assert v_units == unit_regulator_constant(prof, theta).valuation(p)
+        # without R, the class-number route gives the same unit side
+        classes = group.subgroup_classes()
+        stripped = ArithmeticProfile(group, {
+            classes[idx].label: ClassData(h_p=d.h_p, w=d.w, lam=d.lam)
+            for idx, d in prof.data.items()}, p=p)
+        assert p_part_factor_check(stripped, rels, candidate) == verdict
+
+
+def test_missing_lambda_and_r_names_the_r_side_first():
+    # R (or, on the class-number route, w then h_p) is read before lambda
+    v4 = elementary_abelian_group(2, 2)
+    data = {lab: ClassData(regulator=1, lam=1, w=2, h_p=1)
+            for lab in labels_of(v4)}
+    data["o2#0"] = ClassData(w=2)
+    prof = ArithmeticProfile(v4, data, p=2)
+    (theta,) = relation_basis(v4)
+    with pytest.raises(DataError, match="missing regulator for class o2#0"):
+        unit_regulator_constant(prof, theta)
+    # o2#0 lacks R, so the relation takes the class-number route
+    with pytest.raises(DataError, match="missing h_p for class o2#0"):
+        p_part_factor_check(prof, (theta,), trivial_lattice(v4))
 
 
 def test_p_part_requires_prime_and_data():
