@@ -98,7 +98,7 @@ by 2^rank:""")
     reg = regular_lattice(v4)
     double = tuple(tuple(2 if r == c else 0 for c in range(reg.rank))
                    for r in range(reg.rank))
-    ok, indices = index_ratio_check(reg, reg, double, theta)
+    [(ok, indices)] = index_ratio_check(reg, reg, double, [theta])
     print(f"  2*id on Reg over {v4.name}: identity holds: {ok}")
     print(f"  per-class indices: {indices}")
 

@@ -302,10 +302,9 @@ def p_part_factor_check(profile: ArithmeticProfile, relations,
     for theta in _own_relations(profile, relations):
         by_regulator = all(profile._entry(classes[idx]).regulator is not None
                            for idx, _ in theta.coefficients)
-        (units,) = _product_verdict(profile, (theta,), lambda cls: _unit_base(
-            profile, cls, by_regulator)).explanations
-        exponents = [(label, n_h * valuation(base, p))
-                     for label, base, n_h in units]
+        exponents = [(classes[idx].label, n_h * valuation(
+            _unit_base(profile, classes[idx], by_regulator), p))
+            for idx, n_h in theta.coefficients]
         exponents.append((candidate.label,
                           -regulator_constant(candidate, theta).valuation(p)))
         residual = Fraction(p) ** sum(e for _, e in exponents)

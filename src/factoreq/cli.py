@@ -773,14 +773,13 @@ def _cmd_index_check(args):
                         for col in range(lattice.rank))
                   for row in range(lattice.rank))
     basis = relation_basis(group)
-    results, overall = [], True
-    for index, theta in enumerate(basis):
-        passed, indices = index_ratio_check(lattice, lattice, embed, theta)
-        overall = overall and passed
-        results.append({"relation_index": index,
-                        "relation": _relation_json(theta), "passed": passed,
-                        "indices": {label: indices[label]
-                                    for label in sorted(indices)}})
+    checks = index_ratio_check(lattice, lattice, embed, basis)
+    overall = all(passed for passed, _ in checks)
+    results = [{"relation_index": index, "relation": _relation_json(theta),
+                "passed": passed,
+                "indices": {label: indices[label] for label in sorted(indices)}}
+               for index, (theta, (passed, indices))
+               in enumerate(zip(basis, checks))]
     payload = {"spec": args.spec, "lattice": lattice.label,
                "scale": args.scale, "group": group.name, "overall": overall,
                "results": results}

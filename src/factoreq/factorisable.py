@@ -27,6 +27,7 @@ factorisable functions from character data.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 
 from .errors import FactoreqError, ValidationError
@@ -190,34 +191,22 @@ def abelian_characters(group: Group) -> tuple:
     n = group.order
     m = group.exponent()
     gens = group.generators
-    choice_sets = []
-    for g in gens:
-        order = group.element_orders[g]
-        choice_sets.append(tuple((m // order) * t for t in range(order)))
-    found = set()
-    candidates = [[]]
-    for choices in choice_sets:
-        candidates = [prefix + [c] for prefix in candidates for c in choices]
-    for assignment in candidates:
-        values: list = [None] * n
-        values[0] = 0
-        ok = True
-        for x in range(n):
-            if values[x] is None:
-                ok = False
-                break
-            for gi, g in enumerate(gens):
-                y = group.mul[g][x]
-                val = (assignment[gi] + values[x]) % m
+
+    def extend(assignment):  # the character with these generator values
+        values = [None] * n
+        values[0], queue = 0, [0]
+        for x in queue:  # breadth first from the identity, x -> g x
+            for g, a in zip(gens, assignment):
+                y, val = group.mul[g][x], (a + values[x]) % m
                 if values[y] is None:
                     values[y] = val
+                    queue.append(y)
                 elif values[y] != val:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(tuple(values))
+                    return None
+        return tuple(values)
+
+    found = set(map(extend, product(*(
+        range(0, m, m // group.element_orders[g]) for g in gens)))) - {None}
     out = tuple(sorted(found))
     if len(out) != n:
         raise FactoreqError(f"found {len(out)} characters of {group.name}; "

@@ -37,9 +37,10 @@ integer Bareiss determinant, divided once by its scale.
 Fixed sublattices are kept in their canonical Hermite form.  A named atom
 reads its own off the H-orbits, once its homomorphism check has passed; any
 other atom takes an integer kernel, and a direct sum assembles its atoms',
-(M + N)^H = M^H + N^H.  Index comparisons normalise and check each
-embedding once, map M^H through its sparse rows, and bring only that image
-to Hermite form: each index is a ratio of its pivots to N^H's.
+(M + N)^H = M^H + N^H.  An index comparison takes every relation for one
+embedding in one call, normalises and checks the embedding once per call,
+maps M^H through its sparse rows, and brings only that image to Hermite
+form: each index is a ratio of its pivots to N^H's.
 """
 
 from collections import Counter
@@ -119,7 +120,6 @@ class GLattice:
         self._materialized = self._gram = None
         self._fixed: dict[int, tuple] = {}
         self._factors: dict[int, Fraction] = {}
-        self._embeddings: dict = {}
 
     @property
     def actions(self) -> tuple:
@@ -610,59 +610,53 @@ def _integral(mat, what: str) -> tuple:
 
 
 def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
-                      theta: GRelation):
-    """Compare C_Theta(M)/C_Theta(N) with prod [N^H : iota(M^H)]^(2 n_H).
+                      relations) -> tuple:
+    """Compare C_Theta(M)/C_Theta(N) with prod [N^H : iota(M^H)]^(2 n_H)
+    for each relation Theta in ``relations``.
 
     ``embed`` is an injective equivariant integer matrix from M's basis to
-    N's.  M records each (N, embed) pair it has checked with the sparse rows
-    of embed and the index of each class found under it, so a relation
-    basis converts and checks the embedding once and finds each class's
-    index once.  Returns (equality holds, {class label: index}).
+    N's.  Each call normalises and checks it once, even with no relations,
+    and finds each class's index once, however many relations share the
+    class.  Returns one (equality holds, {class label: index}) pair per
+    relation, in order.
     """
     if m_lat.group is not n_lat.group:
         raise ValidationError("lattices live on different groups")
-    if theta.group is not m_lat.group:
+    relations = tuple(relations)
+    if any(theta.group is not m_lat.group for theta in relations):
         raise ValidationError("relation lives on a different group")
     if m_lat.rank != n_lat.rank:
         raise ValidationError("embedding with finite index needs equal ranks")
-    try:  # a tuple equal to a recorded one is taken as it is
-        known = m_lat._embeddings.get((n_lat, embed))
-    except TypeError:  # lists are not hashable
-        known = None
-    if known is None:
-        mat = _integral(embed, "an embedding")
-        if (len(mat) != n_lat.rank
-                or any(len(row) != m_lat.rank for row in mat)):
-            raise ValidationError(
-                f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
-        known = m_lat._embeddings.get((n_lat, mat))
-    if known is None:
-        if len(row_span_basis(mat)) < m_lat.rank:
-            raise ValidationError("embedding must be injective")
-        sparse = _sparse(mat)
-        for g in m_lat.group.generators:
-            if (_sparse_product(n_lat._element_rows(g), sparse)
-                    != _sparse_product(sparse, m_lat._element_rows(g))):
-                raise ValidationError("embedding is not equivariant")
-        known = m_lat._embeddings[(n_lat, mat)] = (sparse, {})
-    sparse, found = known
+    mat = _integral(embed, "an embedding")
+    if len(mat) != n_lat.rank or any(len(row) != m_lat.rank for row in mat):
+        raise ValidationError(
+            f"embedding must be a {n_lat.rank} x {m_lat.rank} matrix")
+    if len(row_span_basis(mat)) < m_lat.rank:
+        raise ValidationError("embedding must be injective")
+    sparse = _sparse(mat)
+    for g in m_lat.group.generators:
+        if (_sparse_product(n_lat._element_rows(g), sparse)
+                != _sparse_product(sparse, m_lat._element_rows(g))):
+            raise ValidationError("embedding is not equivariant")
     classes = m_lat.group.subgroup_classes()
-    indices, rhs = {}, []
-    for idx, n_h in theta.coefficients:
-        cls = classes[idx]
-        index = found.get(idx)
-        if index is None:  # N^H's columns are its Hermite rows already
-            basis = fixed_sublattice(m_lat, cls)
-            image = _dense(_sparse_product(sparse, _sparse(basis)),
-                           len(basis[0]) if basis else 0)
-            index = found[idx] = _hermite_index(
-                transpose(fixed_sublattice(n_lat, cls)), transpose(image))
-        indices[cls.label] = index
-        rhs.append((index, 2 * n_h))
-    # C_Theta does not depend on the pairing: named atoms take closed forms
-    lhs = (regulator_constant(m_lat, theta).value
-           / regulator_constant(n_lat, theta).value)
-    return reassembles(lhs, rhs), indices
+    found, results = {}, []
+    for theta in relations:
+        indices, rhs = {}, []
+        for idx, n_h in theta.coefficients:
+            cls = classes[idx]
+            if idx not in found:  # N^H's columns are its Hermite rows already
+                basis = fixed_sublattice(m_lat, cls)
+                image = _dense(_sparse_product(sparse, _sparse(basis)),
+                               len(basis[0]) if basis else 0)
+                found[idx] = _hermite_index(
+                    transpose(fixed_sublattice(n_lat, cls)), transpose(image))
+            indices[cls.label] = found[idx]
+            rhs.append((found[idx], 2 * n_h))
+        # C_Theta does not depend on the pairing: named atoms take closed forms
+        lhs = (regulator_constant(m_lat, theta).value
+               / regulator_constant(n_lat, theta).value)
+        results.append((reassembles(lhs, rhs), indices))
+    return tuple(results)
 
 
 def tower_target_constant(group: Group, m: int,

@@ -203,8 +203,8 @@ def test_criterion_05_index_formula():
                 embed = tuple(tuple(k if r == c else 0
                                     for c in range(lat.rank))
                               for r in range(lat.rank))
-                for theta in relation_basis(group):
-                    ok, _ = index_ratio_check(lat, lat, embed, theta)
+                for ok, _ in index_ratio_check(lat, lat, embed,
+                                               relation_basis(group)):
                     assert ok, (name, build.__name__, k)
 
 

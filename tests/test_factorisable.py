@@ -169,6 +169,23 @@ def test_abelian_characters_are_homomorphisms():
                 assert chi[g.mul[x][y]] == (chi[x] + chi[y]) % m
 
 
+def test_characters_do_not_need_breadth_first_indices():
+    # C4 generated by 3, and C2 x C4 with its elements permuted: element x
+    # of the copy is element perm[x] of the breadth-first group g
+    c2_c4 = direct_product(cyclic_group(2), cyclic_group(4))
+    for g, perm, gens in ((cyclic_group(4), (0, 1, 2, 3), (3,)),
+                          (c2_c4, (0, 7, 5, 3, 6, 1, 4, 2), (5, 7))):
+        n = g.order
+        inv = [perm.index(x) for x in range(n)]
+        copy = Group([[inv[g.mul[perm[a]][perm[b]]] for b in range(n)]
+                      for a in range(n)], gens)
+        want = sorted(tuple(chi[perm[x]] for x in range(n))
+                      for chi in abelian_characters(g))
+        assert abelian_characters(copy) == tuple(want)
+        f = function_from_character_data(copy, range(1, n + 1))
+        assert is_factorisable_abelian(f)
+
+
 def test_function_from_character_data_examples():
     g = elementary_abelian_group(2, 2)
     f = function_from_character_data(g, [1, 1, 1, 1])

@@ -494,7 +494,7 @@ def test_named_build_path_rejects_bad_actions_on_first_use():
         uses = (lambda lat: lat.materialized(),
                 lambda lat: fixed_sublattice(lat, top),
                 lambda lat: index_ratio_check(lat, lat, identity_matrix(rank),
-                                              theta))
+                                              [theta]))
         for use in uses:
             lat = named_atom(g, build.actions, build.label, build._kind)
             with pytest.raises(ValidationError, match="multiplication table"):
@@ -508,8 +508,7 @@ def test_sum_with_a_bad_atom_is_rejected_before_any_index():
                     direct_sum(bad, regular_lattice(g))):
             embed = identity_matrix(lat.rank)
             with pytest.raises(ValidationError, match="multiplication table"):
-                index_ratio_check(lat, lat, embed, theta)
-            assert lat._embeddings == {}
+                index_ratio_check(lat, lat, embed, [theta])
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS))
@@ -834,7 +833,7 @@ def test_relations_naming_no_class_are_refused_when_built():
             regulator_constant(z, GRelation(v4, coefficients))
         with pytest.raises(ValidationError, match="no subgroup class with "
                                                   "index"):
-            index_ratio_check(z, z, ((3,),), GRelation(v4, coefficients))
+            index_ratio_check(z, z, ((3,),), [GRelation(v4, coefficients)])
 
 
 def test_mismatched_relation_group_rejected():
@@ -901,8 +900,8 @@ def nat_embed(n):
 def test_index_ratio_identity_embedding():
     g = elementary_abelian_group(2, 2)
     lat = regular_lattice(g)
-    ok, indices = index_ratio_check(lat, lat, identity_matrix(4),
-                                    relation_basis(g)[0])
+    [(ok, indices)] = index_ratio_check(lat, lat, identity_matrix(4),
+                                        relation_basis(g)[:1])
     assert ok and set(indices.values()) == {1}
 
 
@@ -910,7 +909,7 @@ def test_index_ratio_scaled_identity():
     g = elementary_abelian_group(2, 2)
     lat = regular_lattice(g)
     two = tuple(tuple(2 * x for x in row) for row in identity_matrix(4))
-    ok, indices = index_ratio_check(lat, lat, two, relation_basis(g)[0])
+    [(ok, indices)] = index_ratio_check(lat, lat, two, relation_basis(g)[:1])
     assert ok
     assert indices == {"o1#0": 16, "o2#0": 4, "o2#1": 4, "o2#2": 4, "o4#0": 2}
 
@@ -918,16 +917,15 @@ def test_index_ratio_scaled_identity():
 def test_index_ratio_augmentation_inside_cyclic_quotient():
     # frozen oracle: the index of iota(I^H) inside A^H is (G : H)
     g = elementary_abelian_group(2, 2)
-    ok, indices = index_ratio_check(
+    [(ok, indices)] = index_ratio_check(
         augmentation_lattice(g), cyclic_quotient_lattice(g),
-        nat_embed(4), relation_basis(g)[0])
+        nat_embed(4), relation_basis(g)[:1])
     assert ok
     assert indices == {"o1#0": 4, "o2#0": 2, "o2#1": 2, "o2#2": 2, "o4#0": 1}
     d8 = dihedral_group(8)
-    for theta in relation_basis(d8):
-        ok, indices = index_ratio_check(
+    for ok, indices in index_ratio_check(
             augmentation_lattice(d8), cyclic_quotient_lattice(d8),
-            nat_embed(8), theta)
+            nat_embed(8), relation_basis(d8)):
         assert ok
         classes = d8.subgroup_classes()
         for label, index in indices.items():
@@ -949,16 +947,15 @@ def test_index_ratio_checks_each_embedding_once(monkeypatch):
     monkeypatch.setattr(lattices, "row_span_basis", counting)
     basis = relation_basis(d8)
     assert len(basis) > 1
-    for theta in basis:
-        assert index_ratio_check(m_lat, n_lat, embed, theta)[0]
+    assert all(ok for ok, _ in index_ratio_check(m_lat, n_lat, embed, basis))
     assert sum(rows == embed for rows in seen) == 1
-    # another target lattice makes another triple, checked on its own
-    index_ratio_check(m_lat, cyclic_quotient_lattice(d8), embed, basis[0])
+    # nothing is recorded: a second call checks the embedding again
+    index_ratio_check(m_lat, n_lat, embed, basis[:1])
     assert sum(rows == embed for rows in seen) == 2
-    # a rejected embedding is not recorded, so it fails on every call
+    # a rejected embedding fails on every call
     for _ in range(2):
         with pytest.raises(ValidationError, match="not equivariant"):
-            index_ratio_check(m_lat, n_lat, identity_matrix(7), basis[0])
+            index_ratio_check(m_lat, n_lat, identity_matrix(7), basis)
 
 
 def i_z_to_reg(n):
@@ -984,20 +981,21 @@ def test_non_scalar_embeddings_on_the_census(name):
     to_reg = i_z_to_reg(n)
     assert abs(bareiss_determinant(to_reg)) == n
     whole = GLattice(g, i_z.actions)
-    for theta in relation_basis(g):
-        ok, indices = index_ratio_check(i_lat, a_lat, nat_embed(n), theta)
+    basis = relation_basis(g)
+    for ok, indices in index_ratio_check(i_lat, a_lat, nat_embed(n), basis):
         assert ok and all(index == n // classes[label].order
                           for label, index in indices.items()), name
-        ok, indices = index_ratio_check(i_z, reg, to_reg, theta)
+    got = index_ratio_check(i_z, reg, to_reg, basis)
+    for theta, (ok, _) in zip(basis, got):
         assert ok, (name, theta.describe())
-        assert (ok, indices) == index_ratio_check(whole, reg, to_reg, theta)
+    assert got == index_ratio_check(whole, reg, to_reg, basis)
 
 
 @pytest.mark.parametrize("name", ["V4", "S3", "D8", "Heis3"])
 def test_index_ratio_takes_any_form_of_an_embedding_once(name, monkeypatch):
     # lists, tuples and integral Fractions of one embedding give the answers
-    # of the tuple on fresh lattices, and one Hermite form (injectivity)
-    # per embedding on a scalar and on the I + Z -> Reg embedding
+    # of the tuple over the whole basis, and one Hermite form (injectivity)
+    # per call, on a scalar and on the I + Z -> Reg embedding
     g = GROUPS[name]()
     n = g.order
     scalar = tuple(tuple(3 * x for x in row) for row in identity_matrix(n))
@@ -1007,9 +1005,8 @@ def test_index_ratio_takes_any_form_of_an_embedding_once(name, monkeypatch):
               i_z_to_reg(n))]
     basis = relation_basis(g)
     for make, embed in cases:
-        fresh = make()
-        want = [index_ratio_check(*fresh, embed, theta) for theta in basis]
-        assert all(ok for ok, _ in want)
+        want = index_ratio_check(*make(), embed, basis)
+        assert len(want) == len(basis) and all(ok for ok, _ in want)
         forms = ([list(row) for row in embed], embed,
                  tuple(tuple(Fraction(x) for x in row) for row in embed))
         spans = []
@@ -1018,25 +1015,25 @@ def test_index_ratio_takes_any_form_of_an_embedding_once(name, monkeypatch):
             m.setattr(lattices, "row_span_basis",
                       lambda rows: spans.append(rows) or span(rows))
             m_lat, n_lat = make()
-            for k, theta in enumerate(basis * 2):
-                got = index_ratio_check(m_lat, n_lat, forms[k % 3], theta)
-                assert got == want[k % len(basis)], (name, k)
-        assert spans == [embed]
+            for form in forms * 2:
+                assert index_ratio_check(m_lat, n_lat, form, basis) == want
+        assert spans == [embed] * 6, name
 
 
 def test_non_integral_embedding_entries_are_refused():
     v4 = elementary_abelian_group(2, 2)
     theta = relation_basis(v4)[0]
     z = trivial_lattice(v4)
-    # an integral embedding recorded first does not let an unequal one in
-    assert index_ratio_check(z, z, ((2,),), theta) == (
+    # an integral embedding checked first does not let an unequal one in
+    assert index_ratio_check(z, z, ((2,),), [theta]) == ((
         True, {label: 2 for label in ("o1#0", "o2#0", "o2#1", "o2#2",
-                                      "o4#0")})
-    for bad in (((Fraction(5, 2),),), ((2.5,),), [[Fraction(5, 2)]]):
+                                      "o4#0")}),)
+    for bad in (((Fraction(5, 2),),), ((2.5,),), [[Fraction(5, 2)]],
+                ((2.0,),)):
         with pytest.raises(ValidationError, match="integer entries"):
-            index_ratio_check(z, z, bad, theta)
-    for good in (((Fraction(2),),), ((2.0,),)):
-        assert index_ratio_check(z, z, good, theta)[1]["o1#0"] == 2
+            index_ratio_check(z, z, bad, [theta])
+    [(_, indices)] = index_ratio_check(z, z, ((Fraction(2),),), [theta])
+    assert indices["o1#0"] == 2
     with pytest.raises(ValidationError, match="integer entries"):
         GLattice(v4, (((1.5,),), ((1,),)))
 
@@ -1055,7 +1052,24 @@ def test_floats_and_bools_are_not_exact_numbers():
     v4 = elementary_abelian_group(2, 2)
     z = trivial_lattice(v4)
     with pytest.raises(ValidationError, match="integer entries"):
-        index_ratio_check(z, z, [[True]], relation_basis(v4)[0])
+        index_ratio_check(z, z, [[True]], relation_basis(v4))
+
+
+def test_index_checks_do_not_depend_on_call_history():
+    # an equal embedding checked before does not let a float or a bool in
+    v4 = elementary_abelian_group(2, 2)
+    z = trivial_lattice(v4)
+    basis = relation_basis(v4)
+    for good, bad in ((((1,),), ((True,),)), (((2,),), ((2.0,),))):
+        assert all(ok for ok, _ in index_ratio_check(z, z, good, basis))
+        with pytest.raises(ValidationError, match="integer entries"):
+            index_ratio_check(z, z, bad, basis)
+    # with no relation the embedding is still checked
+    d8 = dihedral_group(8)
+    i_lat, a_lat = augmentation_lattice(d8), cyclic_quotient_lattice(d8)
+    with pytest.raises(ValidationError, match="not equivariant"):
+        index_ratio_check(i_lat, a_lat, identity_matrix(7), ())
+    assert index_ratio_check(i_lat, a_lat, nat_embed(8), ()) == ()
 
 
 def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):
@@ -1068,8 +1082,8 @@ def test_index_ratio_takes_closed_forms_for_named_atoms(monkeypatch):
     gram_det = lattices._scaled_gram_det
     monkeypatch.setattr(lattices, "_scaled_gram_det",
                         lambda *a: seen.append(a) or gram_det(*a))
-    for theta in relation_basis(g):
-        assert index_ratio_check(lat, lat, three, theta)[0]
+    assert all(ok for ok, _ in index_ratio_check(lat, lat, three,
+                                                 relation_basis(g)))
     assert seen == []
 
 
@@ -1102,7 +1116,7 @@ def test_index_ratio_rejects_bad_embeddings():
     zero_col = tuple(tuple(1 if i == j and j > 0 else 0 for j in range(4))
                      for i in range(4))
     with pytest.raises(ValidationError):
-        index_ratio_check(lat, lat, zero_col, theta)
+        index_ratio_check(lat, lat, zero_col, [theta])
     shuffle = (  # transposition misaligned with the action: not equivariant
         (0, 1, 0, 0),
         (1, 0, 0, 0),
@@ -1110,9 +1124,9 @@ def test_index_ratio_rejects_bad_embeddings():
         (0, 0, 0, 1),
     )
     with pytest.raises(ValidationError):
-        index_ratio_check(lat, lat, shuffle, theta)
+        index_ratio_check(lat, lat, shuffle, [theta])
     with pytest.raises(ValidationError):
-        index_ratio_check(lat, trivial_lattice(g), identity_matrix(4), theta)
+        index_ratio_check(lat, trivial_lattice(g), identity_matrix(4), [theta])
 
 
 # -- towers --------------------------------------------------------------------
