@@ -60,7 +60,7 @@ from .lattices import (
     tower_lattice,
     trivial_lattice,
 )
-from .relations import bouc_generators, relation_basis, spans_relation_lattice
+from .relations import _spans_in_basis, bouc_generators, relation_basis
 
 RANK_CAP = 1000
 
@@ -429,7 +429,9 @@ def _write_json(obj, out: list, newline: str) -> None:
     on.  Types are tested in the stdlib's order: str (by the stdlib's own
     C quoting), None, bool, int, then lists, tuples and dicts with str
     keys.  Anything else, a float or a Fraction included, raises
-    TypeError: reports hold no floats.  The stdlib runs its C encoder
+    TypeError: reports hold no floats.  A container writes an item of
+    type exactly str or int itself, and a key with its indent as one
+    f-string, built without temporaries.  The stdlib runs its C encoder
     only without ``indent``; with it, its generator per container cost
     more than twice this writer's time.
     """
@@ -443,33 +445,31 @@ def _write_json(obj, out: list, newline: str) -> None:
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, dict)):
+        mapping = isinstance(obj, dict)
         if not obj:
-            out.append("[]")
+            out.append("{}" if mapping else "[]")
             return
         inner = newline + "  "
-        head = "[" + inner
+        head = ("{" if mapping else "[") + inner
         separator = "," + inner
-        for item in obj:
-            out.append(head)
+        for item in obj.items() if mapping else obj:
+            if mapping:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                out.append(f"{head}{_quote(key)}: ")
+            else:
+                out.append(head)
             head = separator
-            _write_json(item, out, inner)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        head = "{" + inner
-        separator = "," + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not "
-                                f"{type(key).__name__}")
-            out.append(head + _quote(key) + ": ")
-            head = separator
-            _write_json(value, out, inner)
-        out.append(newline + "}")
+            if (kind := type(item)) is str:
+                out.append(_quote(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(newline + ("}" if mapping else "]"))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                         f"serializable")
@@ -671,7 +671,7 @@ def _cmd_bouc(args):
                "relations": [_relation_json(theta) for theta in generators]}
     code = 0
     if args.verify_span:
-        spanning = spans_relation_lattice(group, generators)
+        spanning = _spans_in_basis(group, generators)
         payload["spans_full_lattice"] = spanning
         code = 0 if spanning else 1
 

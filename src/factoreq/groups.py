@@ -235,9 +235,11 @@ class Group:
         search over representatives k left-multiplied by x and the cyclic
         generators that built H: the union holds 1 and is closed under
         them, so it is <H, x>, found in about |<H, x>| steps rather than
-        |<H, x>| * |H|.  Since <H, hx> = <H, x>, one x per coset Hx is
-        joined.  H's getter reads kH off row k and Hx off column x.  A
-        union past |G|/p elements (p the least prime dividing |G|) is G.
+        |<H, x>| * |H|.  A central x needs no search: <H, x> is the chain
+        H u xH u x^2 H u ..., walked until a power of x falls inside.  Since
+        <H, hx> = <H, x>, one x per coset Hx is joined.  H's getter reads kH
+        off row k and Hx off column x.  A union past |G|/p elements (p the
+        least prime dividing |G|) is G.
         """
         if self._all_subgroups is None:
             mul, columns, n = self.mul, self._columns, self.order
@@ -263,15 +265,22 @@ class Group:
                         continue
                     seen.update(coset(columns[x]))
                     step = gens + (x,)
-                    elems, reps = set(sub), [0]
-                    for k in reps:
-                        for s in step:
-                            y = mul[s][k]
-                            if y not in elems:
-                                elems.update(coset(mul[y]))
-                                reps.append(y)
-                        if len(elems) > cap:
-                            break
+                    elems = set(sub)
+                    if x in center:
+                        y = x
+                        while y not in elems and len(elems) <= cap:
+                            elems.update(coset(mul[y]))
+                            y = mul[y][x]
+                    else:
+                        reps = [0]
+                        for k in reps:
+                            for s in step:
+                                y = mul[s][k]
+                                if y not in elems:
+                                    elems.update(coset(mul[y]))
+                                    reps.append(y)
+                            if len(elems) > cap:
+                                break
                     new = whole if len(elems) > cap else frozenset(elems)
                     if new not in known:
                         queue.append((new, step))

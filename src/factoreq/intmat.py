@@ -14,13 +14,14 @@ the whole row.  :func:`row_span_basis` runs the loop with the entries above
 each pivot reduced (the Hermite normal form).  :func:`kernel_basis` runs it
 without that reduction on the matrix with its columns reversed: the columns
 left without a pivot are the pivot columns of the kernel's Hermite normal
-form, and back-substitution gives one rational kernel vector for each.  When
-one of those vectors is not integral, a single saturation step (one more
-Hermite normal form, modulo the common denominator) picks the integral
-combinations.  :func:`sublattice_index` compares two Hermite normal forms,
-which are canonical, pivot by pivot; ``_hermite_index`` does the same when
-the lattice's form is known already.  Sparse rows, tuples of (column,
-nonzero entry) pairs in column order, are made by ``_sparse`` and read by
+form, and back-substitution, through an index of the echelon's nonzeros by
+column, gives one rational kernel vector for each.  When one of those
+vectors is not integral, a single saturation step (one more Hermite normal
+form, modulo the common denominator) picks the integral combinations.
+:func:`sublattice_index` compares two Hermite normal forms, which are
+canonical, pivot by pivot; ``_hermite_index`` does the same when the
+lattice's form is known already.  Sparse rows, tuples of (column, nonzero
+entry) pairs in column order, are made by ``_sparse`` and read by
 ``_dense``.
 """
 
@@ -198,35 +199,45 @@ def _kernel_rows(mat) -> tuple:
     x = 0 on the rest of F gives the rational kernel vector v_f, supported
     on f and on pivot columns right of f.  The kernel is
     {sum t_f v_f : t in Z^F, integral}; if every v_f is integral the v_f are
-    its HNF rows, else :func:`_saturate` picks the integral ones.
+    its HNF rows, else :func:`_saturate` picks the integral ones.  v_f is
+    kept as y / d; pivots are met from the left, each row's sum over the
+    entries set so far pending, added to by column and scaled with y.
     """
     n = len(mat[0]) if mat else 0
     if not n:
         return ()
     a = [list(reversed(row)) for row in mat]
     pivots = _echelon_in_place(a, reduce=False)
-    # (pivot column, row) in the original column order, leftmost pivot first;
-    # each row is zero right of its pivot.
-    echelon = [(n - 1 - c, a[r][::-1]) for r, c in enumerate(pivots)][::-1]
-    pivot_cols = {p for p, _ in echelon}
-    free = [c for c in range(n) if c not in pivot_cols]
+    # Row r's pivot column p in the original order (r is zero right of p)
+    # and entry there; per column q, the rows nonzero at q < p, read in a.
+    heads, below = [], [[] for _ in range(n)]
+    for r, c in enumerate(pivots):
+        row = a[r]
+        heads.append((r, n - 1 - c, row[c]))
+        for j in range(c + 1, n):
+            if row[j]:
+                below[n - 1 - j].append(r)
+    free = sorted(set(range(n)) - {p for _, p, _ in heads})
     solutions = []             # (y, d): v_f = y / d, y sparse, y[f] == d
     for f in free:
-        y = {f: 1}
-        d = 1
-        for p, row in echelon:
-            if p < f:
-                continue
-            s = sum(row[q] * v for q, v in y.items())
+        y, d = {f: 1}, 1
+        pending = [0] * len(heads)
+        for r in below[f]:
+            pending[r] = a[r][n - 1 - f]
+        for r, p, x in reversed(heads):
+            s = pending[r]
             if not s:
                 continue
-            g = gcd(s, row[p])
-            scale = row[p] // g
+            g = gcd(s, x)
+            scale = x // g
             if scale != 1:
-                for q in y:
-                    y[q] *= scale
+                y = {q: v * scale for q, v in y.items()}
+                pending = [v * scale for v in pending]
                 d *= scale
-            y[p] = -s // g
+            v = y[p] = -s // g
+            j = n - 1 - p
+            for q in below[p]:
+                pending[q] += v * a[q][j]
         solutions.append((y, d))
     den = lcm(*(d for _, d in solutions))
     if den == 1:

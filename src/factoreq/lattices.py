@@ -17,17 +17,19 @@ atoms take closed forms (Dokchitser & Dokchitser, *Regulator constants
 and the parity conjecture*, Invent. Math. 178, 2009):
 
     C_Theta(Z) = C_Theta(I) = prod_K |K|^{-n_K}
-    C_Theta(A) = C_Theta(Z)^{-1}        (A = I*, and C(M*) = C(M)^{-1})
+    C_Theta(A) = C_Theta(I)^{-1}
     C_Theta(Reg) = 1
     C_Theta(Z[G/H]) = prod_K (prod over double cosets KgH of
                                |K n gHg^-1|)^{-n_K}
 
 The last holds because the K-orbit sums of G/H are an orthogonal basis of
-the K-fixed part.  Named atoms and direct sums know their rank when built
-and build no matrix until one is read, so a closed form builds none; before
-any other read, each distinct atom runs its homomorphism check once, on
-sparse rows.  The check covers unimodularity, so a named atom needs no
-determinant.
+the K-fixed part.  A = I* here, but C(A) = C(I)^{-1} is a fact about these
+two atoms, checked against the Gram route in the tests, not a rule for
+duals: Z[G/H] is self-dual, yet C_Theta(Z) = 1/2 for a relation of V4.
+Named atoms and direct sums know their rank when built and build no matrix
+until one is read, so a closed form builds none; before any other read,
+each distinct atom runs its homomorphism check once, on sparse rows.  The
+check covers unimodularity, so a named atom needs no determinant.
 
 Any other atom takes its factors from Gram determinants under its integer
 averaged pairing sum_g rho(g)^T rho(g); a user pairing is cleared to an

@@ -215,10 +215,21 @@ def spans_match(relations_a, relations_b) -> bool:
 
 
 def spans_relation_lattice(group: Group, relations) -> bool:
+    """:func:`_spans_in_basis` for GRelations of ``group``, each checked to
+    be a relation (else :class:`ValidationError`) first."""
+    relations = tuple(relations)
+    for rel in relations:
+        if not is_relation(group, rel):
+            raise ValidationError(f"{rel.describe()} is not a relation of "
+                                  f"{group.name}")
+    return _spans_in_basis(group, relations)
+
+
+def _spans_in_basis(group: Group, relations) -> bool:
     """``spans_match(relations, relation_basis(group))``, without an HNF.
 
-    ``relations`` are GRelations of ``group``.  Each is checked to be a
-    relation and written in the basis: its coordinate on b_j is its
+    ``relations`` are relations of ``group``, as :func:`bouc_generators`
+    gives them.  Each is written in the basis: its coordinate on b_j is its
     coefficient at b_j's pivot class if that pivot is 1 (the HNF has zeros
     above it), else found by back-substitution, and must be an integer
     (else :class:`FactoreqError`).
@@ -234,9 +245,6 @@ def spans_relation_lattice(group: Group, relations) -> bool:
                 solve[pivot_of[col]][1].append((i, val))
     rows = []
     for rel in relations:
-        if not is_relation(group, rel):
-            raise ValidationError(f"{rel.describe()} is not a relation of "
-                                  f"{group.name}")
         coords = {pivot_of[col]: val for col, val in rel.coefficients
                   if col in pivot_of}
         for j, (lead, above) in solve.items():

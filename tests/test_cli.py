@@ -13,13 +13,14 @@ import shlex
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factoreq import cli
+from factoreq import cli, relations
 from factoreq.checker import ArithmeticProfile
 from factoreq.cli import (
     _candidate_lattice,
@@ -526,8 +527,28 @@ def test_writer_on_empty_and_deeply_nested_containers():
         assert written(obj) == json.dumps(obj, indent=2)
 
 
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Label(str):
+    pass
+
+
+def test_writer_on_scalars_that_are_not_exactly_str_or_int():
+    # containers write exact str and int items themselves; bool, None and
+    # subclasses of int and str take the general route
+    scalars = [True, False, None, _Level.HIGH, _Label("o2#0"), 5, "s"]
+    for obj in (scalars, tuple(scalars), {"k": scalars},
+                {str(i): x for i, x in enumerate(scalars)},
+                [{_Label("key"): x} for x in scalars]):
+        assert written(obj) == json.dumps(obj, indent=2)
+
+
 @pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {1: "x"},
-                                 [{"a": [0.0]}], {"a": {None: 1}}, {1, 2}])
+                                 [{"a": [0.0]}], {"a": {None: 1}}, {1, 2},
+                                 {"a": 1.5}, [1, 2.5],
+                                 {"a": Fraction(1, 2)}])
 def test_writer_refuses_floats_fractions_and_non_str_keys(obj):
     with pytest.raises(TypeError):
         written(obj)
@@ -730,6 +751,20 @@ def test_bouc_listing_and_span(capsys):
     assert data["count"] == 4 and data["spans_full_lattice"] is True
     code, _, err = invoke(capsys, "bouc", "dihedral:6")
     assert code == 2 and err.startswith("error:validation:")
+
+
+def test_bouc_verify_span_checks_each_generator_once(capsys, monkeypatch):
+    # bouc_generators checks every generator it builds, and the span check
+    # takes them as they are: 448 is_relation calls, not 896
+    calls = []
+    is_relation = relations.is_relation
+    monkeypatch.setattr(relations, "is_relation",
+                        lambda *args: calls.append(1) or is_relation(*args))
+    code, out, _ = invoke(capsys, "bouc", "product:dihedral:8;elemab:2,2",
+                          "--verify-span", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["spans_full_lattice"] is True
+    assert data["count"] == len(calls) == 448
 
 
 def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):

@@ -279,6 +279,9 @@ SUBGROUP_COUNTS = {
     "Heis5": (39, 15),
     "D64": (69, 17),
     "C64": (7, 7),
+    # central and non-central joins mix: centers of order 8, resp. 4
+    "D8xV4": (158, 118),
+    "Q8xC2": (19, 19),
 }
 
 
@@ -302,6 +305,9 @@ def build(name):
         "Heis5": lambda: heisenberg_group(5),
         "D64": lambda: dihedral_group(64),
         "C64": lambda: cyclic_group(64),
+        "D8xV4": lambda: direct_product(dihedral_group(8),
+                                        elementary_abelian_group(2, 2)),
+        "Q8xC2": lambda: direct_product(quaternion_group(), cyclic_group(2)),
     }[name]()
 
 

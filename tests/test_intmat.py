@@ -13,7 +13,7 @@ against every lattice row the oracle for ``_hermite_index``'s sparse one.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -389,6 +389,52 @@ def test_sparse_kernel_rows_match_the_dense_kernel_after_saturation(mat):
         intmat._saturate = saturate
     assert calls
     assert rows == sparse(kernel_basis(mat)) == sparse(oracle_kernel_basis(mat))
+
+
+_nonzero = st.sampled_from([v for v in range(-9, 10) if v])
+
+
+@st.composite
+def rescaled_pending_kernels(draw):
+    """Matrices in echelon form for the kernel's column-reversed pass: at
+    least three rows, each zero right of its own pivot column, pivots in
+    [2, 9] (rows negated at random), other entries nonzero in +-9.
+
+    Column 0 has no pivot.  For it, back-substitution starts from x_0 = 1
+    and meets the pivots p1 < p2 < p3 in turn.  p1 does not divide its
+    row's entry at 0, and p2 not the sum its row has at p2 once x_0 and
+    x_p1 are set, so the solution is scaled at p1 and again at p2.  The
+    second time, p3's sum holds the term pushed from column p1.
+    """
+    n = draw(st.integers(4, 8))
+    cols = sorted(draw(st.sets(st.integers(1, n - 1), min_size=3)))
+
+    def row(p, pivot=None):
+        entries = [draw(_nonzero) for _ in range(p)]
+        if pivot is None:
+            pivot = draw(st.integers(2, 9))
+        return entries + [pivot] + [0] * (n - 1 - p)
+
+    first = row(cols[0], 1)
+    first[cols[0]] = x1 = draw(st.sampled_from(
+        [d for d in range(2, 10) if first[0] % d]))
+    g1 = gcd(first[0], x1)
+    second = row(cols[1], 1)
+    s2 = second[0] * (x1 // g1) - second[cols[0]] * (first[0] // g1)
+    assume(s2)
+    second[cols[1]] = draw(st.sampled_from(
+        [d for d in range(2, 10) if s2 % d]))
+    rows = [first, second, *(row(p) for p in cols[2:])]
+    rows = [tuple(-v for v in r) if draw(st.booleans()) else tuple(r)
+            for r in rows]
+    return tuple(draw(st.permutations(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rescaled_pending_kernels())
+def test_kernel_rescales_pending_sums_with_the_solution(mat):
+    assert kernel_basis(mat) == oracle_kernel_basis(mat)
+    assert intmat._kernel_rows(mat) == sparse(kernel_basis(mat))
 
 
 @pytest.mark.parametrize("mat", [
