@@ -41,10 +41,11 @@ class Group:
     ``mul[a][b]`` is the index of the product ``a * b``; ``generators`` is a
     nonempty tuple of indices whose closure is the whole group.  Derived data
     (inverses, element orders, conjugacy classes, the subgroup lattice) is
-    computed on demand and cached.
+    computed on demand and cached.  A builder that has the table's columns
+    already passes them as ``_columns``; they are checked as the table's.
     """
 
-    def __init__(self, mul, generators, name: str = ""):
+    def __init__(self, mul, generators, name: str = "", *, _columns=None):
         mul = tuple(tuple(row) for row in mul)
         n = len(mul)
         if n == 0:
@@ -56,7 +57,7 @@ class Group:
         for row in mul:
             if len(row) != n or set(row) != full:
                 raise ValidationError("multiplication table rows must permute the elements")
-        columns = tuple(zip(*mul))
+        columns = _columns or tuple(zip(*mul))
         for column in columns:
             if set(column) != full:
                 raise ValidationError("multiplication table columns must permute the elements")
@@ -401,6 +402,7 @@ def _closure_group(identity_item, gen_items, mul_fn, name):
     Then a * b = (a * parent) * gen_k, so the table column of b is the
     column of its parent mapped through ``right[k]``, filled in breadth-first
     order: one lookup call per column instead of n^2 calls of ``mul_fn``.
+    The group takes those columns as they are, for its checks.
     """
     index = {identity_item: 0}
     items = [identity_item]
@@ -420,12 +422,12 @@ def _closure_group(identity_item, gen_items, mul_fn, name):
                 parent.append((i, k))
             right[k].append(j)
     n = len(items)
-    columns = [range(n)]
+    columns = [tuple(range(n))]
     for i, k in parent[1:]:
         columns.append(itemgetter(*columns[i])(right[k]))
-    mul = tuple(zip(*columns))
     gens = tuple(index[g] for g in gen_items)
-    return Group(mul, gens, name), items
+    return Group(tuple(zip(*columns)), gens, name,
+                 _columns=tuple(columns)), items
 
 
 def group_from_generators(perms, name: str = "") -> Group:

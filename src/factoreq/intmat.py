@@ -20,9 +20,9 @@ vectors is not integral, a single saturation step (one more Hermite normal
 form, modulo the common denominator) picks the integral combinations.
 :func:`sublattice_index` compares two Hermite normal forms, which are
 canonical, pivot by pivot; ``_hermite_index`` does the same when the
-lattice's form is known already.  Sparse rows, tuples of (column, nonzero
-entry) pairs in column order, are made by ``_sparse`` and read by
-``_dense``.
+lattice's form is known already, as sparse rows.  Sparse rows, tuples of
+(column, nonzero entry) pairs in column order, are made by ``_sparse``,
+read by ``_dense`` and transposed by ``_sparse_transpose``.
 """
 
 from __future__ import annotations
@@ -92,6 +92,15 @@ def _sparse_product(gen, rows) -> tuple:
         row.sort()
         out.append(tuple(row))
     return tuple(out)
+
+
+def _sparse_transpose(rows, width: int) -> tuple:
+    """The sparse rows of m^T, for m given as sparse rows of ``width``."""
+    out = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
 
 
 def _dense(rows, width: int) -> tuple:
@@ -328,21 +337,21 @@ def is_positive_definite(rows) -> bool:
 def sublattice_index(basis, sub_basis) -> int:
     """Index of the lattice spanned by sub_basis's columns inside basis's.
 
-    The lattice's columns are brought to Hermite normal form, read as rows,
-    and compared with the sublattice's by :func:`_hermite_index`.  Raises
+    The lattice's columns are brought to Hermite normal form, read as sparse
+    rows, and compared with the sublattice's by :func:`_hermite_index`.  Raises
     :class:`ValueError` unless the sublattice lies in the lattice with the
     same rank.  At rank 0 the index is 1.
     """
     if len(basis) != len(sub_basis):
         raise ValueError("lattice and sublattice have different ambient "
                          "dimensions")
-    return _hermite_index(row_span_basis(transpose(basis)),
+    return _hermite_index(_sparse(row_span_basis(transpose(basis))),
                           transpose(sub_basis))
 
 
-def _hermite_index(hermite, sub_rows) -> int:
-    """Index of the row span of ``sub_rows`` inside the lattice whose
-    Hermite rows (as :func:`row_span_basis` gives them) are ``hermite``.
+def _hermite_index(lattice, sub_rows) -> int:
+    """Index of the row span of ``sub_rows`` inside the lattice with the
+    sparse Hermite rows ``lattice`` (as :func:`row_span_basis` gives them).
 
     Only ``sub_rows`` is brought to Hermite normal form.  Each of its rows
     must reduce to zero against the lattice's rows, with exact division at
@@ -352,7 +361,6 @@ def _hermite_index(hermite, sub_rows) -> int:
     only where the rest is nonzero at its pivot, and only over its sparse
     entries, which start at the pivot.
     """
-    lattice = _sparse(hermite)
     sub = row_span_basis(sub_rows)
     if len(sub) != len(lattice):
         raise ValueError("sublattice and lattice have different ranks")

@@ -28,21 +28,23 @@ two atoms, checked against the Gram route in the tests, not a rule for
 duals: Z[G/H] is self-dual, yet C_Theta(Z) = 1/2 for a relation of V4.
 Named atoms and direct sums know their rank when built and build no matrix
 until one is read, so a closed form builds none; before any other read,
-each distinct atom runs its homomorphism check once, on sparse rows.  The
-check covers unimodularity, so a named atom needs no determinant.
+each distinct atom runs its homomorphism check once, on sparse rows (A's
+transposed).  The check covers unimodularity: a named atom needs no
+determinant.
 
 Any other atom takes its factors from Gram determinants under its integer
 averaged pairing sum_g rho(g)^T rho(g); a user pairing is cleared to an
 integer matrix by the lcm of its denominators.  Each Gram determinant is an
 integer Bareiss determinant, divided once by its scale.
 
-Fixed sublattices are kept in their canonical Hermite form.  A named atom
-reads its own off the H-orbits, once its homomorphism check has passed; any
-other atom takes an integer kernel, and a direct sum assembles its atoms',
-(M + N)^H = M^H + N^H.  An index comparison takes every relation for one
-embedding in one call, normalises and checks the embedding once per call,
-maps M^H through its sparse rows, and brings only that image to Hermite
-form: each index is a ratio of its pivots to N^H's.
+Fixed sublattices are kept as their canonical Hermite rows, sparse.  A
+named atom reads its own off the H-orbits, once its homomorphism check has
+passed; any other atom takes an integer kernel, and a direct sum shifts its
+atoms' rows into place, (M + N)^H = M^H + N^H.  An index comparison takes
+every relation for one embedding in one call, normalises and checks the
+embedding once per call, maps the rows of M^H through the embedding's
+sparse columns, and brings only that image to Hermite form: each index is a
+ratio of its pivots to those of N^H's rows, taken as they are.
 """
 
 from collections import Counter
@@ -56,13 +58,13 @@ from .groups import Group, _greedy_generators
 from .intmat import (
     _dense,
     _hermite_index,
+    _kernel_rows,
     _rational,
     _sparse,
     _sparse_product,
+    _sparse_transpose,
     bareiss_determinant,
-    identity_matrix,
     is_positive_definite,
-    kernel_basis,
     mat_mul,
     power_product,
     prime_factorization,
@@ -84,9 +86,11 @@ class GLattice:
     for every generator s and element x, which extends inductively to the
     full homomorphism law.  Since rho(1) is the identity, the pass also
     verifies rho(s)rho(s^-1) = 1: each generator has an integer inverse, so
-    it is unimodular.  Each atom runs the pass before its matrices are
-    used, never for a closed form; a lattice built from matrices is also
-    checked for unimodularity when built.
+    it is unimodular.  Where the generators' columns hold more unit vectors
+    than their rows, as A's do, the pass checks the same pairs transposed.
+    Each atom runs the pass before its matrices are used, never for a closed
+    form; a lattice built from matrices is also checked for unimodularity
+    when built.
 
     ``summands`` lists the direct-sum decomposition as (atom, multiplicity)
     pairs, and ``_blocks`` the atom of each diagonal block in order; a
@@ -118,7 +122,7 @@ class GLattice:
         self.label = label
         self._blocks = blocks
         self.summands = tuple(Counter(blocks).items())
-        self._kind = self._actions = self._rows = None
+        self._kind = self._actions = self._rows = self._cosets = None
         self._materialized = self._gram = None
         self._fixed: dict[int, tuple] = {}
         self._factors: dict[int, Fraction] = {}
@@ -137,24 +141,31 @@ class GLattice:
         """rho(x) for every element x as sparse rows, verified once.
 
         A row is a tuple of (column, value) pairs in column order, so equal
-        rows are equal tuples.  A direct sum checks its atoms and shifts
-        their rows into place.
+        rows are equal tuples.  A product picks a row of its right factor
+        for each unit row of its left one: so for A the check builds each
+        rho(sx)^T = rho(x)^T rho(s)^T and transposes it back at the end.  A
+        direct sum checks its atoms and shifts their rows into place.
         """
         if self._rows is None and self._blocks != (self,):
             self._rows = tuple(map(self._element_rows,
                                    range(self.group.order)))
         if self._rows is None:
-            grp = self.group
+            grp, rank = self.group, self.rank
             gens = [_sparse(m) for m in self.actions]
+            cols = [_sparse_transpose(gen, rank) for gen in gens]
+            flip = _units(cols) > _units(gens)  # the transposes, for A
+            if flip:
+                gens = cols
             rows: list = [None] * grp.order
-            rows[0] = tuple(((i, 1),) for i in range(self.rank))
+            rows[0] = tuple(((i, 1),) for i in range(rank))
             # each (generator s, element x) pair either defines rho(sx) or
-            # is checked against it once
+            # is checked against it once (or their transposes)
             queue = [0]
             for x in queue:
                 for gen, g in zip(gens, grp.generators):
                     y = grp.mul[g][x]
-                    prod = _sparse_product(gen, rows[x])
+                    prod = (_sparse_product(rows[x], gen) if flip
+                            else _sparse_product(gen, rows[x]))
                     if rows[y] is None:
                         rows[y] = prod
                         queue.append(y)
@@ -162,6 +173,8 @@ class GLattice:
                         raise ValidationError(
                             f"actions of {self.label} do not respect the "
                             f"multiplication table of {grp.name}")
+            if flip:
+                rows = [_sparse_transpose(m, rank) for m in rows]
             self._rows = tuple(rows)
         return self._rows
 
@@ -169,12 +182,7 @@ class GLattice:
         """rho(x) as verified sparse rows, without a sum's other elements."""
         if self._blocks == (self,):
             return self._verified_rows()[x]
-        out, offset = [], 0
-        for atom in self._checked()._blocks:
-            out.extend(tuple((j + offset, v) for j, v in row)
-                       for row in atom._rows[x])
-            offset += atom.rank
-        return tuple(out)
+        return _block_rows(self._checked()._blocks, lambda atom: atom._rows[x])
 
     def materialized(self) -> tuple:
         """One dense matrix per group element, verified to be a homomorphism."""
@@ -188,6 +196,21 @@ class GLattice:
         for atom, _ in self.summands:
             atom._verified_rows()
         return self
+
+
+def _units(mats) -> int:
+    """The number of sparse rows that are unit vectors, over ``mats``."""
+    return sum(len(row) == 1 and row[0][1] == 1 for m in mats for row in m)
+
+
+def _block_rows(atoms, part) -> tuple:
+    """The sparse rows of the block-diagonal matrix with the blocks
+    ``part(atom)`` for the ``atoms`` in order, each shifted into place."""
+    out, shift = [], 0
+    for atom in atoms:
+        out.extend(tuple((j + shift, v) for j, v in row) for row in part(atom))
+        shift += atom.rank
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -275,17 +298,14 @@ def coset_lattice(group: Group, subgroup_class) -> GLattice:
     """Z[G/H]: permutation lattice on the left cosets xH of a
     representative, numbered in the order of their least elements."""
     cls = _as_class(group, subgroup_class)
-    cosets = None  # numbered on the first build
 
     def image(g, i):
-        nonlocal cosets
-        if cosets is None:
-            cosets = _left_cosets(group, cls.representative)
-        number, least = cosets
+        number, least = _atom_cosets(lat)
         return ((number[group.mul[g][least[i]]], 1),)
 
-    return _named_atom(group, group.order // cls.order, image,
-                       f"Coset({cls.label})", ("Coset", cls.index))
+    lat = _named_atom(group, group.order // cls.order, image,
+                      f"Coset({cls.label})", ("Coset", cls.index))
+    return lat
 
 
 def _left_cosets(group: Group, members) -> tuple:
@@ -299,6 +319,17 @@ def _left_cosets(group: Group, members) -> tuple:
                 number[group.mul[x][k]] = len(least)
             least.append(x)
     return number, least
+
+
+def _atom_cosets(atom: GLattice) -> tuple:
+    """:func:`_left_cosets` of K, numbered once per named atom: K the class
+    of Coset(K), the trivial subgroup for the others."""
+    if atom._cosets is None:
+        (name, sub), group = atom._kind, atom.group
+        atom._cosets = _left_cosets(
+            group, group.subgroup_classes()[sub].representative
+            if name == "Coset" else (0,))
+    return atom._cosets
 
 
 def regular_lattice(group: Group) -> GLattice:
@@ -432,55 +463,58 @@ def averaged_pairing(lat: GLattice) -> Pairing:
 
 
 def fixed_sublattice(lat: GLattice, subgroup_class):
-    """Basis (as columns) of the sublattice fixed by a subgroup class.
+    """Basis (as columns) of the sublattice fixed by a subgroup class: its
+    canonical Hermite rows, as :func:`_fixed_rows` keeps them, transposed."""
+    rows = _fixed_rows(lat, _as_class(lat.group, subgroup_class))
+    return (transpose(_dense(rows, lat.rank)) if rows
+            else tuple(() for _ in range(lat.rank)))
 
-    The columns are the sublattice's Hermite rows, which are canonical.  A
-    named atom reads them off the orbits of the class representative
-    (:func:`_orbit_rows`) once its homomorphism check has passed, and a
-    sum's basis is block-diagonal in its atoms'.  Any other lattice takes
-    the kernel of the stacked maps rho(h) - id over a generating set of the
-    representative; integer kernels are saturated.
+
+def _fixed_rows(lat: GLattice, cls) -> tuple:
+    """The sparse Hermite rows of the sublattice fixed by the class ``cls``,
+    cached on the lattice.
+
+    A named atom reads them off the orbits of the class representative
+    (:func:`_orbit_rows`) once its homomorphism check has passed; a sum
+    shifts its atoms' into place, (M + N)^H = M^H + N^H, still Hermite.
+    Any other lattice takes the saturated integer kernel of the stacked
+    maps rho(h) - id over a generating set of the representative.
     """
-    cls = _as_class(lat.group, subgroup_class)
-    if cls.index not in lat._fixed and lat._blocks != (lat,):
-        parts = [fixed_sublattice(a, cls) for a in lat._checked()._blocks]
-        dims = [len(part[0]) if part else 0 for part in parts]
-        lat._fixed[cls.index] = tuple(
-            (0,) * sum(dims[:b]) + row + (0,) * sum(dims[b + 1:])
-            for b, part in enumerate(parts) for row in part)
-    if cls.index not in lat._fixed:
-        if lat._kind is not None:
-            basis = _orbit_rows(lat._checked(), cls.representative)
+    rows = lat._fixed.get(cls.index)
+    if rows is None:
+        if lat._blocks != (lat,):
+            rows = _block_rows(lat._checked()._blocks,
+                               lambda atom: _fixed_rows(atom, cls))
+        elif lat._kind is not None:
+            rows = _orbit_rows(lat._checked(), cls.representative)
         elif not (gens := _greedy_generators(lat.group, cls.representative)):
-            basis = identity_matrix(lat.rank)
+            rows = tuple(((i, 1),) for i in range(lat.rank))
         else:
             stacked = [list(row) for h in gens
                        for row in _dense(lat._verified_rows()[h], lat.rank)]
             for i, row in enumerate(stacked):  # rho(h) - id
                 row[i % lat.rank] -= 1
-            basis = kernel_basis(stacked)
-        cols = transpose(basis) if basis else tuple(() for _ in range(lat.rank))
-        lat._fixed[cls.index] = cols
-    return lat._fixed[cls.index]
+            rows = _kernel_rows(stacked)
+        lat._fixed[cls.index] = rows
+    return rows
 
 
-def _orbits(group: Group, h_members, k_members) -> list:
-    """The orbits of H = ``h_members`` on the left cosets xK of
-    ``k_members``, each a sorted list of coset numbers (as
-    :func:`_left_cosets` numbers them), in the order of their least
-    numbers."""
-    number, least = _left_cosets(group, k_members)
+def _orbits(atom: GLattice, h_members) -> list:
+    """The orbits of H = ``h_members`` on the left cosets xK of a named
+    atom (:func:`_atom_cosets`), each a sorted list of coset numbers, in the
+    order of their least numbers."""
+    (number, least), mul = _atom_cosets(atom), atom.group.mul
     orbits, seen = [], set()
     for i, x in enumerate(least):
         if i not in seen:
-            orbits.append(sorted({number[group.mul[h][x]] for h in h_members}))
+            orbits.append(sorted({number[mul[h][x]] for h in h_members}))
             seen.update(orbits[-1])
     return orbits
 
 
 def _orbit_rows(atom: GLattice, members) -> tuple:
-    """The Hermite rows of a named atom's H-fixed sublattice, H the subgroup
-    of the elements ``members``, read off the H-orbits without a kernel.
+    """The sparse Hermite rows of a named atom's H-fixed sublattice, H the
+    subgroup of the elements ``members``, read off the H-orbits.
 
     Z[G/K]^H (Reg: K = 1) has the H-orbit sums on the cosets as basis,
     disjoint 0/1 rows.  A and I have the basis {g != 1}, g at index g - 1;
@@ -491,17 +525,15 @@ def _orbit_rows(atom: GLattice, members) -> tuple:
     the coset with the largest least element; then the rows are
     ind(c) - ind(c*) for c != c*, H, and u - ind(c*).
     """
-    name, sub = atom._kind
+    name = atom._kind[0]
     if name == "Z":
-        return ((1,),)
-    group = atom.group
-    k_members = (group.subgroup_classes()[sub].representative
-                 if name == "Coset" else (0,))
-    orbits = _orbits(group, members, k_members)
+        return (((0, 1),),)
+    orbits = _orbits(atom, members)
 
     def rows(pluses, minus=()):  # 1 on each plus's columns, -1 on minus's
-        return _dense([[(j, 1) for j in plus] + [(j, -1) for j in minus]
-                       for plus in pluses], atom.rank)
+        return tuple(tuple(sorted([(j, 1) for j in plus]
+                                  + [(j, -1) for j in minus]))
+                     for plus in pluses)
 
     if name in ("Coset", "Reg"):
         return rows(orbits)
@@ -529,10 +561,9 @@ def _scaled_gram_det(lat: GLattice, cls, form, den: int = 1) -> Fraction:
     The pairing is ``form / den`` for an integer matrix ``form``, so the
     Gram determinant stays in integers and is divided by (den |H|)^dim.
     """
-    basis = fixed_sublattice(lat, cls)
-    dim = len(basis[0]) if basis else 0
-    gram = mat_mul(mat_mul(transpose(basis), form), basis)
-    det = Fraction(bareiss_determinant(gram), (den * cls.order) ** dim)
+    rows = _dense(_fixed_rows(lat, cls), lat.rank)
+    gram = mat_mul(mat_mul(rows, form), transpose(rows))
+    det = Fraction(bareiss_determinant(gram), (den * cls.order) ** len(rows))
     if det <= 0:
         raise FactoreqError(f"Gram determinant {det} on the {cls.label}-fixed "
                             f"sublattice of {lat.label} is not positive")
@@ -553,12 +584,11 @@ def _class_factor(atom: GLattice, idx: int) -> Fraction:
     factor = atom._factors.get(idx)
     if factor is None:
         classes = atom.group.subgroup_classes()
-        k, (name, sub) = classes[idx], atom._kind or (None, None)
+        k, name = classes[idx], (atom._kind or (None,))[0]
         if name is None:
             factor = _scaled_gram_det(atom, k, _averaged_gram(atom))
         elif name == "Coset":
-            orbits = _orbits(atom.group, k.representative,
-                             classes[sub].representative)
+            orbits = _orbits(atom, k.representative)
             factor = Fraction(prod(map(len, orbits)), k.order ** len(orbits))
         else:  # |K| for A, 1 for Reg, 1/|K| for Z and I
             factor = Fraction(k.order) ** {"A": 1, "Reg": 0}.get(name, -1)
@@ -640,18 +670,17 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
         if (_sparse_product(n_lat._element_rows(g), sparse)
                 != _sparse_product(sparse, m_lat._element_rows(g))):
             raise ValidationError("embedding is not equivariant")
+    columns = _sparse_transpose(sparse, m_lat.rank)
     classes = m_lat.group.subgroup_classes()
     found, results = {}, []
     for theta in relations:
         indices, rhs = {}, []
         for idx, n_h in theta.coefficients:
             cls = classes[idx]
-            if idx not in found:  # N^H's columns are its Hermite rows already
-                basis = fixed_sublattice(m_lat, cls)
-                image = _dense(_sparse_product(sparse, _sparse(basis)),
-                               len(basis[0]) if basis else 0)
-                found[idx] = _hermite_index(
-                    transpose(fixed_sublattice(n_lat, cls)), transpose(image))
+            if idx not in found:  # a row v of M^H maps to the row v E^T
+                image = _sparse_product(_fixed_rows(m_lat, cls), columns)
+                found[idx] = _hermite_index(_fixed_rows(n_lat, cls),
+                                            _dense(image, n_lat.rank))
             indices[cls.label] = found[idx]
             rhs.append((found[idx], 2 * n_h))
         # C_Theta does not depend on the pairing: named atoms take closed forms

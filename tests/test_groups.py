@@ -248,6 +248,19 @@ def test_each_table_check_gives_its_own_message(table, gens, message):
     assert str(exc.value) == message
 
 
+def test_closure_groups_keep_the_columns_they_were_built_from():
+    # the closure hands its columns to the constructor, which checks them
+    # as it checks the columns it reads off any other table
+    s5 = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    for g in (dihedral_group(8), heisenberg_group(3), s5, cyclic_group(1)):
+        assert g._columns == tuple(zip(*g.mul)), g.name
+    bad = ((0, 0, 1, 2),) + tuple(zip(*V4_TABLE))[1:]
+    with pytest.raises(ValidationError) as exc:
+        Group(V4_TABLE, (1, 2), _columns=bad)
+    assert str(exc.value) == (
+        "multiplication table columns must permute the elements")
+
+
 def test_tables_of_order_one_and_two_build():
     trivial = Group(((0,),), (0,))
     assert trivial.order == 1 and trivial.inverse == (0,)

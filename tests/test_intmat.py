@@ -468,7 +468,8 @@ def test_fixed_sublattices_match_the_oracle(spec, expr, monkeypatch):
                 for part in parts]
 
     fast = fixed(parse_lattice_expr(group, expr))
-    monkeypatch.setattr(lattices, "kernel_basis", oracle_kernel_basis)
+    monkeypatch.setattr(lattices, "_kernel_rows",
+                        lambda mat: sparse(oracle_kernel_basis(mat)))
     assert fixed(parse_lattice_expr(group, expr)) == fast
 
 
@@ -526,7 +527,7 @@ def test_sublattice_index_rejects_bad_sublattices():
 
 def hermite_index_full_scan(hermite, sub_rows):
     """Oracle: ``_hermite_index`` with each sub row divided against every
-    lattice row, all of it dense."""
+    lattice row, all of it dense (the lattice's Hermite rows too)."""
     lattice = [(next(c for c, x in enumerate(row) if x), row)
                for row in hermite]
     sub = row_span_basis(sub_rows)
@@ -576,8 +577,9 @@ def hermite_index_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(hermite_index_inputs())
 def test_hermite_index_matches_the_full_scan(pair):
-    assert _outcome(intmat._hermite_index, *pair) == \
-        _outcome(hermite_index_full_scan, *pair)
+    hermite, sub = pair
+    assert _outcome(intmat._hermite_index, sparse(hermite), sub) == \
+        _outcome(hermite_index_full_scan, hermite, sub)
 
 
 def test_hermite_index_errors_match_the_full_scan():
@@ -587,10 +589,10 @@ def test_hermite_index_errors_match_the_full_scan():
             (((1, 1, 1), (0, 2, 0)), "not contained"),   # odd at pivot 2
             (((2, 0, 2),), "ranks"),
             (((2, 0, 2), (0, 4, 0), (0, 0, 1)), "ranks")]:
-        outcome = _outcome(intmat._hermite_index, hermite, sub)
+        outcome = _outcome(intmat._hermite_index, sparse(hermite), sub)
         assert message in outcome
         assert outcome == _outcome(hermite_index_full_scan, hermite, sub)
-    assert intmat._hermite_index(hermite, ((3, 2, 3), (0, 6, 0))) == \
+    assert intmat._hermite_index(sparse(hermite), ((3, 2, 3), (0, 6, 0))) == \
         hermite_index_full_scan(hermite, ((3, 2, 3), (0, 6, 0))) == 9
 
 
@@ -599,8 +601,9 @@ def test_hermite_index_matches_the_full_scan_on_index_checks(monkeypatch,
     # every index the two benchmark-style index-checks take: 28 calls
     index, seen = intmat._hermite_index, []
 
-    def compared(hermite, sub_rows):
-        seen.append(index(hermite, sub_rows))
+    def compared(lattice, sub_rows):
+        seen.append(index(lattice, sub_rows))
+        hermite = intmat._dense(lattice, len(sub_rows[0]) if sub_rows else 0)
         assert seen[-1] == hermite_index_full_scan(hermite, sub_rows)
         return seen[-1]
 

@@ -35,6 +35,8 @@ from factoreq.groups import (
     subgroup_as_group,
 )
 from factoreq.intmat import (
+    _dense,
+    _sparse,
     bareiss_determinant,
     identity_matrix,
     mat_mul,
@@ -329,7 +331,7 @@ def test_named_atoms_need_no_determinant_or_kernel(monkeypatch):
         raise AssertionError("a named atom took the Gram route")
 
     monkeypatch.setattr(lattices, "bareiss_determinant", forbidden)
-    monkeypatch.setattr(lattices, "kernel_basis", forbidden)
+    monkeypatch.setattr(lattices, "_kernel_rows", forbidden)
     for theta in relation_basis(g):
         assert regulator_constant(lat, theta).value > 0
     # a closed form reads no matrix, so no atom (nor the sum) built its rows
@@ -521,11 +523,11 @@ def test_fixed_sublattices_of_sums_match_the_whole_kernel(name):
     lat = direct_sum(cyclic_quotient_lattice(g), reg, trivial_lattice(g),
                      augmentation_lattice(g), coset_lattice(g, mid), reg)
     whole = GLattice(g, lat.actions)
-    kernel = lattices.kernel_basis
+    kernel = lattices._kernel_rows
     for cls in g.subgroup_classes():
         computed = []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(lattices, "kernel_basis",
+            m.setattr(lattices, "_kernel_rows",
                       lambda mat: computed.append(mat) or kernel(mat))
             fast = fixed_sublattice(lat, cls)
         # named atoms read their fixed parts off orbits: no kernel at all;
@@ -554,10 +556,64 @@ def oracle_cases(g):
 
 @pytest.mark.parametrize("name", sorted(CENSUS))
 def test_sparse_check_matches_the_dense_oracle(name):
+    # A's columns are unit vectors but one, so of the named atoms A alone
+    # is checked on its transposed side; every lattice's verified rows must
+    # be the canonical sparse rows of the oracle's matrices, since sums and
+    # the averaged Gram compare and count rows as tuples
     g = CENSUS[name]()
     for lat in oracle_cases(g):
-        assert lat.materialized() == dense_oracle(lat.group, lat.actions), (
+        mats = dense_oracle(lat.group, lat.actions)
+        assert lat.materialized() == mats, (name, lat.label)
+        assert lat._verified_rows() == tuple(map(_sparse, mats)), (
             name, lat.label)
+        if lat._kind is not None:
+            rows = [_sparse(m) for m in lat.actions]
+            cols = [_sparse(transpose(m)) for m in lat.actions]
+            assert ((lattices._units(cols) > lattices._units(rows))
+                    == (lat.label == "A")), (name, lat.label)
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "D16"])
+def test_corrupted_actions_are_refused_on_either_side(name, monkeypatch):
+    # A is checked on its transposed side and I on its rows; with the
+    # generators' matrices swapped or one entry changed by 1, each refuses
+    # exactly when the dense oracle does, with the same message
+    g = CENSUS[name]()
+    rng = random.Random(f"corrupted:{name}")
+    for build, flipped in ((cyclic_quotient_lattice, True),
+                           (augmentation_lattice, False)):
+        good = build(g)
+        widths, flip = [], lattices._sparse_transpose
+        with monkeypatch.context() as m:
+            m.setattr(lattices, "_sparse_transpose",
+                      lambda rows, w: widths.append(w) or flip(rows, w))
+            good.materialized()
+        # the generators' columns are counted; on the transposed side each
+        # rho(x)^T is transposed back
+        assert len(widths) == len(g.generators) + g.order * flipped
+        variants = [good.actions[::-1]]
+        for _ in range(6):
+            gi = rng.randrange(len(good.actions))
+            i, j = rng.randrange(good.rank), rng.randrange(good.rank)
+            changed = [list(map(list, m)) for m in good.actions]
+            changed[gi][i][j] += rng.choice((-1, 1))
+            variants.append(tuple(tuple(map(tuple, m)) for m in changed))
+        refused = []
+        for actions in variants:
+            rows = [_sparse(m) for m in actions]
+            cols = [_sparse(transpose(m)) for m in actions]
+            assert (lattices._units(cols) > lattices._units(rows)) == flipped
+            atom = named_atom(g, actions, good.label, good._kind)
+            try:
+                mats = atom.materialized()
+            except ValidationError as exc:
+                assert str(exc) == (f"actions of {good.label} do not respect "
+                                    f"the multiplication table of {g.name}")
+                mats = None
+            assert mats == dense_oracle(g, actions), (good.label, actions)
+            refused.append(mats is None)
+        # the swap is no homomorphism: the generators' orders differ
+        assert refused[0] and any(refused[1:]), good.label
 
 
 def sparse_decision(group, actions):
@@ -653,15 +709,15 @@ def test_orbit_closed_forms_match_the_kernel_route(name, monkeypatch):
     g = CENSUS[name]()
     classes = g.subgroup_classes()
     atoms = named_atoms(g)
-    kernel = lattices.kernel_basis
+    kernel = lattices._kernel_rows
 
     def forbidden(*args):
         raise AssertionError("a named atom took a kernel")
 
-    monkeypatch.setattr(lattices, "kernel_basis", forbidden)
+    monkeypatch.setattr(lattices, "_kernel_rows", forbidden)
     fast = [[fixed_sublattice(atom, cls) for cls in classes]
             for atom in atoms]
-    monkeypatch.setattr(lattices, "kernel_basis", kernel)
+    monkeypatch.setattr(lattices, "_kernel_rows", kernel)
     for atom, got in zip(atoms, fast):
         plain = GLattice(g, atom.actions)
         assert got == [fixed_sublattice(plain, cls) for cls in classes], (
@@ -684,8 +740,8 @@ def test_augmentation_closed_form_on_every_member(name):
             cosets = {frozenset(g.mul[y][x] for y in h)
                       for x in range(g.order)} - {frozenset(h)}
             u = set(h) - {0}
-            assert lattices._orbit_rows(aug, h) == row_span_basis(
-                [row(c, u) for c in cosets]), (name, cls.label, sorted(h))
+            assert lattices._orbit_rows(aug, h) == _sparse(row_span_basis(
+                [row(c, u) for c in cosets])), (name, cls.label, sorted(h))
 
 
 def test_fixed_sublattice_of_trivial_subgroup():
@@ -991,6 +1047,37 @@ def test_non_scalar_embeddings_on_the_census(name):
     assert got == index_ratio_check(whole, reg, to_reg, basis)
 
 
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_index_ratio_matches_the_dense_oracle_on_the_census(name):
+    # the oracle: each index from sublattice_index on the fixed sublattices'
+    # columns, M^H mapped by a dense product, and each verdict from the
+    # regulator constants, for I + Z -> Reg and for 2 I -> I
+    g = CENSUS[name]()
+    classes = g.subgroup_classes()
+    i_lat = augmentation_lattice(g)
+    two = tuple(tuple(2 * x for x in row)
+                for row in identity_matrix(i_lat.rank))
+    basis = relation_basis(g)
+    for m_lat, n_lat, embed in (
+            (direct_sum(i_lat, trivial_lattice(g)), regular_lattice(g),
+             i_z_to_reg(g.order)),
+            (i_lat, i_lat, two)):
+        want = []
+        for theta in basis:
+            indices = {classes[idx].label: sublattice_index(
+                fixed_sublattice(n_lat, idx),
+                mat_mul(embed, fixed_sublattice(m_lat, idx)))
+                for idx, _ in theta.coefficients}
+            ratio = (regulator_constant(m_lat, theta).value
+                     / regulator_constant(n_lat, theta).value)
+            rhs = Fraction(1)
+            for idx, n_h in theta.coefficients:
+                rhs *= Fraction(indices[classes[idx].label]) ** (2 * n_h)
+            want.append((ratio == rhs, indices))
+        assert index_ratio_check(m_lat, n_lat, embed, basis) == tuple(want)
+        assert all(ok for ok, _ in want), (name, m_lat.label)
+
+
 @pytest.mark.parametrize("name", ["V4", "S3", "D8", "Heis3"])
 def test_index_ratio_takes_any_form_of_an_embedding_once(name, monkeypatch):
     # lists, tuples and integral Fractions of one embedding give the answers
@@ -1101,11 +1188,12 @@ def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     assert len(basis) == 5
     assert len({idx for theta in basis for idx, _ in theta.coefficients}) == 11
     assert len(calls) == 11
-    # N^H's rows are Hermite already; the oracle brings both sides to
-    # Hermite form
-    for hermite, image in calls:
-        assert row_span_basis(hermite) == hermite
-        assert index(hermite, image) == sublattice_index(
+    # N^H's sparse rows are Hermite already; the oracle brings both sides
+    # to Hermite form
+    for lattice, image in calls:
+        hermite = _dense(lattice, len(image[0]) if image else 0)
+        assert _sparse(row_span_basis(hermite)) == lattice
+        assert index(lattice, image) == sublattice_index(
             transpose(hermite), transpose(image))
 
 
