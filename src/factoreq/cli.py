@@ -11,6 +11,7 @@ exits with status 1.
 import argparse
 import functools
 import json
+import re
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -63,6 +64,8 @@ from .lattices import (
 from .relations import _spans_in_basis, bouc_generators, relation_basis
 
 RANK_CAP = 1000
+# ASCII digits only: int() would also take "1_000", "+3", " 1" and "١"
+_RATIONAL = re.compile(r"-?[0-9]+(/-?[0-9]+)?")
 
 _KINDS = ("cyclic:<n>, dihedral:<2k>, elemab:<p>,<k>, heisenberg:<p>, "
           "quaternion8, perm:[<cycles>], product:<a>;<b>, "
@@ -300,10 +303,10 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(f"{where} must be an exact rational "
                          f"(\"num/den\" string or integer), not a float")
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
         try:
-            return Fraction(int(num), int(den) if slash else 1)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             pass
     raise ParseError(f"{where} must be an exact rational like \"3/2\", "

@@ -6,29 +6,30 @@ integers, determinants use Bareiss elimination (intermediate entries are
 minors, so divisions are exact), and a rational matrix is cleared to
 integers by its common denominator first.  No floats ever.
 
-One elimination loop does all echelon work, and none of it carries a
-transform.  A row operation subtracts a multiple of the pivot row, which is
-zero left of its pivot, so it touches only the pivot row's nonzero entries:
-on sparse rows (the Bouc generators of a span check) a handful of cells, not
-the whole row.  :func:`row_span_basis` runs the loop with the entries above
-each pivot reduced (the Hermite normal form).  :func:`kernel_basis` runs it
+One elimination loop brings matrices to echelon form, and none of it
+carries a transform.  A row operation subtracts a multiple of the pivot
+row, which is zero left of its pivot, so it touches only the pivot row's
+nonzero entries: on sparse rows a handful of cells, not the whole row.
+:func:`row_span_basis` runs the loop with the entries above each pivot
+reduced (the Hermite normal form).  :func:`kernel_basis` runs it
 without that reduction on the matrix with its columns reversed: the columns
 left without a pivot are the pivot columns of the kernel's Hermite normal
 form, and back-substitution, through an index of the echelon's nonzeros by
 column, gives one rational kernel vector for each.  When one of those
 vectors is not integral, a single saturation step (one more Hermite normal
 form, modulo the common denominator) picks the integral combinations.
-:func:`sublattice_index` compares two Hermite normal forms, which are
-canonical, pivot by pivot; ``_hermite_index`` does the same when the
-lattice's form is known already, as sparse rows.  Sparse rows, tuples of
-(column, nonzero entry) pairs in column order, are made by ``_sparse``,
-read by ``_dense`` and transposed by ``_sparse_transpose``.
+One routine, ``_lattice_index``, gives every sublattice index, of sparse
+rows in a lattice known by its sparse Hermite rows: for the index check, the
+span check and :func:`sublattice_index`.  Sparse rows, tuples of (column,
+nonzero entry) pairs in column order, are made by ``_sparse``, read by
+``_dense`` and transposed by ``_sparse_transpose``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from heapq import heappop, heappush
+from math import gcd, lcm, prod
 
 from .errors import FactoreqError, ResourceError, ValidationError
 
@@ -338,48 +339,84 @@ def sublattice_index(basis, sub_basis) -> int:
     """Index of the lattice spanned by sub_basis's columns inside basis's.
 
     The lattice's columns are brought to Hermite normal form, read as sparse
-    rows, and compared with the sublattice's by :func:`_hermite_index`.  Raises
-    :class:`ValueError` unless the sublattice lies in the lattice with the
-    same rank.  At rank 0 the index is 1.
+    rows, and the sublattice's columns are measured against them by
+    :func:`_lattice_index`.  Raises :class:`ValueError` unless the sublattice
+    lies in the lattice with the same rank.  At rank 0 the index is 1.
     """
     if len(basis) != len(sub_basis):
         raise ValueError("lattice and sublattice have different ambient "
                          "dimensions")
-    return _hermite_index(_sparse(row_span_basis(transpose(basis))),
-                          transpose(sub_basis))
+    if index := _lattice_index(_sparse(row_span_basis(transpose(basis))),
+                               _sparse(transpose(sub_basis))):
+        return index
+    raise ValueError("sublattice and lattice have different ranks")
 
 
-def _hermite_index(lattice, sub_rows) -> int:
-    """Index of the row span of ``sub_rows`` inside the lattice with the
-    sparse Hermite rows ``lattice`` (as :func:`row_span_basis` gives them).
+def _lattice_index(lattice, rows) -> int:
+    """[L : span(rows)] for L given by its sparse Hermite rows ``lattice``,
+    and 0 when the span has lower rank; ``rows`` are sparse rows too.
 
-    Only ``sub_rows`` is brought to Hermite normal form.  Each of its rows
-    must reduce to zero against the lattice's rows, with exact division at
-    every pivot (containment), and the two ranks must agree; the forms then
-    share their pivot columns, so the index is the product of the pivot
-    ratios.  Raises :class:`ValueError` otherwise.  A lattice row is used
-    only where the rest is nonzero at its pivot, and only over its sparse
-    entries, which start at the pivot.
+    Each row is written in L's basis, leftmost pivot first (a heap holds the
+    pivot columns it reaches): each pivot must divide exactly, and the other
+    columns must end at 0, else the row lies outside L (:class:`ValueError`).
+    Then, column by column from the last, the shortest coordinate row with a
+    +-1 there is set aside and cleared from the others.  The columns with no
+    +-1 are left over: the index is the product of the diagonal of the
+    Hermite form of what is left of the rows there, or 0 if its rank is short.
     """
-    sub = row_span_basis(sub_rows)
-    if len(sub) != len(lattice):
-        raise ValueError("sublattice and lattice have different ranks")
-    index = 1
-    for row, top in zip(sub, lattice):
-        rest = list(row)
-        for entries in lattice:
-            c, x = entries[0]
+    pivot_of = {row[0][0]: j for j, row in enumerate(lattice)}
+    coords, holders = {}, {}    # holders: column -> rows maybe nonzero there
+    for n, row in enumerate(rows):
+        rest, coord = dict(row), {}
+        heap = sorted(c for c in rest if c in pivot_of)
+        while heap:
+            c = heappop(heap)
             if rest[c]:
-                q, r = divmod(rest[c], x)
-                if r:
+                j = pivot_of[c]
+                q, r = divmod(rest[c], lattice[j][0][1])
+                if r:           # refused below, as rest[c] != 0
                     break
-                for j, y in entries:
-                    rest[j] -= q * y
-        if any(rest):
+                coord[j] = q
+                for col, y in lattice[j]:
+                    if col in rest:
+                        rest[col] -= q * y
+                    else:
+                        rest[col] = -q * y
+                        if col in pivot_of:
+                            heappush(heap, col)
+        if any(rest.values()):
             raise ValueError("sublattice is not contained in the lattice")
-        c, x = top[0]
-        index *= row[c] // x
-    return index
+        coords[n] = coord
+        for j in coord:
+            holders.setdefault(j, set()).add(n)
+    leftover = []
+    for j in reversed(range(len(lattice))):
+        live = [n for n in holders.pop(j, ()) if j in coords.get(n, ())]
+        units = [n for n in live if coords[n][j] in (1, -1)]
+        if not units:
+            leftover.insert(0, j)
+            continue
+        prow = coords.pop(min(units, key=lambda n: (len(coords[n]), n)))
+        for n in live:
+            row = coords.get(n)
+            if row is None:     # the pivot row
+                continue
+            q = row[j] * prow[j]
+            for col, val in prow.items():
+                row[col] = row.get(col, 0) - q * val
+                if row[col]:
+                    holders.setdefault(col, set()).add(n)
+                else:
+                    del row[col]
+            if not row:
+                del coords[n]
+    if not leftover:
+        return 1
+    hermite = row_span_basis([[row.get(j, 0) for j in leftover]
+                              for row in coords.values()])
+    if len(hermite) < len(leftover):
+        return 0
+    return prod(row[i] for i, row in enumerate(hermite))
 
 
 def prime_factorization(n: int) -> dict[int, int]:

@@ -43,8 +43,9 @@ passed; any other atom takes an integer kernel, and a direct sum shifts its
 atoms' rows into place, (M + N)^H = M^H + N^H.  An index comparison takes
 every relation for one embedding in one call, normalises and checks the
 embedding once per call, maps the rows of M^H through the embedding's
-sparse columns, and brings only that image to Hermite form: each index is a
-ratio of its pivots to those of N^H's rows, taken as they are.
+sparse columns, and reads the index of that sparse image in N^H's rows, as
+they are, by ``intmat._lattice_index``: only what +-1 pivots leave of the
+image is brought to Hermite form.
 """
 
 from collections import Counter
@@ -57,8 +58,8 @@ from .errors import FactoreqError, ValidationError
 from .groups import Group, _greedy_generators
 from .intmat import (
     _dense,
-    _hermite_index,
     _kernel_rows,
+    _lattice_index,
     _rational,
     _sparse,
     _sparse_product,
@@ -678,9 +679,12 @@ def index_ratio_check(m_lat: GLattice, n_lat: GLattice, embed,
         for idx, n_h in theta.coefficients:
             cls = classes[idx]
             if idx not in found:  # a row v of M^H maps to the row v E^T
-                image = _sparse_product(_fixed_rows(m_lat, cls), columns)
-                found[idx] = _hermite_index(_fixed_rows(n_lat, cls),
-                                            _dense(image, n_lat.rank))
+                found[idx] = _lattice_index(
+                    _fixed_rows(n_lat, cls),
+                    _sparse_product(_fixed_rows(m_lat, cls), columns))
+                if not found[idx]:
+                    raise ValueError("sublattice and lattice have different "
+                                     "ranks")
             indices[cls.label] = found[idx]
             rhs.append((found[idx], 2 * n_h))
         # C_Theta does not depend on the pairing: named atoms take closed forms

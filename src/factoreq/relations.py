@@ -8,7 +8,8 @@ basis.  For p-groups, :func:`bouc_generators` produces the classical
 generating family: the relations of three kinds of small sections H/B,
 induced and inflated to G.  Each is read off G's own subgroup lattice,
 without H/B being built, and the two spans must agree:
-:func:`spans_relation_lattice` checks it in the basis's own coordinates.
+:func:`spans_relation_lattice` checks that their index in the basis's
+lattice is 1, on sparse rows, by the index routine of ``intmat``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .groups import (
     _commutators_in,
     _normal_sections,
 )
-from .intmat import (_dense, _kernel_rows, identity_matrix, is_prime,
+from .intmat import (_dense, _kernel_rows, _lattice_index, is_prime,
                      row_span_basis, valuation)
 
 
@@ -215,8 +216,9 @@ def spans_match(relations_a, relations_b) -> bool:
 
 
 def spans_relation_lattice(group: Group, relations) -> bool:
-    """:func:`_spans_in_basis` for GRelations of ``group``, each checked to
-    be a relation (else :class:`ValidationError`) first."""
+    """Do the GRelations span the relation lattice of ``group``?  Each is
+    checked to be a relation (else :class:`ValidationError`), then
+    :func:`_spans_in_basis` checks that their index in it is 1."""
     relations = tuple(relations)
     for rel in relations:
         if not is_relation(group, rel):
@@ -226,77 +228,12 @@ def spans_relation_lattice(group: Group, relations) -> bool:
 
 
 def _spans_in_basis(group: Group, relations) -> bool:
-    """``spans_match(relations, relation_basis(group))``, without an HNF.
-
-    ``relations`` are relations of ``group``, as :func:`bouc_generators`
-    gives them.  Each is written in the basis: its coordinate on b_j is its
-    coefficient at b_j's pivot class if that pivot is 1 (the HNF has zeros
-    above it), else found by back-substitution, and must be an integer
-    (else :class:`FactoreqError`).
-    """
-    basis = relation_basis(group)
-    pivot_of = {rel.coefficients[0][0]: j for j, rel in enumerate(basis)}
-    # j -> (pivot, [(i, entry of b_i on b_j's pivot class)]) for pivots != 1
-    solve = {j: (rel.coefficients[0][1], []) for j, rel in enumerate(basis)
-             if rel.coefficients[0][1] != 1}
-    for i, rel in enumerate(basis):
-        for col, val in rel.coefficients[1:]:
-            if pivot_of.get(col) in solve:
-                solve[pivot_of[col]][1].append((i, val))
-    rows = []
-    for rel in relations:
-        coords = {pivot_of[col]: val for col, val in rel.coefficients
-                  if col in pivot_of}
-        for j, (lead, above) in solve.items():
-            t, rem = divmod(coords.pop(j, 0) - sum(
-                coords.get(i, 0) * val for i, val in above), lead)
-            if rem:
-                raise FactoreqError("a relation has a non-integral coordinate "
-                                    "in the relation basis")
-            if t:
-                coords[j] = t
-        rows.append(coords)
-    return _spans_all_coordinates(rows, len(basis))
-
-
-def _spans_all_coordinates(rows, rank: int) -> bool:
-    """Do the sparse rows {column: entry} span Z^rank?  They are consumed.
-
-    Columns go from last to first.  In each, the shortest row with a +-1
-    entry there (a column -> rows index finds them) is set aside and
-    cleared from the other rows, so the span is Z^rank iff the rest spans
-    the other columns.  A column with no +-1 entry is left over; the rows
-    left must have the identity as the row span of those columns.
-    """
-    rows = {n: row for n, row in enumerate(rows) if row}
-    holders: dict[int, set] = {}    # column -> rows that may be nonzero there
-    for n, row in rows.items():
-        for j in row:
-            holders.setdefault(j, set()).add(n)
-    leftover = []
-    for j in reversed(range(rank)):
-        live = [n for n in holders.pop(j, ()) if j in rows.get(n, ())]
-        units = [n for n in live if rows[n][j] in (1, -1)]
-        if not units:
-            leftover.insert(0, j)
-            continue
-        prow = rows.pop(min(units, key=lambda n: (len(rows[n]), n)))
-        for n in live:
-            row = rows.get(n)
-            if row is None:     # the pivot row
-                continue
-            q = row[j] * prow[j]
-            for col, val in prow.items():
-                row[col] = row.get(col, 0) - q * val
-                if row[col]:
-                    holders.setdefault(col, set()).add(n)
-                else:
-                    del row[col]
-            if not row:
-                del rows[n]
-    return not leftover or row_span_basis(
-        [[row.get(j, 0) for j in leftover] for row in rows.values()]
-    ) == identity_matrix(len(leftover))
+    """``spans_match(relations, relation_basis(group))`` for relations of
+    ``group``, as :func:`bouc_generators` gives them, without their HNF:
+    their index in the basis's lattice is 1, by ``intmat._lattice_index`` on
+    sparse rows, and one outside that lattice raises :class:`ValueError`."""
+    return _lattice_index([rel.coefficients for rel in relation_basis(group)],
+                          [rel.coefficients for rel in relations]) == 1
 
 
 def induce_inflate(group: Group, sq: Subquotient, rel: GRelation) -> GRelation:

@@ -395,6 +395,32 @@ def test_profile_rational_regulator():
     assert profile.regulator("o1#0") == Fraction(3, 2)
 
 
+NOT_RATIONALS = ["1_000", "\u0661/2", "+3", "3/+2", " 1/2", "1/2 ", "1/2\n",
+                 "1/", "/2", "--1", "1/2/3", "0x10", "1e3", "", "1/0"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONALS)
+def test_rationals_are_ascii_digits_with_a_minus_sign(text, tmp_path,
+                                                       capsys):
+    # int() takes underscores, a plus sign, spaces and non-ASCII digits
+    with pytest.raises(ParseError, match="exact rational like"):
+        profile_from_data({"group": "cyclic:2",
+                           "classes": [{"label": "o1#0", "R": text}]})
+    values = {"o1#0": 1, "o2#0": 2, "o2#1": 2, "o2#2": 2, "o4#0": text}
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    code, out, err = invoke(capsys, "factorizable", "elemab:2,2", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:parse:") and "exact rational like" in err
+
+
+def test_rationals_take_a_minus_sign_on_either_side():
+    for text, value in (("7", 7), ("-7", -7), ("-3/-2", Fraction(3, 2)),
+                        ("3/-2", Fraction(-3, 2)),
+                        ("007/010", Fraction(7, 10))):
+        assert cli._parse_rational(text, "R") == value
+
+
 @pytest.mark.parametrize("data,needle", [
     ([], "top level"),
     ({"classes": []}, "group"),

@@ -9,7 +9,8 @@ that rebuilds each combined row whole, which the package's in-place sparse
 row operations must follow step for step.  Full factorization of a
 rational by trial division (``fraction_valuations``) is the oracle for
 valuations taken by division at chosen primes, and the containment scan
-against every lattice row the oracle for ``_hermite_index``'s sparse one.
+against every lattice row, on a dense Hermite form of the sub rows, the
+oracle for ``_lattice_index``'s sparse coordinates and elimination.
 """
 
 from fractions import Fraction
@@ -519,22 +520,21 @@ def test_sublattice_index_rejects_bad_sublattices():
         sublattice_index(((1,), (1,)), ((1,), (2,)))
     with pytest.raises(ValueError, match="ranks"):
         sublattice_index(identity_matrix(2), ((2,), (0,)))
-    with pytest.raises(ValueError, match="ranks"):
+    # rank 2 in a lattice of rank 1: e2 lies outside it
+    with pytest.raises(ValueError, match="not contained"):
         sublattice_index(((1,), (0,)), identity_matrix(2))
     with pytest.raises(ValueError, match="dimensions"):
         sublattice_index(identity_matrix(2), identity_matrix(3))
 
 
 def hermite_index_full_scan(hermite, sub_rows):
-    """Oracle: ``_hermite_index`` with each sub row divided against every
-    lattice row, all of it dense (the lattice's Hermite rows too)."""
+    """Oracle: ``_lattice_index`` from a Hermite form of the sub rows, each
+    of its rows divided against every lattice row, all of it dense (the
+    lattice's Hermite rows too); containment first, then 0 at lower rank."""
     lattice = [(next(c for c, x in enumerate(row) if x), row)
                for row in hermite]
     sub = row_span_basis(sub_rows)
-    if len(sub) != len(lattice):
-        raise ValueError("sublattice and lattice have different ranks")
-    index = 1
-    for row, (pivot, top) in zip(sub, lattice):
+    for row in sub:
         rest = row
         for c, hrow in lattice:
             q, r = divmod(rest[c], hrow[c])
@@ -544,6 +544,10 @@ def hermite_index_full_scan(hermite, sub_rows):
                 rest = [x - q * y for x, y in zip(rest, hrow)]
         if any(rest):
             raise ValueError("sublattice is not contained in the lattice")
+    if len(sub) != len(lattice):
+        return 0
+    index = 1
+    for row, (pivot, top) in zip(sub, lattice):
         index *= row[pivot] // top[pivot]
     return index
 
@@ -578,36 +582,69 @@ def hermite_index_inputs(draw):
 @given(hermite_index_inputs())
 def test_hermite_index_matches_the_full_scan(pair):
     hermite, sub = pair
-    assert _outcome(intmat._hermite_index, sparse(hermite), sub) == \
+    assert _outcome(intmat._lattice_index, sparse(hermite), sparse(sub)) == \
         _outcome(hermite_index_full_scan, hermite, sub)
+
+
+@st.composite
+def lattice_families(draw):
+    """(Hermite rows H of a lattice, coefficients C): the family C H has
+    from no rows to rank + 3, and, half the time, C's last column is 0, so
+    the family has lower rank."""
+    hermite = row_span_basis(draw(matrices(max_rows=4, max_cols=5)))
+    assume(hermite)
+    rank = len(hermite)
+    flat = draw(st.booleans())
+    coeffs = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(
+            lambda row: tuple(row[:-1]) + (0,) if flat else tuple(row)),
+        max_size=rank + 3))
+    return hermite, tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_families())
+def test_lattice_index_of_combinations_matches_the_dense_oracle(family):
+    hermite, coeffs = family
+    rows = mat_mul(coeffs, hermite) if coeffs else ()
+    index = intmat._lattice_index(sparse(hermite), sparse(rows))
+    assert index == hermite_index_full_scan(hermite, rows)
+    if len(coeffs) == len(hermite):      # [L : C L] = |det C|
+        assert index == abs(bareiss_determinant(coeffs))
+    if len(coeffs) < len(hermite) or all(row[-1] == 0 for row in coeffs):
+        assert index == 0
 
 
 def test_hermite_index_errors_match_the_full_scan():
     hermite = ((1, 0, 1), (0, 2, 0))
-    for sub, message in [
-            (((2, 0, 2), (0, 2, 1)), "not contained"),   # third column
-            (((1, 1, 1), (0, 2, 0)), "not contained"),   # odd at pivot 2
-            (((2, 0, 2),), "ranks"),
-            (((2, 0, 2), (0, 4, 0), (0, 0, 1)), "ranks")]:
-        outcome = _outcome(intmat._hermite_index, sparse(hermite), sub)
-        assert message in outcome
+    outside = "sublattice is not contained in the lattice"
+    for sub, expected in [
+            (((2, 0, 2), (0, 2, 1)), outside),      # third column
+            (((1, 1, 1), (0, 2, 0)), outside),      # odd at pivot 2
+            (((2, 0, 2),), 0),                      # lower rank
+            (((2, 0, 2), (0, 4, 0), (0, 0, 1)), outside)]:   # higher rank
+        outcome = _outcome(intmat._lattice_index, sparse(hermite), sparse(sub))
+        assert outcome == expected
         assert outcome == _outcome(hermite_index_full_scan, hermite, sub)
-    assert intmat._hermite_index(sparse(hermite), ((3, 2, 3), (0, 6, 0))) == \
+    assert intmat._lattice_index(sparse(hermite),
+                                 sparse(((3, 2, 3), (0, 6, 0)))) == \
         hermite_index_full_scan(hermite, ((3, 2, 3), (0, 6, 0))) == 9
 
 
 def test_hermite_index_matches_the_full_scan_on_index_checks(monkeypatch,
                                                              capsys):
     # every index the two benchmark-style index-checks take: 28 calls
-    index, seen = intmat._hermite_index, []
+    index, seen = intmat._lattice_index, []
 
-    def compared(lattice, sub_rows):
-        seen.append(index(lattice, sub_rows))
-        hermite = intmat._dense(lattice, len(sub_rows[0]) if sub_rows else 0)
-        assert seen[-1] == hermite_index_full_scan(hermite, sub_rows)
+    def compared(lattice, rows):
+        seen.append(index(lattice, rows))
+        width = 1 + max((c for row in (*lattice, *rows) for c, _ in row),
+                        default=-1)
+        assert seen[-1] == hermite_index_full_scan(
+            intmat._dense(lattice, width), intmat._dense(rows, width))
         return seen[-1]
 
-    monkeypatch.setattr(lattices, "_hermite_index", compared)
+    monkeypatch.setattr(lattices, "_lattice_index", compared)
     for spec, expr in (("heisenberg:3", "Sum(A,I)"),
                        ("dihedral:64", "Sum(A,I,Reg)")):
         assert cli.run(["index-check", spec, expr, "--scale", "3"]) == 0

@@ -1178,8 +1178,8 @@ def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     # five relations touch 11 distinct classes of Heis(3); the index of each
     # class depends only on the class and the embedding
     calls = []
-    index = lattices._hermite_index
-    monkeypatch.setattr(lattices, "_hermite_index",
+    index = lattices._lattice_index
+    monkeypatch.setattr(lattices, "_lattice_index",
                         lambda *a: calls.append(a) or index(*a))
     assert cli.run(["index-check", "heisenberg:3", "Sum(A,I)",
                     "--scale", "3"]) == 0
@@ -1189,11 +1189,11 @@ def test_index_ratio_finds_each_class_index_once(monkeypatch, capsys):
     assert len({idx for theta in basis for idx, _ in theta.coefficients}) == 11
     assert len(calls) == 11
     # N^H's sparse rows are Hermite already; the oracle brings both sides
-    # to Hermite form
+    # to Hermite form; A and I of Heis(3) have rank 26 each
     for lattice, image in calls:
-        hermite = _dense(lattice, len(image[0]) if image else 0)
+        hermite, image = _dense(lattice, 52), _dense(image, 52)
         assert _sparse(row_span_basis(hermite)) == lattice
-        assert index(lattice, image) == sublattice_index(
+        assert index(lattice, _sparse(image)) == sublattice_index(
             transpose(hermite), transpose(image))
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from factoreq import groups, relations
+from factoreq import groups, intmat, relations
 from factoreq.errors import FactoreqError, ValidationError
 from factoreq.groups import (
     Group,
@@ -41,7 +41,8 @@ from factoreq.relations import (
     spans_relation_lattice,
 )
 from factoreq.cli import parse_group_spec
-from factoreq.intmat import is_prime, row_span_basis
+from factoreq.intmat import (_lattice_index, bareiss_determinant, is_prime,
+                             mat_mul, row_span_basis, transpose)
 
 
 def oracle_character(group, subgroup):
@@ -617,8 +618,8 @@ def test_a_leftover_column_goes_to_the_hnf(monkeypatch):
     basis = relation_basis(d8)
     rest, b = basis[1:], basis[0]
     calls = []
-    span = relations.row_span_basis
-    monkeypatch.setattr(relations, "row_span_basis",
+    span = intmat.row_span_basis
+    monkeypatch.setattr(intmat, "row_span_basis",
                         lambda rows: calls.append(rows) or span(rows))
     two, three, four = b.plus(b), b.plus(b).plus(b), b.plus(b).plus(b).plus(b)
     assert spans_relation_lattice(d8, (*rest, two, three)) is True
@@ -643,9 +644,56 @@ def test_the_span_check_back_substitutes_at_non_unit_pivots(monkeypatch):
     assert spans_relation_lattice(d8, (b0.plus(b1), b1.plus(b1), b2))
     assert spans_relation_lattice(d8, (b0.plus(three), b1.plus(b1), b2))
     assert not spans_relation_lattice(d8, (b0.plus(three), b2))
-    with pytest.raises(FactoreqError, match="non-integral") as exc:
+    with pytest.raises(ValueError, match="not contained"):
         spans_relation_lattice(d8, (b1,))
-    assert type(exc.value) is FactoreqError
+
+
+def sparse_rows(family):
+    return [rel.coefficients for rel in family]
+
+
+def test_the_elementary_abelian_generators_of_d8_have_index_two():
+    # the bouc_generators docstring: D8's relation lattice exceeds the span
+    # of its elementary abelian section relations by index 2; their top
+    # class, the last, has coefficient p = 2, the dihedral one's has 1
+    d8 = dihedral_group(8)
+    gens, basis = bouc_generators(d8, 2), relation_basis(d8)
+    ea = [rel for rel in gens if rel.coefficients[-1][1] == 2]
+    assert len(ea) == 3 and len(gens) == 4
+    assert _lattice_index(sparse_rows(basis), sparse_rows(ea)) == 2
+    # oracle: the index squared is the ratio of the Gram determinants
+    gram = [bareiss_determinant(mat_mul(rows, transpose(rows)))
+            for rows in ([r.as_vector() for r in basis],
+                         [r.as_vector() for r in ea])]
+    assert gram[1] == 4 * gram[0] != 0
+    assert _lattice_index(sparse_rows(basis), sparse_rows(gens)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(BOUC_CENSUS))
+def test_the_bouc_family_has_index_one(name):
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    gens, basis = bouc_generators(g, p), relation_basis(g)
+    lattice, k = sparse_rows(basis), len(basis) // 2
+    assert _lattice_index(lattice, sparse_rows(gens)) == 1
+    doubled = basis[:k] + (basis[k].plus(basis[k]),) + basis[k + 1:]
+    assert _lattice_index(lattice, sparse_rows(doubled)) == 2
+    pivot = basis[k].coefficients[0][0]
+    assert _lattice_index(lattice, sparse_rows(without_pivot(gens, pivot))) \
+        == 0
+
+
+def test_the_span_check_reads_every_column_of_a_relation():
+    # b0 plus one class where no basis vector has its pivot: its entries at
+    # the pivot classes are b0's, but e_free is no relation, so it lies
+    # outside the lattice
+    d8 = dihedral_group(8)
+    basis = relation_basis(d8)
+    pivots = {rel.coefficients[0][0] for rel in basis}
+    free = min(set(range(len(d8.subgroup_classes()))) - pivots)
+    bent = basis[0].plus(GRelation(d8, ((free, 1),)))
+    assert not is_relation(d8, bent)
+    with pytest.raises(ValueError, match="not contained"):
+        relations._spans_in_basis(d8, (bent, *basis[1:]))
 
 
 def test_the_span_check_refuses_foreign_and_false_relations():
