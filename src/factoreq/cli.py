@@ -586,7 +586,8 @@ def _cmd_relations(args):
     group = parse_group_spec(args.spec)
     basis = relation_basis(group)
     payload = {"spec": args.spec, "group": group.name, "rank": len(basis),
-               "relations": [_relation_json(theta) for theta in basis]}
+               "relations": [_relation_json(theta) for theta in basis]
+               if args.json else []}
 
     def lines():
         yield f"relation basis of {group.name}: rank {len(basis)}"
@@ -671,7 +672,8 @@ def _cmd_bouc(args):
     generators = bouc_generators(group, p)
     payload = {"spec": args.spec, "group": group.name, "p": p,
                "count": len(generators),
-               "relations": [_relation_json(theta) for theta in generators]}
+               "relations": [_relation_json(theta) for theta in generators]
+               if args.json else []}
     code = 0
     if args.verify_span:
         spanning = _spans_in_basis(group, generators)

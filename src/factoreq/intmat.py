@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd, lcm, prod
 
 from .errors import FactoreqError, ResourceError, ValidationError
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _rational(x) -> Fraction:
@@ -42,10 +41,6 @@ def _rational(x) -> Fraction:
     if type(x) not in (int, Fraction):
         raise ValidationError(f"{x!r} is not an exact rational")
     return Fraction(x)
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(mat):
@@ -352,71 +347,95 @@ def sublattice_index(basis, sub_basis) -> int:
     raise ValueError("sublattice and lattice have different ranks")
 
 
+def _on_pivots(row, lattice, pivot_of, tails) -> list:
+    """``row`` with its coordinates in L's basis, solved leftmost pivot first,
+    on L's pivot columns; a pivot that does not divide raises ValueError."""
+    rest = {c: x for c, x in row if c in pivot_of}
+    out = [e for e in row if e[0] not in pivot_of]
+    heap = list(rest)           # in column order, so a heap
+    while heap:
+        if x := rest[c := heappop(heap)]:
+            q, r = divmod(x, lattice[pivot_of[c]][0][1])
+            if r:
+                raise ValueError("sublattice is not contained in the lattice")
+            out.append((c, q))
+            for col, y in tails[pivot_of[c]]:
+                if col not in rest:
+                    heappush(heap, col)
+                rest[col] = rest.get(col, 0) - q * y
+    return out
+
+
 def _lattice_index(lattice, rows) -> int:
     """[L : span(rows)] for L given by its sparse Hermite rows ``lattice``,
     and 0 when the span has lower rank; ``rows`` are sparse rows too.
 
-    Each row is written in L's basis, leftmost pivot first (a heap holds the
-    pivot columns it reaches): each pivot must divide exactly, and the other
-    columns must end at 0, else the row lies outside L (:class:`ValueError`).
-    Then, column by column from the last, the shortest coordinate row with a
-    +-1 there is set aside and cleared from the others.  The columns with no
-    +-1 are left over: the index is the product of the diagonal of the
-    Hermite form of what is left of the rows there, or 0 if its rank is short.
+    A row's coordinates in L's basis are its entries on L's pivot columns
+    if each pivot is 1 and no row of L meets another's pivot column, as on
+    a relation basis; else :func:`_on_pivots` writes them there.  The row
+    lies in L iff one sum is 0 (else :class:`ValueError`): each other column
+    is a slot, kept below half its range, and a pivot column weighs minus
+    its row of L packed in the slots.  Then, column by column from the last,
+    the shortest coordinate row with a +-1 there is set aside and cleared
+    from the others, and a row alone in a column is set aside with its
+    entry's size as a factor of the index.  Of the columns left over, the
+    index takes the Hermite form's diagonal product, or 0 at short rank.
     """
     pivot_of = {row[0][0]: j for j, row in enumerate(lattice)}
-    coords, holders = {}, {}    # holders: column -> rows maybe nonzero there
+    tails = [[e for e in row[1:] if e[0] in pivot_of] for row in lattice]
+    if any(tails) or any(row[0][1] != 1 for row in lattice):
+        rows = [_on_pivots(row, lattice, pivot_of, tails) for row in rows]
+    columns = {c for row in chain(lattice, rows) for c, _ in row} - {*pivot_of}
+    # slot c holds v_c - sum_j q_j L[j][c]: |.| <= max|entry| * (1 + mass)
+    mass = sum(abs(x) for _, x in chain.from_iterable(lattice))
+    width = 1 + (max((abs(x) for _, x in chain.from_iterable(rows)), default=0)
+                 * (1 + mass)).bit_length()
+    weight = {c: 1 << i * width for i, c in enumerate(columns)}
+    for c, j in pivot_of.items():
+        weight[c] = -sum(x * weight[col] for col, x in lattice[j]
+                         if col in columns)
+    coords, holders = {}, [set() for _ in lattice]  # column -> rows there
     for n, row in enumerate(rows):
-        rest, coord = dict(row), {}
-        heap = sorted(c for c in rest if c in pivot_of)
-        while heap:
-            c = heappop(heap)
-            if rest[c]:
-                j = pivot_of[c]
-                q, r = divmod(rest[c], lattice[j][0][1])
-                if r:           # refused below, as rest[c] != 0
-                    break
-                coord[j] = q
-                for col, y in lattice[j]:
-                    if col in rest:
-                        rest[col] -= q * y
-                    else:
-                        rest[col] = -q * y
-                        if col in pivot_of:
-                            heappush(heap, col)
-        if any(rest.values()):
+        if sum(x * weight[c] for c, x in row):
             raise ValueError("sublattice is not contained in the lattice")
-        coords[n] = coord
-        for j in coord:
-            holders.setdefault(j, set()).add(n)
-    leftover = []
+        coords[n] = {pivot_of[c]: x for c, x in row if c in pivot_of}
+        for j in coords[n]:
+            holders[j].add(n)
+    leftover, index = [], 1
     for j in reversed(range(len(lattice))):
-        live = [n for n in holders.pop(j, ()) if j in coords.get(n, ())]
-        units = [n for n in live if coords[n][j] in (1, -1)]
-        if not units:
+        live = [n for n in holders[j] if j in coords.get(n, ())]
+        unit = min(((len(coords[n]), n) for n in live
+                    if coords[n][j] in (1, -1)), default=None)
+        if unit is None and len(live) == 1:
+            index *= abs(coords.pop(live[0])[j])
+            continue
+        if unit is None:
             leftover.insert(0, j)
             continue
-        prow = coords.pop(min(units, key=lambda n: (len(coords[n]), n)))
+        prow = coords.pop(unit[1])
         for n in live:
             row = coords.get(n)
             if row is None:     # the pivot row
                 continue
-            q = row[j] * prow[j]
-            for col, val in prow.items():
-                row[col] = row.get(col, 0) - q * val
-                if row[col]:
-                    holders.setdefault(col, set()).add(n)
-                else:
-                    del row[col]
+            if len(prow) == 1:  # a unit vector: clearing j drops it
+                del row[j]
+            else:
+                q = row[j] * prow[j]
+                for col, val in prow.items():
+                    if x := row.get(col, 0) - q * val:
+                        row[col] = x
+                        holders[col].add(n)
+                    else:
+                        del row[col]
             if not row:
                 del coords[n]
     if not leftover:
-        return 1
+        return index
     hermite = row_span_basis([[row.get(j, 0) for j in leftover]
                               for row in coords.values()])
     if len(hermite) < len(leftover):
         return 0
-    return prod(row[i] for i, row in enumerate(hermite))
+    return index * prod(row[i] for i, row in enumerate(hermite))
 
 
 def prime_factorization(n: int) -> dict[int, int]:

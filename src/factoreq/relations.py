@@ -275,12 +275,15 @@ def induce_relation(group: Group, embedding, rel: GRelation) -> GRelation:
 def _relation_on_classes(group: Group, terms, failure: str) -> GRelation:
     """Sum (subgroup of G, coefficient) terms over G's subgroup classes.
 
-    Zero coefficients are dropped; raises ``FactoreqError(failure)`` unless
-    the sum is a relation.
+    Each subgroup, a frozenset, is looked up in G's subgroup -> class table
+    (:class:`ValidationError` if it is no subgroup).  Zero coefficients are
+    dropped; raises ``FactoreqError(failure)`` unless the sum is a relation.
     """
-    acc: dict[int, int] = {}
+    group.subgroup_classes()
+    table, acc = group._class_of_subgroup, {}
     for sub, val in terms:
-        idx = group.class_of_subgroup(sub)
+        if (idx := table.get(sub)) is None:
+            raise ValidationError("not a subgroup of this group")
         acc[idx] = acc.get(idx, 0) + val
     out = GRelation(group, tuple(sorted((k, v) for k, v in acc.items() if v)))
     if not is_relation(group, out):
@@ -320,7 +323,8 @@ def bouc_generators(group: Group, p: int) -> tuple:
     power = list(range(group.order))
     for _ in range(p - 1):
         power = [mul[y][x] for x, y in enumerate(power)]
-    indices = [p * p] + ([p ** 3] if p % 2 else
+    # every section of an abelian G is abelian: only index p^2 gives any
+    indices = [p * p] + ([] if group.is_abelian() else [p ** 3] if p % 2 else
                          [2 ** k for k in range(3, group.order.bit_length())])
     out = []
     for top, gens, bottom in _normal_sections(group, *indices):

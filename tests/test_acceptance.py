@@ -35,7 +35,7 @@ from factoreq.groups import (
     quaternion_group,
     subgroup_as_group,
 )
-from factoreq.intmat import identity_matrix, mat_mul, transpose
+from factoreq.intmat import mat_mul, transpose
 from factoreq.lattices import (
     Pairing,
     augmentation_lattice,
@@ -57,6 +57,7 @@ from factoreq.relations import (
     relation_basis,
     spans_match,
 )
+from test_intmat import identity_matrix
 
 GROUPS = {
     "C6": cyclic_group(6),

@@ -793,6 +793,22 @@ def test_bouc_verify_span_checks_each_generator_once(capsys, monkeypatch):
     assert data["count"] == len(calls) == 448
 
 
+@pytest.mark.parametrize("argv", [["relations", "dihedral:16"],
+                                  ["bouc", "dihedral:16", "--verify-span"]])
+def test_text_output_builds_no_relation_json(capsys, monkeypatch, argv):
+    # the relation lists are written only by --json; text output, which
+    # lists the same relations as lines, builds none of them
+    built = []
+    relation_json = cli._relation_json
+    monkeypatch.setattr(cli, "_relation_json",
+                        lambda theta: built.append(theta)
+                        or relation_json(theta))
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and built == [] and "  [0] " in out
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0 and len(built) == len(json.loads(out)["relations"]) > 0
+
+
 def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):
     code, _, err = invoke(capsys, "bouc", "cyclic:1")
     assert code == 2

@@ -24,7 +24,6 @@ from factoreq.cli import parse_group_spec, parse_lattice_expr
 from factoreq.errors import FactoreqError, ResourceError
 from factoreq.intmat import (
     bareiss_determinant,
-    identity_matrix,
     is_positive_definite,
     is_prime,
     kernel_basis,
@@ -36,6 +35,10 @@ from factoreq.intmat import (
     transpose,
     valuation,
 )
+
+
+def identity_matrix(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def hermite_normal_form(rows):
@@ -629,6 +632,87 @@ def test_hermite_index_errors_match_the_full_scan():
     assert intmat._lattice_index(sparse(hermite),
                                  sparse(((3, 2, 3), (0, 6, 0)))) == \
         hermite_index_full_scan(hermite, ((3, 2, 3), (0, 6, 0))) == 9
+
+
+OUTSIDE = "sublattice is not contained in the lattice"
+
+
+@st.composite
+def near_misses(draw):
+    """(Hermite rows of a lattice with a column holding no pivot, a row that
+    is a combination of them except on one such column, moved there by any
+    nonzero amount up to 2^70)."""
+    rows = draw(matrices(max_rows=4, max_cols=6))
+    hermite = row_span_basis(rows)
+    pivots = {next(c for c, x in enumerate(row) if x) for row in hermite}
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    assume(hermite and free)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(hermite),
+                           max_size=len(hermite)))
+    row = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*hermite)]
+    row[draw(st.sampled_from(free))] += draw(
+        st.integers(-2 ** 70, 2 ** 70).filter(bool))
+    return hermite, (tuple(row),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_misses())
+def test_lattice_index_refuses_a_row_moved_on_one_non_pivot_column(case):
+    hermite, sub = case
+    assert _outcome(intmat._lattice_index, sparse(hermite), sparse(sub)) \
+        == _outcome(hermite_index_full_scan, hermite, sub) == OUTSIDE
+
+
+huge = st.one_of(st.integers(-3, 3), st.integers(2 ** 80 - 3, 2 ** 80 + 3),
+                 st.integers(-2 ** 80 - 3, -2 ** 80 + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=4, max_cols=5).map(row_span_basis).filter(bool),
+       st.data())
+def test_lattice_index_of_huge_combinations_is_exact(hermite, data):
+    # coordinates near 2^80, past any fixed 64-bit slot, and pivots that
+    # are not 1 as often as the Hermite forms of small matrices have them
+    coeffs = data.draw(st.lists(
+        st.lists(huge, min_size=len(hermite), max_size=len(hermite)).map(
+            tuple), min_size=len(hermite), max_size=len(hermite)))
+    rows = mat_mul(coeffs, hermite)
+    index = intmat._lattice_index(sparse(hermite), sparse(rows))
+    assert index == hermite_index_full_scan(hermite, rows) \
+        == abs(bareiss_determinant(coeffs))
+
+
+def test_lattice_index_is_exact_past_64_bit_slots():
+    # two columns without a pivot; a row off by +2^64 on one and by -1 on
+    # the other packs to the same integer as a lattice vector in 64-bit
+    # slots, in one order of the two slots or the other
+    hermite = ((1, 0, 1, 0), (0, 1, 0, 1))
+    big = 2 ** 80
+    inside = ((big, big + 1, big, big + 1), (big + 1, big, big + 1, big))
+    assert intmat._lattice_index(sparse(hermite), sparse(inside)) \
+        == hermite_index_full_scan(hermite, inside) == 2 * big + 1
+    for e, f in ((2 ** 64, -1), (-1, 2 ** 64)):
+        moved = ((big, big + 1, big + e, big + 1 + f), inside[1])
+        assert _outcome(intmat._lattice_index, sparse(hermite),
+                        sparse(moved)) \
+            == _outcome(hermite_index_full_scan, hermite, moved) == OUTSIDE
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_index_inputs(), st.data())
+def test_lattice_index_on_unreduced_echelon_rows_matches_the_full_scan(
+        pair, data):
+    # the same lattice in echelon rows that are not reduced: each row plus
+    # multiples of the rows below it, so rows meet later pivot columns, as
+    # the named atoms' fixed sublattices can; coordinates are then solved
+    hermite, sub = pair
+    rows = [list(row) for row in hermite]
+    for i in range(len(rows)):
+        for k in range(i + 1, len(rows)):
+            m = data.draw(st.integers(-3, 3))
+            rows[i] = [x + m * y for x, y in zip(rows[i], rows[k])]
+    assert _outcome(intmat._lattice_index, sparse(rows), sparse(sub)) == \
+        _outcome(hermite_index_full_scan, hermite, sub)
 
 
 def test_hermite_index_matches_the_full_scan_on_index_checks(monkeypatch,

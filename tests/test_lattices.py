@@ -38,7 +38,6 @@ from factoreq.intmat import (
     _dense,
     _sparse,
     bareiss_determinant,
-    identity_matrix,
     mat_mul,
     row_span_basis,
     sublattice_index,
@@ -70,7 +69,7 @@ from factoreq.relations import (
     induce_relation,
     relation_basis,
 )
-from test_intmat import fraction_valuations
+from test_intmat import fraction_valuations, identity_matrix
 
 GROUPS = {
     "V4": lambda: elementary_abelian_group(2, 2),

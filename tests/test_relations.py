@@ -516,6 +516,37 @@ def test_span_basis_of_sorted_distinct_rows_matches_generation_order(name):
         tuple(r.as_vector() for r in gens))
 
 
+ABELIAN_CENSUS = ["C4xC4", "C9xC3", "E16", "E27", "E8", "E9", "V4"]
+
+
+@pytest.mark.parametrize("name", ABELIAN_CENSUS)
+def test_abelian_groups_ask_only_for_index_p2_sections(name, monkeypatch):
+    # every section of an abelian group is abelian, so the higher indices,
+    # asked for when the group is taken as non-abelian, add no generator
+    g, p = census_group(name), BOUC_CENSUS[name][1]
+    assert g.is_abelian()
+    asked, sections = [], relations._normal_sections
+    monkeypatch.setattr(relations, "_normal_sections",
+                        lambda group, *indices: asked.append(indices)
+                        or sections(group, *indices))
+    gens = bouc_generators(g, p)
+    monkeypatch.setattr(g, "is_abelian", lambda: False)
+    assert bouc_generators(g, p) == gens
+    every = ((p * p, p ** 3) if p % 2 else
+             tuple(2 ** k for k in range(2, g.order.bit_length())))
+    assert asked == [(p * p,), every]
+
+
+def test_relation_terms_must_be_subgroups():
+    d8 = dihedral_group(8)
+    rotation = next(x for x in range(8) if d8.element_orders[x] == 4)
+    for subset in ({1}, {0, rotation}, set(range(9))):
+        with pytest.raises(ValidationError, match="not a subgroup"):
+            relations._relation_on_classes(
+                d8, [(frozenset(range(8)), 1), (frozenset(subset), -1)],
+                "unused")
+
+
 def recorded_builds(monkeypatch):
     """Record every group closure and ``Group.__init__`` call from now on."""
     built = []
