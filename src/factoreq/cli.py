@@ -3,9 +3,10 @@
 Eight subcommands tie the library together; every result can be rendered
 as a plain-text table or as deterministic JSON (``--json``), with all
 rationals serialized as ``"num/den"`` strings so output round-trips
-exactly.  Every deliberate failure prints a single line starting with
-``error:<category>:`` on stderr and exits with status 2; a false verdict
-exits with status 1.
+exactly.  Reports hold relations as objects, which only the JSON writer
+expands, so text output builds no JSON.  Every deliberate failure prints
+a single line starting with ``error:<category>:`` on stderr and exits
+with status 2; a false verdict exits with status 1.
 """
 
 import argparse
@@ -61,7 +62,12 @@ from .lattices import (
     tower_lattice,
     trivial_lattice,
 )
-from .relations import _spans_in_basis, bouc_generators, relation_basis
+from .relations import (
+    GRelation,
+    _spans_in_basis,
+    bouc_generators,
+    relation_basis,
+)
 
 RANK_CAP = 1000
 # ASCII digits only: int() would also take "1_000", "+3", " 1" and "١"
@@ -107,6 +113,12 @@ def _split_top(text: str, sep: str) -> list:
         raise ParseError(f"unbalanced bracket in {text!r}")
     parts.append(text[start:])
     return parts
+
+
+def _significant(count: str) -> str:
+    """A decimal count in ASCII digits without its leading zeros, so that
+    it is measured before int(), which refuses over 4,300 digits."""
+    return "".join(str(int(c)) for c in count).lstrip("0")
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -273,9 +285,7 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
                              f"Coset(label), Sum(e1,e2,...))")
         for count in counts:
             count = count.strip()
-            # counted before int(), which refuses over 4,300 digits
-            digits = ("".join(str(int(c)) for c in count).lstrip("0")
-                      if count.isdecimal() else "")
+            digits = _significant(count) if count.isdecimal() else ""
             if len(digits) > len(str(RANK_CAP)):
                 raise ResourceError(f"lattice expression {text!r}: a count "
                                     f"of {len(digits)} digits is over the "
@@ -431,12 +441,13 @@ def _write_json(obj, out: list, newline: str) -> None:
     ``newline`` is a line break plus the indent of the line ``obj`` starts
     on.  Types are tested in the stdlib's order: str (by the stdlib's own
     C quoting), None, bool, int, then lists, tuples and dicts with str
-    keys.  Anything else, a float or a Fraction included, raises
-    TypeError: reports hold no floats.  A container writes an item of
-    type exactly str or int itself, and a key with its indent as one
-    f-string, built without temporaries.  The stdlib runs its C encoder
-    only without ``indent``; with it, its generator per container cost
-    more than twice this writer's time.
+    keys, then GRelation, written as ``default=_relation_json`` has it.
+    Anything else, a float or a Fraction included, raises TypeError:
+    reports hold no floats.  A container writes an item of type exactly
+    str or int itself, and a key with its indent as one f-string, built
+    without temporaries.  The stdlib runs its C encoder only without
+    ``indent``; with it, its generator per container cost more than twice
+    this writer's time.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -473,6 +484,8 @@ def _write_json(obj, out: list, newline: str) -> None:
             else:
                 _write_json(item, out, inner)
         out.append(newline + ("}" if mapping else "]"))
+    elif isinstance(obj, GRelation):
+        _write_json(_relation_json(obj), out, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                         f"serializable")
@@ -508,48 +521,34 @@ def _frs(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _valuations_json(valuations) -> dict:
-    return {str(p): e for p, e in sorted(valuations.items())}
-
-
-def _valuations_text(valuations) -> str:
-    if not valuations:
-        return "1"
-    return " * ".join(f"{p}^{e}" for p, e in sorted(valuations.items()))
-
-
 def _relation_json(theta) -> list:
     classes = theta.group.subgroup_classes()
     return [{"class": classes[idx].label, "coeff": coeff}
             for idx, coeff in theta.coefficients]
 
 
-def _verdict_payload(verdict, relations) -> dict:
-    results = []
-    for index, (theta, residual, breakdown) in enumerate(
-            zip(relations, verdict.residuals, verdict.explanations)):
-        results.append({
-            "relation_index": index,
-            "relation": _relation_json(theta),
-            "residual": _frs(residual),
-            "passed": residual == 1,
-            "factors": [{"class": label, "base": _frs(base),
-                         "exponent": exponent}
-                        for label, base, exponent in breakdown],
-        })
-    return {"overall": verdict.overall, "results": results}
+def _verdict_report(command, head, title, verdict, relations):
+    """Exit code and report of ``verdict`` on ``relations``: ``head``, the
+    overall answer and a result per relation; the text opens with ``title``."""
+    results = [{"relation_index": index, "relation": theta,
+                "residual": _frs(residual), "passed": residual == 1,
+                "factors": [{"class": label, "base": _frs(base),
+                             "exponent": exponent}
+                            for label, base, exponent in breakdown]}
+               for index, (theta, residual, breakdown) in enumerate(
+                   zip(relations, verdict.residuals, verdict.explanations))]
 
-
-def _verdict_lines(title, verdict, relations):
-    yield title
-    if not relations:
-        yield "  no relations: vacuously true"
-    for index, (theta, residual) in enumerate(zip(relations,
-                                                  verdict.residuals)):
-        mark = "ok " if residual == 1 else "FAIL"
-        yield (f"  [{index}] {mark} residual {_frs(residual)}  "
-               f"({theta.describe()})")
-    yield f"overall: {'true' if verdict.overall else 'false'}"
+    def lines():
+        yield title
+        if not results:
+            yield "  no relations: vacuously true"
+        for res in results:
+            yield (f"  [{res['relation_index']}] "
+                   f"{'ok ' if res['passed'] else 'FAIL'} residual "
+                   f"{res['residual']}  ({res['relation'].describe()})")
+        yield f"overall: {'true' if verdict.overall else 'false'}"
+    payload = {**head, "overall": verdict.overall, "results": results}
+    return (0 if verdict.overall else 1), Report(command, payload, lines())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -586,8 +585,7 @@ def _cmd_relations(args):
     group = parse_group_spec(args.spec)
     basis = relation_basis(group)
     payload = {"spec": args.spec, "group": group.name, "rank": len(basis),
-               "relations": [_relation_json(theta) for theta in basis]
-               if args.json else []}
+               "relations": basis}
 
     def lines():
         yield f"relation basis of {group.name}: rank {len(basis)}"
@@ -598,26 +596,21 @@ def _cmd_relations(args):
     return 0, Report("relations", payload, lines())
 
 
-def _choose_relations(group, args):
-    basis = relation_basis(group)
-    if args.relation_index is None:
-        return list(enumerate(basis))
-    if not 0 <= args.relation_index < len(basis):
-        raise ValidationError(
-            f"relation index {args.relation_index} out of range; the basis "
-            f"of {group.name} has {len(basis)} relations")
-    return [(args.relation_index, basis[args.relation_index])]
-
-
 def _cmd_regconst(args):
     group = parse_group_spec(args.spec)
     lattice = parse_lattice_expr(group, args.lattice)
-    chosen = [(index, theta, regulator_constant(lattice, theta))
-              for index, theta in _choose_relations(group, args)]
-    results = [{"relation_index": index, "relation": _relation_json(theta),
-                "value": _frs(value.value),
-                "valuations": _valuations_json(value.valuations)}
-               for index, theta, value in chosen]
+    basis, pick = relation_basis(group), args.relation_index
+    if pick is not None and not 0 <= pick < len(basis):
+        raise ValidationError(f"relation index {pick} out of range; the basis "
+                              f"of {group.name} has {len(basis)} relations")
+    chosen = enumerate(basis) if pick is None else [(pick, basis[pick])]
+    results = []
+    for index, theta in chosen:
+        value = regulator_constant(lattice, theta)
+        results.append({"relation_index": index, "relation": theta,
+                        "value": _frs(value.value),
+                        "valuations": {str(p): e for p, e
+                                       in sorted(value.valuations.items())}})
     payload = {"spec": args.spec, "group": group.name,
                "lattice": lattice.label, "rank": lattice.rank,
                "results": results}
@@ -625,11 +618,12 @@ def _cmd_regconst(args):
     def lines():
         yield (f"regulator constants of {lattice.label} (rank "
                f"{lattice.rank}) on {group.name}:")
-        for index, theta, value in chosen:
-            yield (f"  [{index}] {_frs(value.value)} = "
-                   f"{_valuations_text(value.valuations)}  "
-                   f"({theta.describe()})")
-        if not chosen:
+        for res in results:
+            powers = " * ".join(f"{p}^{e}"
+                                for p, e in res["valuations"].items())
+            yield (f"  [{res['relation_index']}] {res['value']} = "
+                   f"{powers or 1}  ({res['relation'].describe()})")
+        if not results:
             yield "  (no relations)"
     return 0, Report("regconst", payload, lines())
 
@@ -658,27 +652,21 @@ def _cmd_bouc(args):
         group = profile.group
         # without a declared p the checker reports the missing prime
         generators = bouc_generators(group, profile.p) if profile.p else ()
-        verdict = bouc_condition_check(profile, generators)
-        payload = {"profile": args.check, "group": group.name,
-                   "p": profile.p, **_verdict_payload(verdict, generators)}
-        lines = _verdict_lines(
+        return _verdict_report(
+            "bouc", {"profile": args.check, "group": group.name,
+                     "p": profile.p},
             f"classical p-group condition for {group.name} at p={profile.p}:",
-            verdict, generators)
-        return (0 if verdict.overall else 1), Report("bouc", payload, lines)
+            bouc_condition_check(profile, generators), generators)
     if args.spec is None:
         raise ParseError("bouc needs a group spec or --check <profile.json>")
     group = parse_group_spec(args.spec)
     p = args.p if args.p is not None else _infer_prime(group)
     generators = bouc_generators(group, p)
     payload = {"spec": args.spec, "group": group.name, "p": p,
-               "count": len(generators),
-               "relations": [_relation_json(theta) for theta in generators]
-               if args.json else []}
-    code = 0
+               "count": len(generators), "relations": generators}
+    spanning = not args.verify_span or _spans_in_basis(group, generators)
     if args.verify_span:
-        spanning = _spans_in_basis(group, generators)
         payload["spans_full_lattice"] = spanning
-        code = 0 if spanning else 1
 
     def lines():
         yield (f"classical generators of {group.name} at p={p}: "
@@ -688,7 +676,7 @@ def _cmd_bouc(args):
         if args.verify_span:
             yield (f"spans the full relation lattice: "
                    f"{'yes' if spanning else 'NO'}")
-    return code, Report("bouc", payload, lines())
+    return (0 if spanning else 1), Report("bouc", payload, lines())
 
 
 def _cmd_factorizable(args):
@@ -730,10 +718,21 @@ def _cmd_factorizable(args):
 def _candidate_lattice(group: Group, text: str) -> GLattice:
     text = text.strip()
     if text.startswith("tower:"):
-        floors = _parse_int(text[len("tower:"):], "tower parameter")
-        if floors < 0:
-            raise ParseError("tower parameter must be >= 0")
-        _check_rank((2 + floors) * group.order - 1, text)
+        count = text[len("tower:"):].strip()
+        if count.isdecimal():  # leading zeros do not count, as in ^m
+            count = _significant(count) or "0"
+        try:
+            floors = int(count)
+            if floors < 0:
+                raise ParseError("tower parameter must be >= 0")
+            _check_rank((2 + floors) * group.order - 1, text)
+        except ValueError:  # int() and str() take at most 4,300 digits
+            if count.isdecimal():
+                raise ResourceError(f"lattice {text!r}: a tower count of "
+                                    f"{len(count)} digits is over the rank "
+                                    f"cap of {RANK_CAP}")
+            raise ParseError(f"tower parameter must be an integer, got "
+                             f"{count!r}")
         return tower_lattice(group, floors)
     return parse_lattice_expr(group, text)
 
@@ -751,22 +750,20 @@ def _cmd_check_units(args):
             raise ParseError("--candidate only applies with --p-part")
         verdict = minkowski_factor_check(profile, basis)
         check = "global criterion vs A"
-    payload = {"profile": args.profile, "group": group.name, "check": check,
-               **_verdict_payload(verdict, basis)}
-    lines = _verdict_lines(f"{check} for {group.name}:", verdict, basis)
-    return (0 if verdict.overall else 1), Report("check-units", payload, lines)
+    return _verdict_report(
+        "check-units", {"profile": args.profile, "group": group.name,
+                        "check": check},
+        f"{check} for {group.name}:", verdict, basis)
 
 
 def _cmd_bk_check(args):
     profile = parse_profile(args.profile)
     group = profile.group
     basis = relation_basis(group)
-    verdict = brauer_kuroda_check(profile, basis)
-    payload = {"profile": args.profile, "group": group.name,
-               **_verdict_payload(verdict, basis)}
-    lines = _verdict_lines(f"class-number identity for {group.name}:",
-                           verdict, basis)
-    return (0 if verdict.overall else 1), Report("bk-check", payload, lines)
+    return _verdict_report(
+        "bk-check", {"profile": args.profile, "group": group.name},
+        f"class-number identity for {group.name}:",
+        brauer_kuroda_check(profile, basis), basis)
 
 
 def _cmd_index_check(args):
@@ -780,8 +777,7 @@ def _cmd_index_check(args):
     basis = relation_basis(group)
     checks = index_ratio_check(lattice, lattice, embed, basis)
     overall = all(passed for passed, _ in checks)
-    results = [{"relation_index": index, "relation": _relation_json(theta),
-                "passed": passed,
+    results = [{"relation_index": index, "relation": theta, "passed": passed,
                 "indices": {label: indices[label] for label in sorted(indices)}}
                for index, (theta, (passed, indices))
                in enumerate(zip(basis, checks))]
@@ -929,6 +925,9 @@ def run(argv) -> int:
         text = report.render(args.json)
     except FactoreqError as exc:
         print(f"error:{exc.category}:{_single_line(exc)}", file=sys.stderr)
+        return 2
+    except RecursionError:  # e.g. by input nested a call per bracket level
+        print("error:resource:recursion limit reached", file=sys.stderr)
         return 2
     except Exception as exc:  # malformed input must never crash the CLI
         print(f"error:internal:{type(exc).__name__}: {_single_line(exc)}",

@@ -6,6 +6,7 @@ documented formats, and the exit-code contract (0 true, 1 false verdict,
 2 error with an ``error:<category>:`` line on stderr) on every path.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -240,6 +241,53 @@ def test_counts_past_the_int_digit_limit_are_refused_as_resource(capsys):
     padded = "Z^" + "\u0660" * 5000 + "\u0663"
     assert parse_lattice_expr(group, padded).rank == 3
     assert parse_lattice_expr(group, "Z^0999").rank == 999
+
+
+def test_tower_counts_are_read_by_their_significant_digits(capsys):
+    # as with ^m, leading zeros do not count toward int()'s 4,300 digits,
+    # and a count too long for int(), or whose rank is too long for str(),
+    # is over the cap, not unreadable
+    good = fixture("elemab32_good.json")
+    for count in ("9" * 5000, "1" * 4301, "9" * 4300):
+        code, out, err = invoke(capsys, "check-units", good, "--p-part",
+                                "--candidate", f"tower:{count}")
+        assert (code, out) == (2, "") and err.startswith("error:resource:")
+        assert f"a tower count of {len(count)} digits" in err
+    group = parse_group_spec("elemab:3,2")
+    padded = _candidate_lattice(group, "tower:" + "0" * 5000 + "2")
+    assert (padded.label, padded.rank) == ("Tower(2)", 35)
+    assert _candidate_lattice(group, "tower:\u0660\u0662").label == "Tower(2)"
+    for count, message in (("-1", "tower parameter must be >= 0"),
+                           ("x", "tower parameter must be an integer, got "
+                                 "'x'"),
+                           ("", "tower parameter must be an integer, got "
+                                "''")):
+        with pytest.raises(ParseError) as info:
+            _candidate_lattice(group, f"tower:{count}")
+        assert str(info.value) == message
+
+
+# 1,200 levels pass the default recursion limit of 1,000 on every Python,
+# also where a list comprehension takes no frame of its own (3.12 on)
+@pytest.mark.parametrize("argv", [
+    ["regconst", "elemab:2,2", "Sum(A," * 1200 + "A" + ")" * 1200],
+    ["group", "product:cyclic:1;(" * 1200 + "cyclic:1" + ")" * 1200],
+])
+def test_input_nested_past_the_recursion_limit_is_a_resource_error(
+        capsys, argv):
+    assert sys.getrecursionlimit() < 1200
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "",
+                                "error:resource:recursion limit reached\n")
+
+
+def test_deep_nesting_that_reads_today_still_reads(capsys):
+    code, out, _ = invoke(capsys, "regconst", "elemab:2,2",
+                          "Sum(" * 400 + "A" + ")" * 400)
+    assert code == 0 and out.startswith("regulator constants of A (rank 3)")
+    code, out, _ = invoke(capsys, "group", "product:cyclic:1;(" * 400
+                          + "cyclic:1" + ")" * 400)
+    assert code == 0 and "order 1, exponent 1, abelian" in out
 
 
 def test_tower_candidate_is_the_lattices_tower():
@@ -600,7 +648,7 @@ def test_every_subcommand_prints_json_dumps_indent_2(capsys, argv):
     args = cli._build_parser().parse_args([*argv, "--json"])
     code, report = args.handler(args)
     expected = json.dumps({"command": report.command, **report.payload},
-                          indent=2) + "\n"
+                          indent=2, default=cli._relation_json) + "\n"
     assert invoke(capsys, *argv, "--json") == (code, expected, "")
 
 
@@ -617,6 +665,23 @@ def test_json_output_formats_no_text_lines(capsys, monkeypatch, argv):
     assert invoke(capsys, *argv)[0] == code
     assert bool(described) == (argv[0] not in ("group", "factorizable",
                                                "index-check"))
+
+
+def test_every_subcommand_output_is_the_recorded_one(capsys, monkeypatch):
+    # exit code and sha256 of the text and of the --json output, run from
+    # the repository root so that profile paths print the same everywhere
+    monkeypatch.chdir(ROOT)
+    listing = []
+    for argv in [*EVERY_SUBCOMMAND, ["relations", "elemab:2,5"]]:
+        argv = [os.path.relpath(arg, ROOT) if arg.startswith(FIXTURES)
+                else arg for arg in argv]
+        for flags in ([], ["--json"]):
+            code, out, err = invoke(capsys, *argv, *flags)
+            assert err == ""
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            listing.append(f"{digest} {code} {' '.join(argv + flags)}\n")
+    with open(fixture("every_subcommand.sha256"), encoding="utf-8") as handle:
+        assert listing == handle.readlines()
 
 
 def test_a_render_failure_is_an_internal_error(capsys, monkeypatch):
@@ -793,20 +858,32 @@ def test_bouc_verify_span_checks_each_generator_once(capsys, monkeypatch):
     assert data["count"] == len(calls) == 448
 
 
-@pytest.mark.parametrize("argv", [["relations", "dihedral:16"],
-                                  ["bouc", "dihedral:16", "--verify-span"]])
+@pytest.mark.parametrize("argv", [  # (exit code, argv)
+    (0, ["relations", "dihedral:16"]),
+    (0, ["bouc", "dihedral:16", "--verify-span"]),
+    (0, ["regconst", "dihedral:16", "Sum(A,Reg)"]),
+    (0, ["index-check", "dihedral:8", "Sum(A,I)"]),
+    (1, ["check-units", fixture("elemab32_bad.json")]),
+    (0, ["check-units", fixture("elemab32_good.json"), "--p-part"]),
+    (1, ["bk-check", fixture("v4_perturbed.json")]),
+    (0, ["bouc", "--check", fixture("elemab32_good.json")]),
+])
 def test_text_output_builds_no_relation_json(capsys, monkeypatch, argv):
-    # the relation lists are written only by --json; text output, which
-    # lists the same relations as lines, builds none of them
+    # the relations are expanded only by the --json writer; text output,
+    # which lists the same relations as lines, builds none of them
+    expected, argv = argv
     built = []
     relation_json = cli._relation_json
     monkeypatch.setattr(cli, "_relation_json",
                         lambda theta: built.append(theta)
                         or relation_json(theta))
     code, out, _ = invoke(capsys, *argv)
-    assert code == 0 and built == [] and "  [0] " in out
-    code, out, _ = invoke(capsys, *argv, "--json")
-    assert code == 0 and len(built) == len(json.loads(out)["relations"]) > 0
+    assert built == [] and "  [0] " in out
+    json_code, out, _ = invoke(capsys, *argv, "--json")
+    data = json.loads(out)
+    written = (data["relations"] if "relations" in data
+               else [res["relation"] for res in data["results"]])
+    assert code == json_code == expected and len(built) == len(written) > 0
 
 
 def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):
