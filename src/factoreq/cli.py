@@ -50,6 +50,7 @@ from .groups import (
     quaternion_group,
     semidirect_product,
 )
+from .intmat import _MILLER_RABIN_EXACT_BELOW
 from .lattices import (
     GLattice,
     augmentation_lattice,
@@ -87,32 +88,68 @@ def _check_rank(rank: int, text: str):
                             f"cap of {RANK_CAP}")
 
 
-def _strip_outer_parens(text: str) -> str:
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for pos, ch in enumerate(text):
-            depth += (ch in "([") - (ch in ")]")
-            if depth == 0 and pos < len(text) - 1:
-                return text
-        text = text[1:-1].strip()
-    return text
+# brackets, and the separators that specs and expressions are split at
+_SCANNED = re.compile(r"[()\[\];,^]")
 
 
-def _split_top(text: str, sep: str) -> list:
-    """Split on ``sep`` at bracket depth zero."""
-    parts, depth, start = [], 0, 0
-    for pos, ch in enumerate(text):
-        depth += (ch in "([") - (ch in ")]")
-        if depth < 0:
-            raise ParseError(f"unbalanced bracket at position {pos} in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append(text[start:pos])
-            start = pos + 1
-    if depth:
-        raise ParseError(f"unbalanced bracket in {text!r}")
-    parts.append(text[start:])
-    return parts
+class _Brackets:
+    """``text`` read once: each opening bracket's position mapped to that
+    of its match, ``(`` and ``[`` alike, as are ``)`` and ``]``.
+
+    A piece of ``text`` is a ``(start, end)`` range.  :meth:`split` and
+    :meth:`unwrap` jump over a piece's bracketed parts by their matches,
+    so each character is scanned at one level of nesting only, and a spec
+    nested n deep reads in time linear in its length, not in n times it.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.match, opened = text, {}, []
+        for found in _SCANNED.finditer(text):
+            char = found.group()
+            if char in "([":
+                opened.append(found.start())
+            elif char in ")]" and opened:
+                self.match[opened.pop()] = found.start()
+
+    def trim(self, start: int, end: int) -> tuple:
+        text = self.text
+        while start < end and text[start].isspace():
+            start += 1
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        return start, end
+
+    def unwrap(self, start: int, end: int) -> tuple:
+        """The piece trimmed and without the parentheses around all of it;
+        an opening one unmatched within the piece counts as closed by its
+        last character, as depth counting has it."""
+        start, end = self.trim(start, end)
+        text = self.text
+        while (start < end and text[start] == "(" and text[end - 1] == ")"
+               and self.match.get(start, end) >= end - 1):
+            start, end = self.trim(start + 1, end - 1)
+        return start, end
+
+    def split(self, start: int, end: int, sep: str) -> list:
+        """The pieces between the ``sep``s of a piece at bracket depth
+        zero; a bracket unmatched within the piece is a parse error."""
+        text, parts, piece, pos = self.text, [], start, start
+        while found := _SCANNED.search(text, pos, end):
+            at, char = found.start(), found.group()
+            pos = at + 1
+            if char == sep:
+                parts.append((piece, at))
+                piece = pos
+            elif char in "([":
+                pos = self.match.get(at, end) + 1
+                if pos > end:
+                    raise ParseError(f"unbalanced bracket in "
+                                     f"{text[start:end]!r}")
+            elif char in ")]":
+                raise ParseError(f"unbalanced bracket at position "
+                                 f"{at - start} in {text[start:end]!r}")
+        parts.append((piece, end))
+        return parts
 
 
 def _significant(count: str) -> str:
@@ -121,11 +158,25 @@ def _significant(count: str) -> str:
     return "".join(str(int(c)) for c in count).lstrip("0")
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse_int(text: str, what: str,
+               bound: str = f"the order cap is {DESK_SCALE_CAP}",
+               over=ValidationError) -> int:
+    """``text`` as int() reads it, leading zeros aside.  A decimal too
+    long for int() (over 4,300 significant digits) is out of range of
+    every caller: it raises ``over``, naming ``bound``."""
+    text = text.strip()
+    sign = text[:1] if text[:1] in ("+", "-") else ""
+    digits = text[len(sign):]
+    if digits.isdecimal():
+        digits = _significant(digits)
+        if len(digits) > 4300:
+            raise over(f"{what} of {len(digits)} digits is out of range; "
+                       f"{bound}")
+        return int(sign + (digits or "0"))
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text.strip()!r}")
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _parse_tuples(text: str, what: str) -> list:
@@ -141,7 +192,8 @@ def _parse_tuples(text: str, what: str) -> list:
     inner = text[1:-1].strip()
     if not inner:
         raise ParseError(f"{what} must not be empty")
-    return [part.strip() for part in _split_top(inner, ",")]
+    return [inner[start:end].strip() for start, end
+            in _Brackets(inner).split(0, len(inner), ",")]
 
 
 def _parse_point_tuple(text: str, what: str) -> tuple:
@@ -193,18 +245,43 @@ def _parse_cycle_generators(text: str) -> list:
 
 def parse_group_spec(text: str) -> Group:
     """Build a group from the mini-language (see ``--help`` for the kinds)."""
-    spec = _strip_outer_parens(str(text))
-    if not spec:
+    scanned = _Brackets(str(text))
+    return _group_spec(scanned, 0, len(scanned.text))
+
+
+def _group_spec(scanned: _Brackets, start: int, end: int) -> Group:
+    start, end = scanned.unwrap(start, end)
+    text = scanned.text
+    if start == end:
         raise ParseError("empty group spec")
-    head, sep, rest = spec.partition(":")
-    head = head.strip()
+    colon = text.find(":", start, end)
+    head = text[start:end if colon < 0 else colon].strip()
     if head == "quaternion8":
-        if sep:
+        if colon >= 0:
             raise ParseError("quaternion8 takes no parameters")
         return quaternion_group()
-    if not sep:
-        raise ParseError(f"group spec {spec!r} has no parameters after the "
-                         f"kind; known kinds: {_KINDS}")
+    if colon < 0:
+        raise ParseError(f"group spec {text[start:end]!r} has no parameters "
+                         f"after the kind; known kinds: {_KINDS}")
+    if head in ("product", "semidirect"):
+        parts = scanned.split(colon + 1, end, ";")
+        if head == "product":
+            if len(parts) != 2:
+                raise ParseError(f"product takes two sub-specs joined by "
+                                 f"';', got {len(parts)} in "
+                                 f"{text[colon + 1:end]!r}")
+            return direct_product(_group_spec(scanned, *parts[0]),
+                                  _group_spec(scanned, *parts[1]))
+        if len(parts) != 3:
+            raise ParseError(f"semidirect takes a;b;[action], got "
+                             f"{text[colon + 1:end]!r}")
+        acting = _group_spec(scanned, *parts[1])
+        base = _group_spec(scanned, *parts[0])
+        action = [_parse_point_tuple(entry, "action entry")
+                  for entry in _parse_tuples(text[slice(*parts[2])],
+                                             "action list")]
+        return semidirect_product(base, acting, action)
+    rest = text[colon + 1:end]
     if head == "cyclic":
         return cyclic_group(_parse_int(rest, "cyclic order"))
     if head == "dihedral":
@@ -220,22 +297,6 @@ def parse_group_spec(text: str) -> Group:
     if head == "perm":
         gens = _parse_cycle_generators(rest)
         return group_from_generators(gens)
-    if head == "product":
-        parts = _split_top(rest, ";")
-        if len(parts) != 2:
-            raise ParseError(f"product takes two sub-specs joined by ';', "
-                             f"got {len(parts)} in {rest!r}")
-        return direct_product(parse_group_spec(parts[0]),
-                              parse_group_spec(parts[1]))
-    if head == "semidirect":
-        parts = _split_top(rest, ";")
-        if len(parts) != 3:
-            raise ParseError(f"semidirect takes a;b;[action], got {rest!r}")
-        acting = parse_group_spec(parts[1])
-        base = parse_group_spec(parts[0])
-        action = [_parse_point_tuple(entry, "action entry")
-                  for entry in _parse_tuples(parts[2], "action list")]
-        return semidirect_product(base, acting, action)
     raise ParseError(f"unknown group kind {head!r}; known kinds: {_KINDS}")
 
 
@@ -252,39 +313,42 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
 
     A term splits at its top-level ``^`` into a head and its counts; the
     head is ``Name`` or ``Name(args)``, whose args split at top-level commas
-    (both by :func:`_split_top`).  Each named atom is built once; the rank
-    of every direct sum is checked against :data:`RANK_CAP` before its
-    blocks are built.  An error names the piece that could not be read and
-    quotes the whole expression.
+    (both by :meth:`_Brackets.split`, on one scan of the whole text).  Each
+    named atom is built once; the rank of every direct sum is checked
+    against :data:`RANK_CAP` before its blocks are built.  An error names
+    the piece that could not be read and quotes the whole expression.
     """
-    text = str(text)
+    scanned = _Brackets(str(text))
+    text = scanned.text
     built: dict = {}
 
-    def term(piece: str) -> GLattice:
-        head, *counts = _split_top(piece, "^")
-        name, paren, rest = head.strip().partition("(")
-        name = name.strip()
-        args = _split_top(rest[:-1], ",") if rest.endswith(")") else None
-        if not paren and name in _ATOMS:
+    def term(start: int, end: int) -> GLattice:
+        (start, end), *counts = scanned.split(start, end, "^")
+        start, end = scanned.trim(start, end)
+        paren = text.find("(", start, end)
+        name = text[start:end if paren < 0 else paren].strip()
+        args = (scanned.split(paren + 1, end - 1, ",")
+                if 0 <= paren < end - 1 and text[end - 1] == ")" else None)
+        if paren < 0 and name in _ATOMS:
             if name not in built:
                 built[name] = _ATOMS[name](group)
             out = built[name]
         elif name == "Sum" and args is not None:
-            parts = [term(arg) for arg in args]
+            parts = [term(*arg) for arg in args]
             _check_rank(sum(part.rank for part in parts), text)
             out = direct_sum(*parts)
         elif name == "Coset" and args is not None and len(args) == 1:
             # keyed apart from the atom names, so Coset(A) is not A
-            key = ("Coset", args[0].strip())
+            key = ("Coset", text[slice(*args[0])].strip())
             if key not in built:
                 built[key] = coset_lattice(group, key[1])
             out = built[key]
         else:
             raise ParseError(f"lattice expression {text!r}: cannot read "
-                             f"{head.strip()!r} (know A, I, Z, Reg, "
+                             f"{text[start:end]!r} (know A, I, Z, Reg, "
                              f"Coset(label), Sum(e1,e2,...))")
-        for count in counts:
-            count = count.strip()
+        for count_start, count_end in counts:
+            count = text[count_start:count_end].strip()
             digits = _significant(count) if count.isdecimal() else ""
             if len(digits) > len(str(RANK_CAP)):
                 raise ResourceError(f"lattice expression {text!r}: a count "
@@ -299,7 +363,7 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
             out = direct_sum(*[out] * m)
         return out
 
-    return term(text)
+    return term(0, len(text))
 
 
 # -- profiles and value files --------------------------------------------------
@@ -441,13 +505,13 @@ def _write_json(obj, out: list, newline: str) -> None:
     ``newline`` is a line break plus the indent of the line ``obj`` starts
     on.  Types are tested in the stdlib's order: str (by the stdlib's own
     C quoting), None, bool, int, then lists, tuples and dicts with str
-    keys, then GRelation, written as ``default=_relation_json`` has it.
-    Anything else, a float or a Fraction included, raises TypeError:
-    reports hold no floats.  A container writes an item of type exactly
-    str or int itself, and a key with its indent as one f-string, built
-    without temporaries.  The stdlib runs its C encoder only without
-    ``indent``; with it, its generator per container cost more than twice
-    this writer's time.
+    keys, then GRelation, written by :func:`_write_relation`.  Anything
+    else, a float or a Fraction included, raises TypeError: reports hold
+    no floats.  A container writes an item of type exactly str or int
+    itself, and a key with its indent as one f-string, built without
+    temporaries.  The stdlib runs its C encoder only without ``indent``;
+    with it, its generator per container cost more than twice this
+    writer's time.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -481,14 +545,46 @@ def _write_json(obj, out: list, newline: str) -> None:
                 out.append(_quote(item))
             elif kind is int:
                 out.append(int.__repr__(item))
+            elif kind is GRelation:
+                _write_relation(item, out, inner)
             else:
                 _write_json(item, out, inner)
         out.append(newline + ("}" if mapping else "]"))
     elif isinstance(obj, GRelation):
-        _write_json(_relation_json(obj), out, newline)
+        _write_relation(obj, out, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                         f"serializable")
+
+
+def _write_relation(theta: GRelation, out: list, newline: str) -> None:
+    """Append ``theta`` as its list of ``{"class": label, "coeff": n}``
+    terms, as :func:`_write_json` would write that list, in one string.
+
+    Each term with a coefficient of type exactly int, which an f-string
+    formats as ``int.__repr__`` does, is one f-string at the list's
+    indent; any other coefficient takes the general route, so a float or
+    a Fraction is refused and a bool is written as ``json.dumps`` writes
+    it.
+    """
+    if not theta.coefficients:
+        out.append("[]")
+        return
+    classes = theta.group.subgroup_classes()
+    inner = newline + "  "
+    key = inner + "  "
+    terms = [f'{{{key}"class": {_quote(classes[idx].label)},{key}"coeff": '
+             f'{coeff}{inner}}}' if type(coeff) is int
+             else _json_text({"class": classes[idx].label, "coeff": coeff},
+                             inner)
+             for idx, coeff in theta.coefficients]
+    out.append(f"[{inner}{(',' + inner).join(terms)}{newline}]")
+
+
+def _json_text(obj, newline: str) -> str:
+    out = []
+    _write_json(obj, out, newline)
+    return "".join(out)
 
 
 @dataclass
@@ -519,12 +615,6 @@ class Report:
 def _frs(value) -> str:
     """An int or Fraction as ``"num/den"``."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def _relation_json(theta) -> list:
-    classes = theta.group.subgroup_classes()
-    return [{"class": classes[idx].label, "coeff": coeff}
-            for idx, coeff in theta.coefficients]
 
 
 def _verdict_report(command, head, title, verdict, relations):
@@ -600,9 +690,12 @@ def _cmd_regconst(args):
     group = parse_group_spec(args.spec)
     lattice = parse_lattice_expr(group, args.lattice)
     basis, pick = relation_basis(group), args.relation_index
-    if pick is not None and not 0 <= pick < len(basis):
-        raise ValidationError(f"relation index {pick} out of range; the basis "
-                              f"of {group.name} has {len(basis)} relations")
+    size = f"the basis of {group.name} has {len(basis)} relations"
+    if pick is not None:
+        pick = _parse_int(pick, "relation index", size)
+        if not 0 <= pick < len(basis):
+            raise ValidationError(f"relation index {pick} out of range; "
+                                  f"{size}")
     chosen = enumerate(basis) if pick is None else [(pick, basis[pick])]
     results = []
     for index, theta in chosen:
@@ -660,7 +753,10 @@ def _cmd_bouc(args):
     if args.spec is None:
         raise ParseError("bouc needs a group spec or --check <profile.json>")
     group = parse_group_spec(args.spec)
-    p = args.p if args.p is not None else _infer_prime(group)
+    p = (_infer_prime(group) if args.p is None else
+         _parse_int(args.p, "--p", f"primes are proven only below "
+                                   f"{_MILLER_RABIN_EXACT_BELOW}",
+                    ResourceError))
     generators = bouc_generators(group, p)
     payload = {"spec": args.spec, "group": group.name, "p": p,
                "count": len(generators), "relations": generators}
@@ -849,7 +945,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("spec")
     cmd.add_argument("lattice", help="lattice expression, e.g. Sum(A,Reg^2)")
     pick = cmd.add_mutually_exclusive_group()
-    pick.add_argument("--relation-index", type=int, default=None,
+    pick.add_argument("--relation-index", default=None,
                       metavar="K", help="evaluate on basis relation K only")
     pick.add_argument("--all", action="store_true",
                       help="evaluate on every basis relation (default)")
@@ -858,7 +954,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "of a p-group, or test the classical "
                                  "condition on a profile")
     cmd.add_argument("spec", nargs="?", default=None)
-    cmd.add_argument("--p", type=int, default=None,
+    cmd.add_argument("--p", default=None,
                      help="prime for a group spec (inferred for p-groups)")
     cmd.add_argument("--verify-span", action="store_true",
                      help="also verify the generators span the full "

@@ -243,6 +243,45 @@ def test_counts_past_the_int_digit_limit_are_refused_as_resource(capsys):
     assert parse_lattice_expr(group, "Z^0999").rank == 999
 
 
+def test_integers_past_the_int_digit_limit_are_out_of_range(capsys):
+    # int() refuses over 4,300 digits; a longer integer in a group spec or
+    # an option is out of range, in the category of a short value out of
+    # range, not unreadable
+    nines = "9" * 5000
+    for long, short in (
+            (["group", f"cyclic:{nines}"], ["group", "cyclic:1000"]),
+            (["group", f"dihedral:{nines}"], ["group", "dihedral:1000"]),
+            (["group", f"heisenberg:{nines}"], ["group", "heisenberg:1009"]),
+            (["group", f"elemab:{nines},2"], ["group", "elemab:1009,2"]),
+            (["group", f"elemab:2,{nines}"], ["group", "elemab:2,1000"]),
+            (["bouc", "cyclic:4", "--p", nines],
+             ["bouc", "cyclic:4", "--p", str(2 ** 89 - 1)]),
+            (["regconst", "elemab:2,2", "A", "--relation-index", nines],
+             ["regconst", "elemab:2,2", "A", "--relation-index", "7"])):
+        code, out, err = invoke(capsys, *long)
+        assert (code, out) == (2, "")
+        assert "of 5000 digits is out of range" in err
+        short_code, _, short_err = invoke(capsys, *short)
+        assert short_code == 2
+        assert err.split(":")[1] == short_err.split(":")[1]
+    # leading zeros do not count, and a short value reads as int() reads it
+    for text, order in (("0" * 5000 + "4", 4), ("\u0664", 4), ("+4", 4),
+                        (" 1_2 ", 12), ("9" * 4300, None)):
+        if order is None:
+            with pytest.raises(ValidationError, match="exceeds the supported"):
+                parse_group_spec(f"cyclic:{text}")
+        else:
+            assert parse_group_spec(f"cyclic:{text}").order == order
+    code, out, _ = invoke(capsys, "bouc", "cyclic:4", "--p", "0" * 5000 + "2")
+    assert code == 0 and out.startswith("classical generators of C4 at p=2")
+    for argv, message in (
+            (["bouc", "cyclic:4", "--p", "x"], "--p must be an integer"),
+            (["regconst", "elemab:2,2", "A", "--relation-index", "1.0"],
+             "relation index must be an integer")):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2 and err.startswith(f"error:parse:{message}")
+
+
 def test_tower_counts_are_read_by_their_significant_digits(capsys):
     # as with ^m, leading zeros do not count toward int()'s 4,300 digits,
     # and a count too long for int(), or whose rank is too long for str(),
@@ -279,6 +318,72 @@ def test_input_nested_past_the_recursion_limit_is_a_resource_error(
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "",
                                 "error:resource:recursion limit reached\n")
+
+
+class _CountingScan:
+    """The parser's scanning pattern, counting the characters that its
+    scans pass over."""
+
+    def __init__(self, pattern):
+        self.pattern, self.chars = pattern, 0
+
+    def finditer(self, text):
+        self.chars += len(text)
+        return self.pattern.finditer(text)
+
+    def search(self, text, pos, end):
+        found = self.pattern.search(text, pos, end)
+        self.chars += (found.end() if found else end) - pos
+        return found
+
+
+@pytest.mark.parametrize("parse, open_, leaf, close", [
+    (parse_group_spec, "product:cyclic:1;(", "cyclic:1", ")"),
+    (lambda text: parse_lattice_expr(parse_group_spec("cyclic:2"), text),
+     "Sum(Z,", "A", ")"),
+    (lambda text: parse_lattice_expr(parse_group_spec("cyclic:2"), text),
+     "Sum(", "A", ")^1"),
+])
+def test_nested_input_is_scanned_in_linear_time(monkeypatch, parse, open_,
+                                                leaf, close):
+    # one scan finds every bracket's match; splitting and unwrapping a
+    # piece jump over its bracketed parts, so a text nested n deep is not
+    # rescanned once per level (which would cost about n/2 times its
+    # length)
+    for depth in (10, 100, 400):
+        text = open_ * depth + leaf + close * depth
+        counting = _CountingScan(cli._SCANNED)
+        monkeypatch.setattr(cli, "_SCANNED", counting)
+        parse(text)
+        monkeypatch.undo()
+        assert len(text) <= counting.chars <= 3 * len(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("product:cyclic:2;cyclic:(3", "unbalanced bracket in "
+                                   "'cyclic:2;cyclic:(3'"),
+    ("product:cyclic:2);(cyclic:3", "unbalanced bracket at position 8 in "
+                                    "'cyclic:2);(cyclic:3'"),
+    ("perm:[(0,1)),(1,2)]", "unbalanced bracket at position 5 in "
+                            "'(0,1)),(1,2)'"),
+    ("semidirect:cyclic:3;cyclic:2;[(0,1,2),((0,2,1)]",
+     "unbalanced bracket in 'cyclic:3;cyclic:2;[(0,1,2),((0,2,1)]'"),
+])
+def test_unbalanced_brackets_are_named_within_their_piece(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_group_spec(text)
+    assert str(info.value) == message
+
+
+def test_outer_parentheses_are_unwrapped_as_depth_counting_has_it():
+    assert parse_group_spec(" ( (cyclic:3) ) ").order == 3
+    for text, message in (
+            ("(()", "group spec '(' has no parameters"),
+            ("(a:1)(b:2)", "unknown group kind '(a'"),
+            ("()", "empty group spec")):
+        with pytest.raises(ParseError) as info:
+            parse_group_spec(text)
+        assert message in str(info.value)
 
 
 def test_deep_nesting_that_reads_today_still_reads(capsys):
@@ -573,6 +678,14 @@ def written(obj):
     return "".join(out)
 
 
+def _relation_json(theta):
+    """A relation as the list of ``{"class", "coeff"}`` records that the
+    writer expands it into: the oracle for its one template per term."""
+    classes = theta.group.subgroup_classes()
+    return [{"class": classes[idx].label, "coeff": coeff}
+            for idx, coeff in theta.coefficients]
+
+
 _text = st.text(st.characters(exclude_categories=())
                 | st.sampled_from('"\\/\x00\x07\x1f\x7f\n\té€'
                                   '\U0001f600\U0010fc00\ud800\udfff'))
@@ -619,6 +732,41 @@ def test_writer_on_scalars_that_are_not_exactly_str_or_int():
         assert written(obj) == json.dumps(obj, indent=2)
 
 
+_RELATION_GROUP = parse_group_spec("dihedral:8")
+_relations = st.lists(
+    st.tuples(st.integers(0, len(_RELATION_GROUP.subgroup_classes()) - 1),
+              _ints.filter(bool)),
+    max_size=6, unique_by=lambda term: term[0]).map(
+    lambda terms: GRelation(_RELATION_GROUP, tuple(sorted(terms))))
+_relation_trees = st.recursive(
+    _relations | st.none() | _ints | _text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_trees)
+def test_writer_matches_json_dumps_on_relations_at_any_depth(obj):
+    # relations at top level, in lists and as dict values, the empty
+    # relation among them, with coefficients of either sign past 2^64
+    assert written(obj) == json.dumps(obj, indent=2, default=_relation_json)
+
+
+def test_writer_on_relation_coefficients_that_are_not_exactly_int():
+    # a bool and an int subclass are written as json.dumps writes them;
+    # a float or a Fraction is refused, as anywhere in a report
+    group = _RELATION_GROUP
+    for coeff in (True, False, _Level.HIGH, 2 ** 70, -(3 ** 50)):
+        for obj in (GRelation(group, ((0, 1), (2, coeff))),
+                    {"r": [GRelation(group, ((1, coeff),))]}):
+            assert written(obj) == json.dumps(obj, indent=2,
+                                              default=_relation_json)
+    for coeff in (1.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            written([GRelation(group, ((0, 1), (3, coeff)))])
+
+
 @pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {1: "x"},
                                  [{"a": [0.0]}], {"a": {None: 1}}, {1, 2},
                                  {"a": 1.5}, [1, 2.5],
@@ -648,7 +796,7 @@ def test_every_subcommand_prints_json_dumps_indent_2(capsys, argv):
     args = cli._build_parser().parse_args([*argv, "--json"])
     code, report = args.handler(args)
     expected = json.dumps({"command": report.command, **report.payload},
-                          indent=2, default=cli._relation_json) + "\n"
+                          indent=2, default=_relation_json) + "\n"
     assert invoke(capsys, *argv, "--json") == (code, expected, "")
 
 
@@ -870,13 +1018,14 @@ def test_bouc_verify_span_checks_each_generator_once(capsys, monkeypatch):
 ])
 def test_text_output_builds_no_relation_json(capsys, monkeypatch, argv):
     # the relations are expanded only by the --json writer; text output,
-    # which lists the same relations as lines, builds none of them
+    # which lists the same relations as lines, expands none of them, and
+    # --json expands each exactly once
     expected, argv = argv
     built = []
-    relation_json = cli._relation_json
-    monkeypatch.setattr(cli, "_relation_json",
-                        lambda theta: built.append(theta)
-                        or relation_json(theta))
+    write_relation = cli._write_relation
+    monkeypatch.setattr(cli, "_write_relation",
+                        lambda theta, *rest: built.append(theta)
+                        or write_relation(theta, *rest))
     code, out, _ = invoke(capsys, *argv)
     assert built == [] and "  [0] " in out
     json_code, out, _ = invoke(capsys, *argv, "--json")
@@ -884,6 +1033,7 @@ def test_text_output_builds_no_relation_json(capsys, monkeypatch, argv):
     written = (data["relations"] if "relations" in data
                else [res["relation"] for res in data["results"]])
     assert code == json_code == expected and len(built) == len(written) > 0
+    assert [_relation_json(theta) for theta in built] == written
 
 
 def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):
