@@ -88,68 +88,32 @@ def _check_rank(rank: int, text: str):
                             f"cap of {RANK_CAP}")
 
 
-# brackets, and the separators that specs and expressions are split at
-_SCANNED = re.compile(r"[()\[\];,^]")
+def _strip_outer_parens(text: str) -> str:
+    text = text.strip()
+    while text.startswith("(") and text.endswith(")"):
+        depth = 0
+        for pos, ch in enumerate(text):
+            depth += (ch in "([") - (ch in ")]")
+            if depth == 0 and pos < len(text) - 1:
+                return text
+        text = text[1:-1].strip()
+    return text
 
 
-class _Brackets:
-    """``text`` read once: each opening bracket's position mapped to that
-    of its match, ``(`` and ``[`` alike, as are ``)`` and ``]``.
-
-    A piece of ``text`` is a ``(start, end)`` range.  :meth:`split` and
-    :meth:`unwrap` jump over a piece's bracketed parts by their matches,
-    so each character is scanned at one level of nesting only, and a spec
-    nested n deep reads in time linear in its length, not in n times it.
-    """
-
-    def __init__(self, text: str):
-        self.text, self.match, opened = text, {}, []
-        for found in _SCANNED.finditer(text):
-            char = found.group()
-            if char in "([":
-                opened.append(found.start())
-            elif char in ")]" and opened:
-                self.match[opened.pop()] = found.start()
-
-    def trim(self, start: int, end: int) -> tuple:
-        text = self.text
-        while start < end and text[start].isspace():
-            start += 1
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        return start, end
-
-    def unwrap(self, start: int, end: int) -> tuple:
-        """The piece trimmed and without the parentheses around all of it;
-        an opening one unmatched within the piece counts as closed by its
-        last character, as depth counting has it."""
-        start, end = self.trim(start, end)
-        text = self.text
-        while (start < end and text[start] == "(" and text[end - 1] == ")"
-               and self.match.get(start, end) >= end - 1):
-            start, end = self.trim(start + 1, end - 1)
-        return start, end
-
-    def split(self, start: int, end: int, sep: str) -> list:
-        """The pieces between the ``sep``s of a piece at bracket depth
-        zero; a bracket unmatched within the piece is a parse error."""
-        text, parts, piece, pos = self.text, [], start, start
-        while found := _SCANNED.search(text, pos, end):
-            at, char = found.start(), found.group()
-            pos = at + 1
-            if char == sep:
-                parts.append((piece, at))
-                piece = pos
-            elif char in "([":
-                pos = self.match.get(at, end) + 1
-                if pos > end:
-                    raise ParseError(f"unbalanced bracket in "
-                                     f"{text[start:end]!r}")
-            elif char in ")]":
-                raise ParseError(f"unbalanced bracket at position "
-                                 f"{at - start} in {text[start:end]!r}")
-        parts.append((piece, end))
-        return parts
+def _split_top(text: str, sep: str) -> list:
+    """Split on ``sep`` at bracket depth zero."""
+    parts, depth, start = [], 0, 0
+    for pos, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if depth < 0:
+            raise ParseError(f"unbalanced bracket at position {pos} in {text!r}")
+        if ch == sep and depth == 0:
+            parts.append(text[start:pos])
+            start = pos + 1
+    if depth:
+        raise ParseError(f"unbalanced bracket in {text!r}")
+    parts.append(text[start:])
+    return parts
 
 
 def _significant(count: str) -> str:
@@ -159,20 +123,22 @@ def _significant(count: str) -> str:
 
 
 def _parse_int(text: str, what: str,
-               bound: str = f"the order cap is {DESK_SCALE_CAP}",
+               beyond: str = f"is out of range; the order cap is "
+                             f"{DESK_SCALE_CAP}",
                over=ValidationError) -> int:
-    """``text`` as int() reads it, leading zeros aside.  A decimal too
-    long for int() (over 4,300 significant digits) is out of range of
-    every caller: it raises ``over``, naming ``bound``."""
+    """``text`` as int() reads it, leading zeros aside.  A decimal that
+    int() refuses for its length (``sys.get_int_max_str_digits()``) raises
+    ``over``: "<what> of <n> digits <beyond>", ``n`` counted without
+    leading zeros; anything else int() refuses is a ParseError."""
     text = text.strip()
     sign = text[:1] if text[:1] in ("+", "-") else ""
     digits = text[len(sign):]
     if digits.isdecimal():
         digits = _significant(digits)
-        if len(digits) > 4300:
-            raise over(f"{what} of {len(digits)} digits is out of range; "
-                       f"{bound}")
-        return int(sign + (digits or "0"))
+        try:
+            return int(sign + (digits or "0"))
+        except ValueError:
+            raise over(f"{what} of {len(digits)} digits {beyond}") from None
     try:
         return int(text)
     except ValueError:
@@ -192,11 +158,10 @@ def _parse_tuples(text: str, what: str) -> list:
     inner = text[1:-1].strip()
     if not inner:
         raise ParseError(f"{what} must not be empty")
-    return [inner[start:end].strip() for start, end
-            in _Brackets(inner).split(0, len(inner), ",")]
+    return [part.strip() for part in _split_top(inner, ",")]
 
 
-def _parse_point_tuple(text: str, what: str) -> tuple:
+def _parse_point_tuple(text: str, what: str, *beyond) -> tuple:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"{what} must be parenthesized, got {text!r}")
@@ -204,7 +169,8 @@ def _parse_point_tuple(text: str, what: str) -> tuple:
     if not inner:
         return ()
     pieces = inner.split(",") if "," in inner else inner.split()
-    return tuple(_parse_int(piece, f"entry of {what}") for piece in pieces)
+    return tuple(_parse_int(piece, f"entry of {what}", *beyond)
+                 for piece in pieces)
 
 
 def _parse_cycle_generators(text: str) -> list:
@@ -218,7 +184,11 @@ def _parse_cycle_generators(text: str) -> list:
             close = rest.index(")") if ")" in rest else -1
             if close < 0:
                 raise ParseError(f"unclosed cycle in {text!r}")
-            cycles.append(_parse_point_tuple(rest[:close + 1], "cycle"))
+            # a point is a label, of no bound: one int() cannot read is
+            # unreadable, not out of range
+            cycles.append(_parse_point_tuple(
+                rest[:close + 1], "cycle", "is too long for int() to read",
+                ParseError))
             rest = rest[close + 1:].strip()
         raw_gens.append(cycles)
     points = sorted({pt for cycles in raw_gens for cyc in cycles for pt in cyc})
@@ -245,43 +215,18 @@ def _parse_cycle_generators(text: str) -> list:
 
 def parse_group_spec(text: str) -> Group:
     """Build a group from the mini-language (see ``--help`` for the kinds)."""
-    scanned = _Brackets(str(text))
-    return _group_spec(scanned, 0, len(scanned.text))
-
-
-def _group_spec(scanned: _Brackets, start: int, end: int) -> Group:
-    start, end = scanned.unwrap(start, end)
-    text = scanned.text
-    if start == end:
+    spec = _strip_outer_parens(str(text))
+    if not spec:
         raise ParseError("empty group spec")
-    colon = text.find(":", start, end)
-    head = text[start:end if colon < 0 else colon].strip()
+    head, sep, rest = spec.partition(":")
+    head = head.strip()
     if head == "quaternion8":
-        if colon >= 0:
+        if sep:
             raise ParseError("quaternion8 takes no parameters")
         return quaternion_group()
-    if colon < 0:
-        raise ParseError(f"group spec {text[start:end]!r} has no parameters "
-                         f"after the kind; known kinds: {_KINDS}")
-    if head in ("product", "semidirect"):
-        parts = scanned.split(colon + 1, end, ";")
-        if head == "product":
-            if len(parts) != 2:
-                raise ParseError(f"product takes two sub-specs joined by "
-                                 f"';', got {len(parts)} in "
-                                 f"{text[colon + 1:end]!r}")
-            return direct_product(_group_spec(scanned, *parts[0]),
-                                  _group_spec(scanned, *parts[1]))
-        if len(parts) != 3:
-            raise ParseError(f"semidirect takes a;b;[action], got "
-                             f"{text[colon + 1:end]!r}")
-        acting = _group_spec(scanned, *parts[1])
-        base = _group_spec(scanned, *parts[0])
-        action = [_parse_point_tuple(entry, "action entry")
-                  for entry in _parse_tuples(text[slice(*parts[2])],
-                                             "action list")]
-        return semidirect_product(base, acting, action)
-    rest = text[colon + 1:end]
+    if not sep:
+        raise ParseError(f"group spec {spec!r} has no parameters after the "
+                         f"kind; known kinds: {_KINDS}")
     if head == "cyclic":
         return cyclic_group(_parse_int(rest, "cyclic order"))
     if head == "dihedral":
@@ -297,6 +242,22 @@ def _group_spec(scanned: _Brackets, start: int, end: int) -> Group:
     if head == "perm":
         gens = _parse_cycle_generators(rest)
         return group_from_generators(gens)
+    if head == "product":
+        parts = _split_top(rest, ";")
+        if len(parts) != 2:
+            raise ParseError(f"product takes two sub-specs joined by ';', "
+                             f"got {len(parts)} in {rest!r}")
+        return direct_product(parse_group_spec(parts[0]),
+                              parse_group_spec(parts[1]))
+    if head == "semidirect":
+        parts = _split_top(rest, ";")
+        if len(parts) != 3:
+            raise ParseError(f"semidirect takes a;b;[action], got {rest!r}")
+        acting = parse_group_spec(parts[1])
+        base = parse_group_spec(parts[0])
+        action = [_parse_point_tuple(entry, "action entry")
+                  for entry in _parse_tuples(parts[2], "action list")]
+        return semidirect_product(base, acting, action)
     raise ParseError(f"unknown group kind {head!r}; known kinds: {_KINDS}")
 
 
@@ -313,42 +274,39 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
 
     A term splits at its top-level ``^`` into a head and its counts; the
     head is ``Name`` or ``Name(args)``, whose args split at top-level commas
-    (both by :meth:`_Brackets.split`, on one scan of the whole text).  Each
-    named atom is built once; the rank of every direct sum is checked
-    against :data:`RANK_CAP` before its blocks are built.  An error names
-    the piece that could not be read and quotes the whole expression.
+    (both by :func:`_split_top`).  Each named atom is built once; the rank
+    of every direct sum is checked against :data:`RANK_CAP` before its
+    blocks are built.  An error names the piece that could not be read and
+    quotes the whole expression.
     """
-    scanned = _Brackets(str(text))
-    text = scanned.text
+    text = str(text)
     built: dict = {}
 
-    def term(start: int, end: int) -> GLattice:
-        (start, end), *counts = scanned.split(start, end, "^")
-        start, end = scanned.trim(start, end)
-        paren = text.find("(", start, end)
-        name = text[start:end if paren < 0 else paren].strip()
-        args = (scanned.split(paren + 1, end - 1, ",")
-                if 0 <= paren < end - 1 and text[end - 1] == ")" else None)
-        if paren < 0 and name in _ATOMS:
+    def term(piece: str) -> GLattice:
+        head, *counts = _split_top(piece, "^")
+        name, paren, rest = head.strip().partition("(")
+        name = name.strip()
+        args = _split_top(rest[:-1], ",") if rest.endswith(")") else None
+        if not paren and name in _ATOMS:
             if name not in built:
                 built[name] = _ATOMS[name](group)
             out = built[name]
         elif name == "Sum" and args is not None:
-            parts = [term(*arg) for arg in args]
+            parts = [term(arg) for arg in args]
             _check_rank(sum(part.rank for part in parts), text)
             out = direct_sum(*parts)
         elif name == "Coset" and args is not None and len(args) == 1:
             # keyed apart from the atom names, so Coset(A) is not A
-            key = ("Coset", text[slice(*args[0])].strip())
+            key = ("Coset", args[0].strip())
             if key not in built:
                 built[key] = coset_lattice(group, key[1])
             out = built[key]
         else:
             raise ParseError(f"lattice expression {text!r}: cannot read "
-                             f"{text[start:end]!r} (know A, I, Z, Reg, "
+                             f"{head.strip()!r} (know A, I, Z, Reg, "
                              f"Coset(label), Sum(e1,e2,...))")
-        for count_start, count_end in counts:
-            count = text[count_start:count_end].strip()
+        for count in counts:
+            count = count.strip()
             digits = _significant(count) if count.isdecimal() else ""
             if len(digits) > len(str(RANK_CAP)):
                 raise ResourceError(f"lattice expression {text!r}: a count "
@@ -363,7 +321,7 @@ def parse_lattice_expr(group: Group, text: str) -> GLattice:
             out = direct_sum(*[out] * m)
         return out
 
-    return term(0, len(text))
+    return term(text)
 
 
 # -- profiles and value files --------------------------------------------------
@@ -692,7 +650,7 @@ def _cmd_regconst(args):
     basis, pick = relation_basis(group), args.relation_index
     size = f"the basis of {group.name} has {len(basis)} relations"
     if pick is not None:
-        pick = _parse_int(pick, "relation index", size)
+        pick = _parse_int(pick, "relation index", f"is out of range; {size}")
         if not 0 <= pick < len(basis):
             raise ValidationError(f"relation index {pick} out of range; "
                                   f"{size}")
@@ -754,8 +712,8 @@ def _cmd_bouc(args):
         raise ParseError("bouc needs a group spec or --check <profile.json>")
     group = parse_group_spec(args.spec)
     p = (_infer_prime(group) if args.p is None else
-         _parse_int(args.p, "--p", f"primes are proven only below "
-                                   f"{_MILLER_RABIN_EXACT_BELOW}",
+         _parse_int(args.p, "--p", f"is out of range; primes are proven "
+                                   f"only below {_MILLER_RABIN_EXACT_BELOW}",
                     ResourceError))
     generators = bouc_generators(group, p)
     payload = {"spec": args.spec, "group": group.name, "p": p,

@@ -264,6 +264,11 @@ def test_integers_past_the_int_digit_limit_are_out_of_range(capsys):
         short_code, _, short_err = invoke(capsys, *short)
         assert short_code == 2
         assert err.split(":")[1] == short_err.split(":")[1]
+    # a cycle point is a label, of no bound: one too long for int() is
+    # unreadable, and says so
+    assert invoke(capsys, "group", f"perm:[(0,{'9' * 4301})]") == (
+        2, "", "error:parse:entry of cycle of 4301 digits is too long for "
+               "int() to read\n")
     # leading zeros do not count, and a short value reads as int() reads it
     for text, order in (("0" * 5000 + "4", 4), ("\u0664", 4), ("+4", 4),
                         (" 1_2 ", 12), ("9" * 4300, None)):
@@ -280,6 +285,22 @@ def test_integers_past_the_int_digit_limit_are_out_of_range(capsys):
              "relation index must be an integer")):
         code, _, err = invoke(capsys, *argv)
         assert code == 2 and err.startswith(f"error:parse:{message}")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+def test_a_lowered_int_digit_limit_is_the_one_read(capsys):
+    # -X int_max_str_digits or PYTHONINTMAXSTRDIGITS may lower int()'s
+    # limit, to 640 at least; a value past it is out of range all the same
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = invoke(capsys, "group", "cyclic:" + "9" * 1000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:validation:cyclic order of 1000 digits is "
+                          "out of range")
 
 
 def test_tower_counts_are_read_by_their_significant_digits(capsys):
@@ -318,45 +339,6 @@ def test_input_nested_past_the_recursion_limit_is_a_resource_error(
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "",
                                 "error:resource:recursion limit reached\n")
-
-
-class _CountingScan:
-    """The parser's scanning pattern, counting the characters that its
-    scans pass over."""
-
-    def __init__(self, pattern):
-        self.pattern, self.chars = pattern, 0
-
-    def finditer(self, text):
-        self.chars += len(text)
-        return self.pattern.finditer(text)
-
-    def search(self, text, pos, end):
-        found = self.pattern.search(text, pos, end)
-        self.chars += (found.end() if found else end) - pos
-        return found
-
-
-@pytest.mark.parametrize("parse, open_, leaf, close", [
-    (parse_group_spec, "product:cyclic:1;(", "cyclic:1", ")"),
-    (lambda text: parse_lattice_expr(parse_group_spec("cyclic:2"), text),
-     "Sum(Z,", "A", ")"),
-    (lambda text: parse_lattice_expr(parse_group_spec("cyclic:2"), text),
-     "Sum(", "A", ")^1"),
-])
-def test_nested_input_is_scanned_in_linear_time(monkeypatch, parse, open_,
-                                                leaf, close):
-    # one scan finds every bracket's match; splitting and unwrapping a
-    # piece jump over its bracketed parts, so a text nested n deep is not
-    # rescanned once per level (which would cost about n/2 times its
-    # length)
-    for depth in (10, 100, 400):
-        text = open_ * depth + leaf + close * depth
-        counting = _CountingScan(cli._SCANNED)
-        monkeypatch.setattr(cli, "_SCANNED", counting)
-        parse(text)
-        monkeypatch.undo()
-        assert len(text) <= counting.chars <= 3 * len(text)
 
 
 @pytest.mark.parametrize("text, message", [
