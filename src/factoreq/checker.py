@@ -20,13 +20,12 @@ only, by R on a relation whose every class carries R, else by w, h_p and
 lambda, so it accepts an R with primes outside |G|.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DataError, ValidationError
 from .groups import Group
 from .intmat import (
-    _rational,
     is_prime,
     power_product,
     prime_factorization,
@@ -92,15 +91,15 @@ class ArithmeticProfile:
             if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ValidationError(
                     f"{name} on class {cls.label} must be a positive integer")
-        if entry.regulator is not None:
-            try:  # only an int or a Fraction: 0.1 is not 1/10 in binary
-                reg = _rational(entry.regulator)
-            except ValidationError:
-                reg = None
-            if reg is None or reg <= 0:
+        reg = entry.regulator
+        if reg is not None:
+            # only an int or a Fraction: 0.1 is not 1/10 in binary; the sign
+            # is the numerator's, and only an int is made a Fraction
+            if type(reg) not in (int, Fraction) or reg.numerator <= 0:
                 raise ValidationError(f"regulator on class {cls.label} must "
                                       f"be a positive rational")
-            entry = ClassData(entry.h, entry.h_p, entry.w, entry.lam, reg)
+            if type(reg) is int:
+                entry = replace(entry, regulator=Fraction(reg))
         if entry.h_p is not None:
             if self.p is None:
                 raise ValidationError(

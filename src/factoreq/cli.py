@@ -21,6 +21,7 @@ from fractions import Fraction
 from .checker import (
     ArithmeticProfile,
     ClassData,
+    Verdict,
     bouc_condition_check,
     brauer_kuroda_check,
     minkowski_factor_check,
@@ -399,9 +400,9 @@ def profile_from_data(data, source: str = "profile") -> ArithmeticProfile:
         if not isinstance(entry.get("label"), str):
             raise ParseError(f"{where}: field 'label' must be a class label "
                              f"string")
-        label = _resolve_label(group, entry["label"], where).label
-        if label in table:
-            raise ParseError(f"{where}: duplicate label {label!r}")
+        cls = _resolve_label(group, entry["label"], where)
+        if cls in table:
+            raise ParseError(f"{where}: duplicate label {cls.label!r}")
         fields = {}
         for key, target in (("h", "h"), ("h_p", "h_p"), ("w", "w"),
                             ("lambda", "lam")):
@@ -409,7 +410,8 @@ def profile_from_data(data, source: str = "profile") -> ArithmeticProfile:
                 fields[target] = _require_int(entry, key, where)
         if "R" in entry:
             fields["regulator"] = _parse_rational(entry["R"], f"{where}: 'R'")
-        table[label] = ClassData(**fields)
+        table[cls] = ClassData(**fields)
+    # keyed by the classes themselves, so no label is looked up twice
     return ArithmeticProfile(group, table, p=p,
                              totally_real=data.get("totally_real", False),
                              odd_degree=data.get("odd_degree", False))
@@ -419,13 +421,25 @@ def parse_profile(path: str) -> ArithmeticProfile:
     """Load and validate a profile JSON file (UTF-8)."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read profile {path!r}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
+    return profile_from_data(_decode_json(text, path), source=path)
+
+
+def _decode_json(text: str, source: str):
+    """``text`` as JSON: a ParseError where it is not JSON, and a
+    ResourceError naming ``source`` where it holds an integer longer than
+    ``int()`` reads (``sys.get_int_max_str_digits()``)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:  # a ValueError, so caught first
+        raise ParseError(f"{source}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
-    return profile_from_data(data, source=path)
+    except ValueError:
+        raise ResourceError(f"{source}: an integer has more than "
+                            f"{sys.get_int_max_str_digits()} digits, more "
+                            f"than int() reads") from None
 
 
 def _load_value_table(arg: str):
@@ -440,11 +454,7 @@ def _load_value_table(arg: str):
         except OSError as exc:
             raise DataError(f"cannot read values {arg!r}: "
                             f"{exc.strerror or exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}")
+    data = _decode_json(text, source)
     if not isinstance(data, dict):
         raise ParseError(f"{source}: values must be a JSON object mapping "
                          f"class labels to rationals")
@@ -463,7 +473,8 @@ def _write_json(obj, out: list, newline: str) -> None:
     ``newline`` is a line break plus the indent of the line ``obj`` starts
     on.  Types are tested in the stdlib's order: str (by the stdlib's own
     C quoting), None, bool, int, then lists, tuples and dicts with str
-    keys, then GRelation, written by :func:`_write_relation`.  Anything
+    keys, then GRelation and a verdict's :class:`_Results`, written by
+    :func:`_write_relation` and :func:`_write_results`.  Anything
     else, a float or a Fraction included, raises TypeError: reports hold
     no floats.  A container writes an item of type exactly str or int
     itself, and a key with its indent as one f-string, built without
@@ -505,17 +516,22 @@ def _write_json(obj, out: list, newline: str) -> None:
                 out.append(int.__repr__(item))
             elif kind is GRelation:
                 _write_relation(item, out, inner)
+            elif kind is _Results:
+                _write_results(item, out, inner)
             else:
                 _write_json(item, out, inner)
         out.append(newline + ("}" if mapping else "]"))
     elif isinstance(obj, GRelation):
         _write_relation(obj, out, newline)
+    elif isinstance(obj, _Results):
+        _write_results(obj, out, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                         f"serializable")
 
 
-def _write_relation(theta: GRelation, out: list, newline: str) -> None:
+def _write_relation(theta: GRelation, out: list, newline: str,
+                    labels=None) -> None:
     """Append ``theta`` as its list of ``{"class": label, "coeff": n}``
     terms, as :func:`_write_json` would write that list, in one string.
 
@@ -523,7 +539,8 @@ def _write_relation(theta: GRelation, out: list, newline: str) -> None:
     formats as ``int.__repr__`` does, is one f-string at the list's
     indent; any other coefficient takes the general route, so a float or
     a Fraction is refused and a bool is written as ``json.dumps`` writes
-    it.
+    it.  ``labels``, if given, holds the quoted label of each class of
+    theta's group, made once per report; else each term quotes its own.
     """
     if not theta.coefficients:
         out.append("[]")
@@ -531,12 +548,78 @@ def _write_relation(theta: GRelation, out: list, newline: str) -> None:
     classes = theta.group.subgroup_classes()
     inner = newline + "  "
     key = inner + "  "
-    terms = [f'{{{key}"class": {_quote(classes[idx].label)},{key}"coeff": '
-             f'{coeff}{inner}}}' if type(coeff) is int
+    terms = [f'{{{key}"class": '
+             f'{_quote(classes[idx].label) if labels is None else labels[idx]}'
+             f',{key}"coeff": {coeff}{inner}}}' if type(coeff) is int
              else _json_text({"class": classes[idx].label, "coeff": coeff},
                              inner)
              for idx, coeff in theta.coefficients]
     out.append(f"[{inner}{(',' + inner).join(terms)}{newline}]")
+
+
+@dataclass(frozen=True)
+class _Results:
+    """The ``results`` of a verdict report, which only the JSON writer
+    expands (:func:`_write_results`): per relation in order, a record
+    ``{"relation_index", "relation", "residual", "passed", "factors"}``
+    whose factors are ``{"class", "base", "exponent"}``."""
+
+    relations: tuple
+    verdict: Verdict
+
+
+def _write_results(results: _Results, out: list, newline: str) -> None:
+    """Append ``results`` as :func:`_write_json` would write its records.
+
+    Each record is one template around its relation, written by
+    :func:`_write_relation` from labels quoted once per report.  Each
+    distinct (label, base) makes its factor's text up to the exponent
+    once, keyed on the base's numerator and denominator, since a
+    Fraction's own hash is slow.  A factor whose base is not exactly an int or a
+    Fraction, or whose exponent is not exactly an int, takes the general
+    route, so a float exponent is refused.
+    """
+    verdict = results.verdict
+    rows = list(zip(results.relations, verdict.residuals,
+                    verdict.explanations))
+    if not rows:
+        out.append("[]")
+        return
+    group = rows[0][0].group
+    labels = [_quote(cls.label) for cls in group.subgroup_classes()]
+    inner = newline + "  "      # a record's braces
+    key = inner + "  "          # its keys
+    term = key + "  "           # a factor's braces
+    field = term + "  "         # its keys
+    heads = {}
+    head = "[" + inner
+    for index, (theta, residual, breakdown) in enumerate(rows):
+        out.append(f'{head}{{{key}"relation_index": {index},{key}"relation": ')
+        head = "," + inner
+        _write_relation(theta, out, key,
+                        labels if theta.group is group else None)
+        factors = []
+        for label, base, exponent in breakdown:
+            kind = type(base)
+            if type(exponent) is not int or (kind is not int
+                                             and kind is not Fraction):
+                factors.append(_json_text({"class": label, "base": _frs(base),
+                                           "exponent": exponent}, term))
+                continue
+            ints = ((label, base, 1) if kind is int
+                    else (label, base.numerator, base.denominator))
+            text = heads.get(ints)
+            if text is None:
+                text = heads[ints] = (f'{{{field}"class": {_quote(label)},'
+                                      f'{field}"base": "{_frs(base)}",'
+                                      f'{field}"exponent": ')
+            factors.append(f"{text}{exponent}{term}}}")
+        factors = (f"[{term}{(',' + term).join(factors)}{key}]" if factors
+                   else "[]")
+        out.append(f',{key}"residual": "{_frs(residual)}",{key}"passed": '
+                   f'{"true" if residual == 1 else "false"},{key}"factors": '
+                   f'{factors}{inner}}}')
+    out.append(newline + "]")
 
 
 def _json_text(obj, newline: str) -> str:
@@ -571,29 +654,29 @@ class Report:
 
 
 def _frs(value) -> str:
-    """An int or Fraction as ``"num/den"``."""
-    return f"{value.numerator}/{value.denominator}"
+    """An int or Fraction as ``"num/den"``; a ResourceError if either is
+    longer than ``str()`` writes (``sys.get_int_max_str_digits()``)."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ResourceError(f"an exact result has more than "
+                            f"{sys.get_int_max_str_digits()} digits, more "
+                            f"than str() writes") from None
 
 
 def _verdict_report(command, head, title, verdict, relations):
     """Exit code and report of ``verdict`` on ``relations``: ``head``, the
     overall answer and a result per relation; the text opens with ``title``."""
-    results = [{"relation_index": index, "relation": theta,
-                "residual": _frs(residual), "passed": residual == 1,
-                "factors": [{"class": label, "base": _frs(base),
-                             "exponent": exponent}
-                            for label, base, exponent in breakdown]}
-               for index, (theta, residual, breakdown) in enumerate(
-                   zip(relations, verdict.residuals, verdict.explanations))]
+    results = _Results(tuple(relations), verdict)
 
     def lines():
         yield title
-        if not results:
+        rows = list(zip(results.relations, verdict.residuals))
+        if not rows:
             yield "  no relations: vacuously true"
-        for res in results:
-            yield (f"  [{res['relation_index']}] "
-                   f"{'ok ' if res['passed'] else 'FAIL'} residual "
-                   f"{res['residual']}  ({res['relation'].describe()})")
+        for index, (theta, residual) in enumerate(rows):
+            yield (f"  [{index}] {'ok ' if residual == 1 else 'FAIL'} "
+                   f"residual {_frs(residual)}  ({theta.describe()})")
         yield f"overall: {'true' if verdict.overall else 'false'}"
     payload = {**head, "overall": verdict.overall, "results": results}
     return (0 if verdict.overall else 1), Report(command, payload, lines())

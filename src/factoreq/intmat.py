@@ -506,18 +506,32 @@ def is_prime(n) -> bool:
 
 
 def valuation(x, p: int) -> int:
-    """v_p(x) of a positive int or Fraction, by repeated division by p.
-
-    Costs O(v_p) divisions however large the other prime factors are.
+    """v_p(x) of a positive int or Fraction, by :func:`_int_valuation` of
+    its numerator and denominator; an int is read as it is, without a
+    Fraction.
     """
-    x = Fraction(x)
+    if type(x) is not int:
+        x = Fraction(x)
     if x <= 0 or p < 2:
         raise ValueError("valuations need a positive rational and p >= 2")
-    out = 0
-    for part, sign in ((x.numerator, 1), (x.denominator, -1)):
-        while part % p == 0:
-            part //= p
-            out += sign
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def _int_valuation(n: int, p: int) -> int:
+    """v_p(n) of a positive int: divide by p, p^2, p^4, ... while they
+    divide, then by the same powers from the top down, as the bits of what
+    is left.  O(log v_p) divisions, however large the other prime factors
+    are."""
+    powers, q = [], p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    out = (1 << len(powers)) - 1
+    for bit in range(len(powers) - 1, -1, -1):
+        if n % powers[bit] == 0:
+            n //= powers[bit]
+            out += 1 << bit
     return out
 
 

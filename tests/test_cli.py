@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factoreq import cli, relations
-from factoreq.checker import ArithmeticProfile
+from factoreq.checker import ArithmeticProfile, ClassData, Verdict
 from factoreq.cli import (
     _candidate_lattice,
     parse_group_spec,
@@ -588,6 +588,91 @@ def test_parse_profile_bad_json(tmp_path):
         parse_profile(str(tmp_path / "absent.json"))
 
 
+PROFILE_ERRORS = [  # (fields over an elemab:2,2 profile at p=2, stderr)
+    ({"classes": [{"label": "o2#0", "h": 1}, {"label": "o2#0", "h": 2}]},
+     "error:parse:{path}: classes[1]: duplicate label 'o2#0'"),
+    ({"classes": [{"label": "o3#0"}]},
+     "error:data:{path}: classes[0]: unknown class label 'o3#0' for (2^2); "
+     "valid labels: o1#0, o2#0, o2#1, o2#2, o4#0"),
+    ({"classes": [{"label": 3}]},
+     "error:parse:{path}: classes[0]: field 'label' must be a class label "
+     "string"),
+    ({"classes": [{"label": "o2#1", "hp": 1}]},
+     "error:parse:{path}: classes[0]: unknown field 'hp' (allowed: R, h, "
+     "h_p, label, lambda, w)"),
+    ({"classes": [{"label": "o2#1", "w": True}]},
+     "error:parse:{path}: classes[0]: field 'w' must be an integer, got "
+     "True"),
+    ({"classes": [{"label": "o2#1", "R": 1.5}]},
+     "error:parse:{path}: classes[0]: 'R' must be an exact rational "
+     "(\"num/den\" string or integer), not a float"),
+    ({"classes": [{"label": "o2#1", "h": 0}]},
+     "error:validation:h on class o2#1 must be a positive integer"),
+    ({"classes": [{"label": "o2#0", "h_p": 6}]},
+     "error:validation:h_p on class o2#0 must be a power of 2"),
+    ({"classes": [{"label": "o1#0", "R": "-1/2"}]},
+     "error:validation:regulator on class o1#0 must be a positive rational"),
+    ({"classes": [{"label": "o1#0", "R": 0}]},
+     "error:validation:regulator on class o1#0 must be a positive rational"),
+    ({"classes": [{"label": "o1#0", "lambda": 2}]},
+     "error:validation:lambda of the trivial subgroup is 1 identically"),
+    ({"p": 4}, "error:validation:4 is not a prime"),
+    ({"p": None, "classes": [{"label": "o2#0", "h_p": 2}]},
+     "error:validation:h_p on class o2#0 given without declaring p"),
+]
+
+
+@pytest.mark.parametrize("fields, message", PROFILE_ERRORS)
+def test_profile_errors_keep_their_messages(capsys, tmp_path, fields,
+                                            message):
+    # the CLI validates each class once, through ArithmeticProfile, with
+    # the messages and categories it always gave
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"group": "elemab:2,2", "p": 2, **fields}))
+    assert invoke(capsys, "bk-check", str(path)) == (
+        2, "", message.format(path=path) + "\n")
+
+
+PROFILE_FIXTURES = ["elemab32_good.json", "elemab32_bad.json",
+                    "v4_consistent.json", "v4_perturbed.json"]
+
+
+@pytest.mark.parametrize("name", PROFILE_FIXTURES)
+def test_every_kind_of_class_key_gives_the_cli_data(name):
+    # the library takes labels, indices and classes as keys, and dicts or
+    # ClassData as entries, with R an int or a Fraction, by one route: each
+    # gives the data the CLI reads from the file, R always a Fraction
+    via_cli = parse_profile(fixture(name))
+    group = via_cli.group
+    with open(fixture(name), encoding="utf-8") as handle:
+        raw = json.load(handle)
+    renamed = {"lambda": "lam", "R": "regulator"}
+    for as_int in (False, True):  # an integral R as a Fraction, or an int
+        entries = {}
+        for entry in raw["classes"]:
+            fields = {renamed.get(key, key): value
+                      for key, value in entry.items() if key != "label"}
+            if "regulator" in fields:
+                reg = Fraction(fields["regulator"])
+                fields["regulator"] = (reg.numerator
+                                       if as_int and reg.denominator == 1
+                                       else reg)
+            entries[group.class_by_label(entry["label"])] = fields
+        for key in (lambda cls: cls.label, lambda cls: cls.index,
+                    lambda cls: cls):
+            for make in (dict, lambda fields: ClassData(**fields)):
+                profile = ArithmeticProfile(
+                    group, {key(cls): make(fields)
+                            for cls, fields in entries.items()},
+                    p=raw.get("p"),
+                    totally_real=raw.get("totally_real", False),
+                    odd_degree=raw.get("odd_degree", False))
+                assert profile.data == via_cli.data
+                assert all(type(entry.regulator) is Fraction
+                           for entry in profile.data.values()
+                           if entry.regulator is not None)
+
+
 # -- run(): reports and exit codes ---------------------------------------------
 
 
@@ -666,6 +751,35 @@ def _relation_json(theta):
     classes = theta.group.subgroup_classes()
     return [{"class": classes[idx].label, "coeff": coeff}
             for idx, coeff in theta.coefficients]
+
+
+def _ratio(value):
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _results_json(results):
+    """A verdict's results as the records, one dict per result and per
+    factor, that the writer expands them into: the oracle for its one
+    template per result."""
+    verdict = results.verdict
+    return [{"relation_index": index, "relation": theta,
+             "residual": _ratio(residual), "passed": residual == 1,
+             "factors": [{"class": label, "base": _ratio(base),
+                          "exponent": exponent}
+                         for label, base, exponent in breakdown]}
+            for index, (theta, residual, breakdown) in enumerate(
+                zip(results.relations, verdict.residuals,
+                    verdict.explanations))]
+
+
+def _expanded(obj):
+    """``json.dumps``'s ``default``: the dict route of every object that a
+    report holds for the writer to expand."""
+    if isinstance(obj, GRelation):
+        return _relation_json(obj)
+    if isinstance(obj, cli._Results):
+        return _results_json(obj)
+    raise TypeError(f"{type(obj).__name__} is not expanded by the writer")
 
 
 _text = st.text(st.characters(exclude_categories=())
@@ -758,6 +872,61 @@ def test_writer_refuses_floats_fractions_and_non_str_keys(obj):
         written(obj)
 
 
+_bases = (st.integers(1, 12) | st.sampled_from([2 ** 70, 3 ** 45])
+          | st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
+_factors = st.lists(
+    st.tuples(st.sampled_from([cls.label for cls in
+                               _RELATION_GROUP.subgroup_classes()]
+                              + ["Tower(1)", "\u00e9\"\\"]),
+              _bases, st.integers(-3, 3)),
+    max_size=6)
+
+
+def _verdict_of(breakdowns):
+    residuals = []
+    for breakdown in breakdowns:
+        residual = Fraction(1)
+        for _, base, exponent in breakdown:
+            residual *= Fraction(base) ** exponent
+        residuals.append(residual)
+    return Verdict(tuple(residuals), all(r == 1 for r in residuals),
+                   tuple(map(tuple, breakdowns)))
+
+
+_results = st.lists(st.tuples(_relations, _factors), max_size=5).map(
+    lambda rows: cli._Results(tuple(theta for theta, _ in rows),
+                              _verdict_of([factors for _, factors in rows])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_results | _relations | _ints,
+                    lambda inner: (st.lists(inner, max_size=3)
+                                   | st.dictionaries(_text, inner,
+                                                     max_size=3)),
+                    max_leaves=6))
+def test_writer_matches_json_dumps_on_verdict_results(obj):
+    # results at top level, in lists and as dict values; int and Fraction
+    # bases, equal ones of either type among them, exponents of either
+    # sign, labels that are no class (a candidate lattice's) and the empty
+    # results list and breakdown
+    assert written(obj) == json.dumps(obj, indent=2, default=_expanded)
+
+
+def test_writer_on_verdict_values_that_are_not_exactly_int_or_fraction():
+    # an int subclass base and a bool or int subclass exponent are written
+    # as json.dumps writes the dict route; a float exponent is refused
+    theta = GRelation(_RELATION_GROUP, ((0, 1), (2, -1)))
+    for base, exponent in ((_Level.HIGH, 1), (3, True), (Fraction(3), False),
+                           (Fraction(1, 3), _Level.HIGH), (True, 2)):
+        results = cli._Results((theta,), _verdict_of(
+            [[("o1#0", base, exponent), ("o2#0", 3, 1)]]))
+        assert written({"results": results}) == json.dumps(
+            {"results": results}, indent=2, default=_expanded)
+    verdict = Verdict((Fraction(1),), True, ((("o1#0", 1, 1.5),),))
+    with pytest.raises(TypeError):
+        written([cli._Results((theta,), verdict)])
+
+
 EVERY_SUBCOMMAND = [
     ["group", "dihedral:8"],
     ["relations", "elemab:3,2"],
@@ -778,7 +947,7 @@ def test_every_subcommand_prints_json_dumps_indent_2(capsys, argv):
     args = cli._build_parser().parse_args([*argv, "--json"])
     code, report = args.handler(args)
     expected = json.dumps({"command": report.command, **report.payload},
-                          indent=2, default=_relation_json) + "\n"
+                          indent=2, default=_expanded) + "\n"
     assert invoke(capsys, *argv, "--json") == (code, expected, "")
 
 
@@ -964,6 +1133,140 @@ def test_bk_check_factors_reassemble_the_residual(capsys):
                 == [term["class"] for term in result["relation"]])
 
 
+def _elemab24_profile(seed):
+    """A (2^4) profile shaped like the benchmark's: every one of the 67
+    classes with h, a power h_p of 2, w, lambda and R, mostly failing."""
+    rng = random.Random(seed)
+    group = parse_group_spec("elemab:2,4")
+    classes = []
+    for cls in group.subgroup_classes():
+        lam = 1 if cls.order == 1 else rng.choice([1, 2])
+        classes.append({"label": cls.label, "h": rng.randrange(1, 10 ** 6),
+                        "h_p": 2 ** rng.randrange(0, 80),
+                        "w": rng.choice([2, 4, 8]), "lambda": lam,
+                        "R": f"{rng.randrange(1, 2 ** 20)}/"
+                             f"{rng.randrange(1, 3 ** 16)}"})
+    return {"group": "elemab:2,4", "p": 2, "classes": classes}
+
+
+def _c8_profile():
+    return {"group": "cyclic:8", "p": 2, "classes": [
+        {"label": cls.label, "h": 1, "h_p": 1, "w": 2, "lambda": 1, "R": "1"}
+        for cls in parse_group_spec("cyclic:8").subgroup_classes()]}
+
+
+VERDICT_PROFILES = [fixture("elemab32_good.json"), fixture("elemab32_bad.json"),
+                    fixture("v4_consistent.json"), fixture("v4_perturbed.json"),
+                    "c8", "elemab24"]
+VERDICT_COMMANDS = [["check-units", "{}"],
+                    ["check-units", "{}", "--p-part"],
+                    ["check-units", "{}", "--p-part", "--candidate", "tower:1"],
+                    ["bk-check", "{}"], ["bouc", "--check", "{}"]]
+
+
+def test_verdict_json_equals_the_dict_route(capsys, tmp_path):
+    # every verdict command on every profile: pass and FAIL, Fraction bases
+    # of either sign of exponent, a cyclic group's empty results and a
+    # (2^4) profile like the benchmark's; the writer's output is the
+    # json.dumps of the dict route, and a check the profile cannot run
+    # fails as it does in text
+    paths = []
+    for name in VERDICT_PROFILES:
+        if name in ("c8", "elemab24"):
+            data = _c8_profile() if name == "c8" else _elemab24_profile(7)
+            name = tmp_path / f"{name}.json"
+            name.write_text(json.dumps(data))
+        paths.append(str(name))
+    seen = set()
+    for path in paths:
+        for argv in VERDICT_COMMANDS:
+            argv = [arg.format(path) for arg in argv]
+            try:
+                args = cli._build_parser().parse_args([*argv, "--json"])
+                code, report = args.handler(args)
+            except FactoreqError as exc:
+                assert invoke(capsys, *argv, "--json")[::2] == (
+                    2, f"error:{exc.category}:{exc}\n")
+                seen.add("error")
+                continue
+            expected = json.dumps({"command": report.command,
+                                   **report.payload},
+                                  indent=2, default=_expanded) + "\n"
+            assert invoke(capsys, *argv, "--json") == (code, expected, "")
+            results = json.loads(expected)["results"]
+            seen.add(code)
+            if not results:
+                seen.add("empty")
+            if any(factor["exponent"] < 0 for res in results
+                   for factor in res["factors"]):
+                seen.add("negative")
+    assert seen == {0, 1, "negative", "empty", "error"}
+
+
+def _v4_profile(h_o4):
+    classes = [{"label": label, "h": 1, "w": 2, "lambda": 1, "R": "1"}
+               for label in ("o1#0", "o2#0", "o2#1", "o2#2")]
+    classes.append({"label": "o4#0", "h": h_o4, "w": 2, "lambda": 1,
+                    "R": "1"})
+    return {"group": "elemab:2,2", "classes": classes}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_result_too_long_to_write_is_a_resource_error(capsys, tmp_path,
+                                                        flags):
+    # a 4,000-digit h is readable, but the residual's h^2 is too long for
+    # str(): one error:resource: line that names the limit, in text and
+    # JSON alike; a lowered limit is the one named
+    path = tmp_path / "long_h.json"
+    path.write_text(json.dumps(_v4_profile(int("7" * 4000))))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "check-units", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"error:resource:an exact result has more than {limit} "
+                   f"digits, more than str() writes\n")
+    sys.set_int_max_str_digits(640)
+    try:
+        path.write_text(json.dumps(_v4_profile(int("7" * 400))))
+        code, out, err = invoke(capsys, "bk-check", str(path), *flags)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:resource:an exact result has more than 640 ")
+    # short of the limit the same profile gives its verdict
+    path.write_text(json.dumps(_v4_profile(int("7" * 400))))
+    assert invoke(capsys, "check-units", str(path), *flags)[0] == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+@pytest.mark.parametrize("argv, text", [
+    (["check-units", "{path}"],
+     '{{"group": "elemab:2,2", "p": {nines}}}'),
+    (["factorizable", "elemab:2,2", "{path}"], '{{"o1#0": {nines}}}'),
+])
+def test_an_integer_too_long_to_read_is_a_resource_error(capsys, tmp_path,
+                                                         argv, text):
+    # json reads an integer by int(), which refuses over 4,300 digits: the
+    # file holds more than can be read, as with a long count; JSON that
+    # fails to parse before the integer stays a parse error
+    path = tmp_path / "long.json"
+    path.write_text(text.format(nines="9" * 5000))
+    argv = [arg.format(path=path) for arg in argv]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error:resource:{path}: an integer has more than "
+                   f"{limit} digits, more than int() reads\n")
+    path.write_text(text.format(nines="9" * 5000).replace(":", "", 1))
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2 and err.startswith(f"error:parse:{path}: invalid JSON")
+    code, _, err = invoke(capsys, "factorizable", "elemab:2,2",
+                          '{"o1#0": ' + "9" * 5000 + "}")
+    assert code == 2 and err.startswith("error:resource:values: an integer ")
+
+
 def test_bouc_listing_and_span(capsys):
     code, out, _ = invoke(capsys, "bouc", "dihedral:8", "--verify-span",
                           "--json")
@@ -999,23 +1302,28 @@ def test_bouc_verify_span_checks_each_generator_once(capsys, monkeypatch):
     (0, ["bouc", "--check", fixture("elemab32_good.json")]),
 ])
 def test_text_output_builds_no_relation_json(capsys, monkeypatch, argv):
-    # the relations are expanded only by the --json writer; text output,
-    # which lists the same relations as lines, expands none of them, and
-    # --json expands each exactly once
+    # the relations and a verdict's results are expanded only by the
+    # --json writer; text output, which lists the same relations as lines,
+    # expands none of them, and --json expands each exactly once
     expected, argv = argv
-    built = []
-    write_relation = cli._write_relation
+    built, results = [], []
+    write_relation, write_results = cli._write_relation, cli._write_results
     monkeypatch.setattr(cli, "_write_relation",
                         lambda theta, *rest: built.append(theta)
                         or write_relation(theta, *rest))
+    monkeypatch.setattr(cli, "_write_results",
+                        lambda res, *rest: results.append(res)
+                        or write_results(res, *rest))
     code, out, _ = invoke(capsys, *argv)
-    assert built == [] and "  [0] " in out
+    assert built == results == [] and "  [0] " in out
     json_code, out, _ = invoke(capsys, *argv, "--json")
     data = json.loads(out)
     written = (data["relations"] if "relations" in data
                else [res["relation"] for res in data["results"]])
     assert code == json_code == expected and len(built) == len(written) > 0
     assert [_relation_json(theta) for theta in built] == written
+    verdict = argv[0] in ("check-units", "bk-check") or "--check" in argv
+    assert len(results) == verdict
 
 
 def test_bouc_infers_no_prime_from_order_one_or_a_mixed_order(capsys):
