@@ -42,6 +42,7 @@ from .factorisable import (
 from .groups import (
     DESK_SCALE_CAP,
     Group,
+    SubgroupClass,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -340,8 +341,12 @@ def _parse_rational(value, where: str) -> Fraction:
         num, _, den = value.partition("/")
         try:
             return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
+        except ValueError:  # ASCII digits: int() refuses only their count
+            digits = len(max(num, den, key=len).lstrip("-"))
+            raise ResourceError(f"{where}: an integer of {digits} digits, "
+                                f"more than int() reads") from None
     raise ParseError(f"{where} must be an exact rational like \"3/2\", "
                      f"got {value!r}")
 
@@ -419,12 +424,19 @@ def profile_from_data(data, source: str = "profile") -> ArithmeticProfile:
 
 def parse_profile(path: str) -> ArithmeticProfile:
     """Load and validate a profile JSON file (UTF-8)."""
+    return profile_from_data(_read_json(path, "profile"), source=path)
+
+
+def _read_json(path: str, what: str):
+    """File ``path`` as JSON, UTF-8; ``what`` names it if it is unreadable."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return _decode_json(handle.read(), path)
     except OSError as exc:
-        raise DataError(f"cannot read profile {path!r}: {exc.strerror or exc}")
-    return profile_from_data(_decode_json(text, path), source=path)
+        raise DataError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
 
 
 def _decode_json(text: str, source: str):
@@ -445,16 +457,9 @@ def _decode_json(text: str, source: str):
 def _load_value_table(arg: str):
     """Class-label -> rational mapping, inline JSON or a file path."""
     if arg.lstrip().startswith("{"):
-        source, text = "values", arg
+        source, data = "values", _decode_json(arg, "values")
     else:
-        source = arg
-        try:
-            with open(arg, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DataError(f"cannot read values {arg!r}: "
-                            f"{exc.strerror or exc}")
-    data = _decode_json(text, source)
+        source, data = arg, _read_json(arg, "values")
     if not isinstance(data, dict):
         raise ParseError(f"{source}: values must be a JSON object mapping "
                          f"class labels to rationals")
@@ -474,13 +479,13 @@ def _write_json(obj, out: list, newline: str) -> None:
     on.  Types are tested in the stdlib's order: str (by the stdlib's own
     C quoting), None, bool, int, then lists, tuples and dicts with str
     keys, then GRelation and a verdict's :class:`_Results`, written by
-    :func:`_write_relation` and :func:`_write_results`.  Anything
-    else, a float or a Fraction included, raises TypeError: reports hold
-    no floats.  A container writes an item of type exactly str or int
-    itself, and a key with its indent as one f-string, built without
-    temporaries.  The stdlib runs its C encoder only without ``indent``;
-    with it, its generator per container cost more than twice this
-    writer's time.
+    :func:`_write_relation` and :func:`_write_results`.  Anything else, a
+    float or a Fraction included, raises TypeError: reports hold no floats.
+    A container writes an item of type exactly str or int itself, a
+    SubgroupClass as one template, and a key with its indent as one
+    f-string, built without temporaries.  The stdlib runs its C encoder
+    only without ``indent``; with it, its generator per container cost
+    more than twice this writer's time.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -518,6 +523,14 @@ def _write_json(obj, out: list, newline: str) -> None:
                 _write_relation(item, out, inner)
             elif kind is _Results:
                 _write_results(item, out, inner)
+            elif kind is SubgroupClass:
+                row = inner + "  "
+                out.append(
+                    f'{{{row}"label": {_quote(item.label)},{row}"order": '
+                    f'{item.order},{row}"size": {item.class_size},{row}'
+                    f'"cyclic": {"true" if item.is_cyclic else "false"},'
+                    f'{row}"normal": {"true" if item.is_normal else "false"}'
+                    f'{inner}}}')
             else:
                 _write_json(item, out, inner)
         out.append(newline + ("}" if mapping else "]"))
@@ -694,9 +707,7 @@ def _cmd_group(args):
         "order": group.order,
         "abelian": group.is_abelian(),
         "exponent": group.exponent(),
-        "classes": [{"label": cls.label, "order": cls.order,
-                     "size": cls.class_size, "cyclic": cls.is_cyclic,
-                     "normal": cls.is_normal} for cls in classes],
+        "classes": classes,
     }
 
     def lines():

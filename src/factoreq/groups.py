@@ -11,10 +11,10 @@ tool.  The cap bounds every closure, and the named families check their
 known order against it before anything is built.
 
 The subgroup lattice is enumerated one conjugacy class at a time (cyclic
-extension, after Neubueser 1960): cyclic subgroups are joined onto one
-member of each class, and each new subgroup's class is its orbit under
-conjugation by the non-central generators, kept for
-:meth:`Group.subgroup_classes`.
+extension, after Neubueser 1960): cyclic subgroups, one power walk each,
+are joined onto one member H of each class, once per double coset HxH (a
+central x with x^2 in H as the union H u xH), and each new subgroup's
+class is its orbit under conjugation by the non-central generators.
 
 Hot loops map a set through a table row or column in one cached
 ``operator.itemgetter`` call: H's getter reads the coset yH off row y and
@@ -26,7 +26,8 @@ is G by Lagrange.  Orbits and normality tests skip central generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
+from math import gcd, lcm
 from operator import eq, itemgetter
 
 from .errors import ValidationError
@@ -103,6 +104,7 @@ class Group:
         self._element_classes = None
         self._class_of_element = None
         self._all_subgroups = None
+        self._cyclic = None
         self._subgroup_orbits = None
         self._subgroup_rank = None
         self._subgroup_classes = None
@@ -176,11 +178,7 @@ class Group:
                    for i, a in enumerate(gens) for b in gens[:i])
 
     def exponent(self) -> int:
-        from math import lcm
-        e = 1
-        for o in self.element_orders:
-            e = lcm(e, o)
-        return e
+        return lcm(*self.element_orders)
 
     def center(self) -> frozenset:
         """Elements that commute with every generator, hence with all of G:
@@ -232,21 +230,29 @@ class Group:
         class is its orbit, found breadth first under conjugation by the
         non-central generators and kept for :meth:`subgroup_classes`.
 
+        Each cyclic <x> is one walk x, x^2, ... from its least generator
+        x, which marks the other generators x^k (k prime to |<x>|) done.
         <H, x> grows from H as a union of left cosets k*H, by breadth-first
         search over representatives k left-multiplied by x and the cyclic
         generators that built H: the union holds 1 and is closed under
         them, so it is <H, x>, found in about |<H, x>| steps rather than
         |<H, x>| * |H|.  A central x needs no search: <H, x> is the chain
         H u xH u x^2 H u ..., walked until a power of x falls inside.  Since
-        <H, hx> = <H, x>, one x per coset Hx is joined.  H's getter reads kH
-        off row k and Hx off column x.  A union past |G|/p elements (p the
-        least prime dividing |G|) is G.
+        <H, hxh'> = <H, x>, one x per double coset HxH is joined.  H's
+        getter reads kH off row k and Hx off column x.  A union past |G|/p
+        elements (p the least prime dividing |G|) is G.
         """
         if self._all_subgroups is None:
             mul, columns, n = self.mul, self._columns, self.order
-            cyclic = {}
-            for x in range(n):
-                cyclic.setdefault(self._closure([x]), x)
+            cyclic, done = {}, set()
+            for x in filterfalse(done.__contains__, range(n)):
+                powers, y = [0], x
+                while y:
+                    powers.append(y)
+                    y = mul[y][x]
+                cyclic[frozenset(powers)] = x
+                done.update(y for k, y in enumerate(powers)
+                            if gcd(k, len(powers)) == 1)
             joins = list(cyclic.values())
             center = self.center()
             movers = [g for g in self.generators if g not in center]
@@ -264,15 +270,19 @@ class Group:
                 for x in joins:
                     if x in seen:
                         continue
-                    seen.update(coset(columns[x]))
                     step = gens + (x,)
-                    elems = set(sub)
-                    if x in center:
-                        y = x
+                    shifted = coset(mul[x])
+                    if x in center:  # then xH = Hx = HxH
+                        seen.update(shifted)
+                        elems, y = sub.union(shifted), mul[x][x]
                         while y not in elems and len(elems) <= cap:
-                            elems.update(coset(mul[y]))
+                            elems = elems.union(coset(mul[y]))
                             y = mul[y][x]
-                    else:
+                    else:  # mark HxH, the union of the Hz for z in xH
+                        for z in shifted:
+                            if z not in seen:
+                                seen.update(coset(columns[z]))
+                        elems = set(sub)
                         reps = [0]
                         for k in reps:
                             for s in step:
@@ -286,6 +296,7 @@ class Group:
                     if new not in known:
                         queue.append((new, step))
                         orbits.append(self._subgroup_orbit(new, movers, known))
+            self._cyclic = cyclic
             self._subgroup_orbits = orbits
             self._all_subgroups = tuple(sorted(known, key=_subgroup_key))
             self._subgroup_rank = {sub: i for i, sub in
@@ -304,7 +315,8 @@ class Group:
         if self._subgroup_classes is None:
             self.all_subgroups()
             rank = self._subgroup_rank.__getitem__
-            classes = sorted((tuple(sorted(orbit, key=rank))
+            classes = sorted((tuple(sorted(orbit, key=rank) if orbit[1:]
+                                    else orbit)  # one member: no sort
                               for orbit in self._subgroup_orbits),
                              key=lambda members: rank(members[0]))
             per_order: dict[int, int] = {}
@@ -312,15 +324,12 @@ class Group:
             out = []
             for idx, members in enumerate(classes):
                 rep = members[0]
-                k = per_order.get(len(rep), 0)
-                per_order[len(rep)] = k + 1
-                for m in members:
-                    assigned[m] = idx
-                is_cyc = any(self.element_orders[x] == len(rep) for x in rep)
+                k = per_order[len(rep)] = per_order.get(len(rep), -1) + 1
+                assigned.update(dict.fromkeys(members, idx))
                 out.append(SubgroupClass(
                     index=idx, label=f"o{len(rep)}#{k}", order=len(rep),
                     representative=rep, members=members,
-                    is_cyclic=is_cyc, is_normal=len(members) == 1))
+                    is_cyclic=rep in self._cyclic, is_normal=len(members) == 1))
             self._subgroup_classes = tuple(out)
             self._class_of_subgroup = assigned
             self._class_by_label = {cls.label: cls for cls in out}

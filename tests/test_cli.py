@@ -38,6 +38,7 @@ from factoreq.errors import (
     ResourceError,
     ValidationError,
 )
+from factoreq.groups import SubgroupClass
 from factoreq.lattices import (
     augmentation_lattice,
     coset_lattice,
@@ -772,11 +773,20 @@ def _results_json(results):
                     verdict.explanations))]
 
 
+def _class_json(cls):
+    """A subgroup class as the record that the writer expands it into: the
+    oracle for its one template per class."""
+    return {"label": cls.label, "order": cls.order, "size": cls.class_size,
+            "cyclic": cls.is_cyclic, "normal": cls.is_normal}
+
+
 def _expanded(obj):
     """``json.dumps``'s ``default``: the dict route of every object that a
     report holds for the writer to expand."""
     if isinstance(obj, GRelation):
         return _relation_json(obj)
+    if isinstance(obj, SubgroupClass):
+        return _class_json(obj)
     if isinstance(obj, cli._Results):
         return _results_json(obj)
     raise TypeError(f"{type(obj).__name__} is not expanded by the writer")
@@ -861,6 +871,16 @@ def test_writer_on_relation_coefficients_that_are_not_exactly_int():
     for coeff in (1.5, Fraction(1, 2)):
         with pytest.raises(TypeError):
             written([GRelation(group, ((0, 1), (3, coeff)))])
+
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "elemab:2,3", "cyclic:1",
+                                  "perm:[(0,1,2,3),(0,1)]"])
+def test_writer_matches_json_dumps_on_subgroup_classes(spec):
+    # a class table at the top of a report and nested deeper, as records
+    classes = parse_group_spec(spec).subgroup_classes()
+    for obj in ([*classes], {"classes": classes},
+                [{"c": [cls, None]} for cls in classes]):
+        assert written(obj) == json.dumps(obj, indent=2, default=_class_json)
 
 
 @pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {1: "x"},
@@ -1265,6 +1285,47 @@ def test_an_integer_too_long_to_read_is_a_resource_error(capsys, tmp_path,
     code, _, err = invoke(capsys, "factorizable", "elemab:2,2",
                           '{"o1#0": ' + "9" * 5000 + "}")
     assert code == 2 and err.startswith("error:resource:values: an integer ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+@pytest.mark.parametrize("argv, where, text", [
+    (["bk-check", "{path}"], "classes[0]: 'R'", "{nines}/7"),
+    (["bk-check", "{path}"], "classes[0]: 'R'", "-{nines}"),
+    (["factorizable", "elemab:2,2", "{path}"], "value for o1#0", "1/{nines}"),
+    (["factorizable", "elemab:2,2", "{path}"], "value for o1#0",
+     "-3/-{nines}"),
+])
+def test_a_rational_string_too_long_to_read_is_a_resource_error(
+        capsys, tmp_path, argv, where, text):
+    # a numerator or denominator longer than int() reads is named by its
+    # digit count, as the same integer as a JSON number is, and not quoted
+    value = text.format(nines="9" * 5000)
+    if argv[0] == "bk-check":
+        data = _v4_profile(1)
+        data["classes"][0]["R"] = value
+    else:
+        data = {"o1#0": value}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, *[arg.format(path=path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == (f"error:resource:{path}: {where}: an integer of 5000 "
+                   f"digits, more than int() reads\n")
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["check-units", "{path}"], b'{"group": "\xff"}'),
+    (["factorizable", "elemab:2,2", "{path}"], b'{"o1#0": "\xff"}'),
+])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv,
+                                                  data):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    start = data.index(b"\xff")
+    assert invoke(capsys, *[arg.format(path=path) for arg in argv]) == (
+        2, "", f"error:parse:{path}: not UTF-8 text: invalid start byte at "
+               f"byte {start}\n")
 
 
 def test_bouc_listing_and_span(capsys):

@@ -349,6 +349,50 @@ def test_subgroup_enumeration_against_oracles(name):
         assert c.representative == c.members[0]
 
 
+@pytest.mark.parametrize("name", sorted(SUBGROUP_COUNTS))
+def test_element_orders_match_the_power_loop(name):
+    g = build(name)
+    orders = []
+    for x in range(g.order):
+        power, k = x, 1
+        while power != 0:
+            power, k = g.mul[power][x], k + 1
+        orders.append(k)
+    assert g.element_orders == tuple(orders)
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUP_COUNTS))
+def test_power_walks_find_the_cyclic_subgroups_of_the_closures(name):
+    # one closure per element, each cyclic subgroup kept with its least
+    # generator in order of that generator: the dict the walks replace
+    g = build(name)
+    closures = {}
+    for x in range(g.order):
+        closures.setdefault(g._closure([x]), x)
+    classes = g.subgroup_classes()
+    assert list(g._cyclic.items()) == list(closures.items())
+    for cls in classes:
+        assert all((member in closures) is cls.is_cyclic
+                   for member in cls.members)
+
+
+@pytest.mark.parametrize("name", ["C64", "Heis5"])
+def test_all_subgroups_closes_at_most_once_per_cyclic_subgroup(name,
+                                                               monkeypatch):
+    g = build(name)
+    cyclic = {g._closure([x]) for x in range(g.order)}
+    calls = []
+    closure = Group._closure
+
+    def counting(self, seed):
+        calls.append(seed)
+        return closure(self, seed)
+
+    monkeypatch.setattr(Group, "_closure", counting)
+    g.all_subgroups()
+    assert len(calls) <= len(cyclic)
+
+
 def test_subgroup_classes_reuse_the_enumeration_orbits(monkeypatch):
     # one conjugation orbit pass in all: all_subgroups conjugates each of
     # the 156 subgroups of S5 at most once per generator, each generator's
